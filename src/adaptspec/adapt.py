@@ -1,9 +1,10 @@
 """Adaptivity controllers and reconstruction primitives.
 
 Reconstruction: refine/coarsen (order +-1), rescale (new beta), translate
-(shift x_left) — all implemented the same way: evaluate the current
-expansion at the target space's grid and re-interpolate.  Refinement is
-exact (nested spaces); the rest are interpolations.
+(shift x_left).  Refinement pads the coefficients with a zero, which is
+exact because the spaces are nested and builds no grid for the new order.
+The other three evaluate the current expansion at the target space's grid
+and re-interpolate.
 
 Controllers: order adaptivity driven by the frequency indicator with a
 growing refine threshold and guarded coarsening; scaling that walks beta
@@ -21,17 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from . import basis
 from .basis import (
     BasisDescriptor,
     Expansion2D,
     SpectralExpansion,
-    evaluate_all,
-    nodes_weights,
+    _cross_matrix,
+    _cross_matrix_cached,  # noqa: F401  (its cache counters are read from this module too)
     to_coefficients,
     to_coefficients_2d,
 )
@@ -154,22 +155,6 @@ class StepRecord:
 # ---------------------------------------------------- reconstruction
 
 
-_CROSS_CACHE_LIMIT = 2_000_000  # entries; N=2500-scale pairs bypass the cache
-
-
-@lru_cache(maxsize=24)
-def _cross_matrix_cached(d_from: BasisDescriptor, d_to: BasisDescriptor) -> np.ndarray:
-    B = evaluate_all(d_from, nodes_weights(d_to).nodes)
-    B.setflags(write=False)
-    return B
-
-
-def _cross_matrix(d_from: BasisDescriptor, d_to: BasisDescriptor) -> np.ndarray:
-    if d_from.size * d_to.size <= _CROSS_CACHE_LIMIT:
-        return _cross_matrix_cached(d_from, d_to)
-    return evaluate_all(d_from, nodes_weights(d_to).nodes)
-
-
 def resample(u: SpectralExpansion, d_new: BasisDescriptor) -> SpectralExpansion:
     """Interpolate u onto another space's grid (two matrix-vector passes)."""
     if d_new == u.descriptor:
@@ -190,8 +175,11 @@ def resample_2d(u: Expansion2D, dx_new: BasisDescriptor, dy_new: BasisDescriptor
 
 
 def refine(u: SpectralExpansion) -> SpectralExpansion:
-    """Order N -> N+1; exact (the spaces are nested)."""
-    return resample(u, replace(u.descriptor, order=u.descriptor.order + 1))
+    """Order N -> N+1 by a zero top coefficient; exact (the spaces are nested)."""
+    c = u.coefficients
+    b = np.zeros(c.size + 1, dtype=np.result_type(c.dtype, float))
+    b[:-1] = c
+    return SpectralExpansion(replace(u.descriptor, order=u.descriptor.order + 1), b)
 
 
 def coarsen(u: SpectralExpansion) -> SpectralExpansion:
@@ -232,15 +220,22 @@ def initial_state(u: SpectralExpansion, config: ControllerConfig) -> AdaptiveSta
     )
 
 
+def _order_cap(config: ControllerConfig) -> int:
+    """Highest order refinement may reach: n_abs, never past MAX_ORDER."""
+    if config.n_abs is None:
+        return basis.MAX_ORDER
+    return min(config.n_abs, basis.MAX_ORDER)
+
+
 def p_adapt_step(
     u: SpectralExpansion, state: AdaptiveState, config: ControllerConfig
 ) -> tuple[SpectralExpansion, AdaptiveState, list[str]]:
     """One order-adaptivity decision.
 
     Refine while the indicator exceeds refine_factor * freq_ref, at most
-    n_max increments (and never past n_abs); afterwards the reference is
-    rebased to the current indicator and the refine multiplier grows by
-    gamma.  Otherwise, if the indicator sits below freq_ref/eta0 and the
+    n_max increments (and never past n_abs or MAX_ORDER); afterwards the
+    reference is rebased to the current indicator and the refine
+    multiplier grows by gamma.  Otherwise, if the indicator sits below freq_ref/eta0 and the
     order exceeds n_min, try a single coarsening and keep it only if it
     strictly lowers the indicator below freq_ref.
     """
@@ -248,8 +243,9 @@ def p_adapt_step(
     f = frequency_indicator(u, config.indicator)
     if f > state.refine_factor * state.freq_ref:
         increments = 0
+        cap = _order_cap(config)
         while f > state.refine_factor * state.freq_ref and increments < config.n_max:
-            if config.n_abs is not None and u.descriptor.order + 1 > config.n_abs:
+            if u.descriptor.order + 1 > cap:
                 break
             u = refine(u)
             increments += 1
@@ -288,9 +284,10 @@ def _p_adapt_axis(
     f = frequency_indicator_axis(work, axis, config.indicator)
     if f > state.refine_factor * state.freq_ref:
         increments = 0
+        cap = _order_cap(config)
         while f > state.refine_factor * state.freq_ref and increments < config.n_max:
             order = _axis_descriptor(work, axis).order + 1
-            if config.n_abs is not None and order > config.n_abs:
+            if order > cap:
                 break
             work = _with_axis_order(work, axis, order)
             increments += 1

@@ -305,7 +305,8 @@ def _scaled_function_recurrence(alpha, beta, nmax, y, log_env, orient=1.0):
     s = log_env.copy()
     v_prev = np.zeros_like(y)
     v = np.full_like(y, 1.0 / math.sqrt(beta[0]))
-    out[0] = v * np.exp(s)
+    env = np.exp(s)  # refreshed only in the columns a rescale touched
+    out[0] = v * env
     for k in range(nmax):
         v_next = (orient * (y - alpha[k]) * v - math.sqrt(beta[k]) * v_prev) / math.sqrt(beta[k + 1])
         v_prev, v = v, v_next
@@ -314,7 +315,8 @@ def _scaled_function_recurrence(alpha, beta, nmax, y, log_env, orient=1.0):
             v[big] /= _RESCALE
             v_prev[big] /= _RESCALE
             s[big] += _LOG_RESCALE
-        out[k + 1] = v * np.exp(s)
+            env[big] = np.exp(s[big])
+        out[k + 1] = v * env
     return out
 
 
@@ -551,15 +553,21 @@ def _check_bounded_domain(x: np.ndarray):
 def norms(d: BasisDescriptor) -> np.ndarray:
     """Continuous weighted squared norms of the basis functions.
 
-    The function families are orthonormal for every beta; the polynomial
-    families return the classical constants.
+    The function families are orthonormal for every beta (ones, with no
+    grid built); the polynomial families return the classical constants.
     """
+    if not d.bounded:
+        return np.ones(d.size)
     return _core_of(d).gamma
 
 
 @lru_cache(maxsize=256)
 def _transform_matrix(d: BasisDescriptor) -> np.ndarray:
-    """T with u = T @ values: row i is w_s B_i(x_s) / gamma_hat_i."""
+    """T with u = T @ values: row i is w_s B_i(x_s) / gamma_hat_i.
+
+    T depends on the core rule and beta only; callers key it through
+    _transform_of so that translated grids share one entry.
+    """
     core = _core_of(d)
     T = core.V * core.w / core.gamma_hat[:, None]
     if not d.bounded:
@@ -567,6 +575,30 @@ def _transform_matrix(d: BasisDescriptor) -> np.ndarray:
         T = T / math.sqrt(d.beta)
     T.setflags(write=False)
     return T
+
+
+def _transform_of(d: BasisDescriptor) -> np.ndarray:
+    return _transform_matrix(d if d.x_left == 0.0 else replace(d, x_left=0.0))
+
+
+# Operator caches hold at most this many matrix entries per matrix; larger
+# operators (N=2500-scale pairs, the order-600 exterior panels) are rebuilt
+# on every call rather than kept resident.
+_CACHE_ENTRY_LIMIT = 2_000_000
+
+
+@lru_cache(maxsize=24)
+def _cross_matrix_cached(d_from: BasisDescriptor, d_to: BasisDescriptor) -> np.ndarray:
+    B = evaluate_all(d_from, nodes_weights(d_to).nodes)
+    B.setflags(write=False)
+    return B
+
+
+def _cross_matrix(d_from: BasisDescriptor, d_to: BasisDescriptor) -> np.ndarray:
+    """B[i, s] = B_i(x_s) for the basis of d_from on the grid of d_to."""
+    if d_from.size * d_to.size <= _CACHE_ENTRY_LIMIT:
+        return _cross_matrix_cached(d_from, d_to)
+    return evaluate_all(d_from, nodes_weights(d_to).nodes)
 
 
 def _values_matrix(d: BasisDescriptor) -> np.ndarray:
@@ -582,7 +614,7 @@ def to_coefficients(values, d: BasisDescriptor) -> SpectralExpansion:
     values = np.asarray(values)
     if values.shape != (d.size,):
         raise ValueError(f"expected {d.size} grid values, got shape {values.shape}")
-    return SpectralExpansion(d, _transform_matrix(d) @ values)
+    return SpectralExpansion(d, _transform_of(d) @ values)
 
 
 def node_values(u: SpectralExpansion) -> np.ndarray:
@@ -599,7 +631,7 @@ def to_coefficients_2d(values, dx: BasisDescriptor, dy: BasisDescriptor) -> Expa
     values = np.asarray(values)
     if values.shape != (dx.size, dy.size):
         raise ValueError(f"expected shape {(dx.size, dy.size)}, got {values.shape}")
-    U = _transform_matrix(dx) @ values @ _transform_matrix(dy).T
+    U = _transform_of(dx) @ values @ _transform_of(dy).T
     return Expansion2D(dx, dy, U)
 
 
@@ -653,14 +685,11 @@ def differentiate(u: SpectralExpansion) -> SpectralExpansion:
         return SpectralExpansion(d, b)
 
     if d.family is Family.HERMITE_FN:
+        # h_m' = beta (sqrt(m/2) h_{m-1} - sqrt((m+1)/2) h_{m+1})
         out = replace(d, order=n + 1)
         b = np.zeros(n + 2, dtype=np.result_type(a.dtype, float))
-        for m in range(n + 1):
-            if a[m] == 0:
-                continue
-            if m >= 1:
-                b[m - 1] += d.beta * math.sqrt(m / 2.0) * a[m]
-            b[m + 1] -= d.beta * math.sqrt((m + 1) / 2.0) * a[m]
+        b[1:] -= d.beta * np.sqrt(np.arange(1, n + 2) / 2.0) * a
+        b[:n] += d.beta * np.sqrt(np.arange(1, n + 1) / 2.0) * a[1:]
         return SpectralExpansion(out, b)
 
     if d.family is Family.JACOBI:
@@ -692,8 +721,19 @@ def _deriv_values_jacobi(d: BasisDescriptor, a: np.ndarray) -> np.ndarray:
 
 def _deriv_values_laguerre(d: BasisDescriptor, a: np.ndarray) -> np.ndarray:
     """d/dx of the expansion at the grid nodes (chain rule included)."""
-    dphi = _laguerre_function_derivs(d.order, _core_of(d).y, d.laguerre_a)
+    if d.size * d.size <= _CACHE_ENTRY_LIMIT:
+        dphi = _laguerre_deriv_rows(d.order, float(d.laguerre_a))
+    else:
+        dphi = _laguerre_function_derivs(d.order, _core_of(d).y, d.laguerre_a)
     return (d.beta * math.sqrt(d.beta)) * (dphi.T @ a)
+
+
+@lru_cache(maxsize=2)
+def _laguerre_deriv_rows(order: int, a: float) -> np.ndarray:
+    """Derivative rows on the reference Radau grid; beta enters as a factor."""
+    dphi = _laguerre_function_derivs(order, _core(Family.LAGUERRE_FN, order, a, 0.0).y, a)
+    dphi.setflags(write=False)
+    return dphi
 
 
 def _laguerre_function_derivs(nmax: int, y: np.ndarray, a: float) -> np.ndarray:

@@ -5,27 +5,34 @@ the top modes, 1D and per-axis 2D), the exterior-error indicator (fraction
 of the derivative's weighted norm beyond a split point, for unbounded
 families), and the relative weighted-L2 error against a reference
 function on an oversampled grid.
+
+The exterior indicator and the relative error evaluate the expansion
+through matrices cached per descriptor (and split point), so while the
+basis stays put each call is a matrix-vector product.  Matrices above
+basis._CACHE_ENTRY_LIMIT entries are rebuilt per call instead of cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .basis import (
+    _CACHE_ENTRY_LIMIT,
     MAX_ORDER,
     BasisDescriptor,
     Expansion2D,
     Family,
     SpectralExpansion,
+    _cross_matrix,
     differentiate,
+    evaluate_all,
     nodes_weights,
     norms,
-    to_values,
-    to_values_2d,
 )
 
 __all__ = [
@@ -127,43 +134,65 @@ def exterior_error_indicator(u: SpectralExpansion, x_split: float) -> float:
     den2 = float(np.real(np.vdot(b, b)))
     if den2 == 0.0:
         return 0.0
+    p = _exterior_panels(du.descriptor, float(x_split))
+    if p is None:
+        return 0.0
+    E = p.E if p.E is not None else evaluate_all(du.descriptor, p.x)
+    v2 = np.abs(E.T @ b) ** 2
     if d.family is Family.HERMITE_FN:
-        num2 = _exterior_energy_hermite(du, x_split)
+        num2 = float(p.w @ v2) / d.beta
     else:
-        num2 = _exterior_energy_laguerre(du, x_split)
+        num2 = 2.0 * float(p.w @ (v2 * p.weight * p.s)) / d.beta
     return min(math.sqrt(max(num2, 0.0) / den2), 1.0)
 
 
-def _exterior_energy_hermite(du: SpectralExpansion, x_split: float) -> float:
-    d = du.descriptor
-    n = d.order
-    turn = math.sqrt(2.0 * n + 1.0)
-    y_cut = turn + 9.3  # envelope below ~1e-18 of peak past the turning point
-    y_lo = max(d.beta * (x_split - d.x_left), -y_cut)
-    if y_lo >= y_cut:
-        return 0.0
-    panels = int(math.ceil((y_cut - y_lo) * max(turn, 1.0) / (2.0 * math.pi))) + 1
-    y, w = _composite_gauss(np.linspace(y_lo, y_cut, panels + 1))
-    vals = to_values(du, y / d.beta + d.x_left)
-    return float(w @ np.abs(vals) ** 2) / d.beta
+@dataclass(frozen=True)
+class _Panels:
+    """Exterior quadrature of one (descriptor, split point) pair.
+
+    x: physical points; w: panel weights (in y for Hermite, in s = sqrt(y)
+    for Laguerre); s, weight: Laguerre's s and y^a (None for Hermite); E:
+    basis values at x, or None when the matrix is above the entry limit.
+    """
+
+    x: np.ndarray
+    w: np.ndarray
+    s: np.ndarray | None
+    weight: np.ndarray | float | None
+    E: np.ndarray | None
 
 
-def _exterior_energy_laguerre(du: SpectralExpansion, x_split: float) -> float:
-    d = du.descriptor
+@lru_cache(maxsize=2)
+def _exterior_panels(d: BasisDescriptor, x_split: float) -> _Panels | None:
+    """Panel rule beyond x_split for the derivative space d; None if empty."""
     n = d.order
-    a = d.laguerre_a
-    y_cut = 4.0 * (n + a) + 2.0 + 90.0  # exp(-y/2) tail below 1e-18 relative
-    y_lo = min(max(d.beta * (x_split - d.x_left), 0.0), y_cut)
-    if y_lo >= y_cut:
-        return 0.0
-    # integrate in s = sqrt(y): the oscillation wavelength is uniform there
-    s_lo, s_hi = math.sqrt(y_lo), math.sqrt(y_cut)
-    panels = int(math.ceil((s_hi - s_lo) * math.sqrt(n + 1.0) / math.pi)) + 1
-    s, w = _composite_gauss(np.linspace(s_lo, s_hi, panels + 1))
-    y = s * s
-    vals = to_values(du, y / d.beta + d.x_left)
-    weight = y**a if a != 0.0 else 1.0
-    return 2.0 * float(w @ (np.abs(vals) ** 2 * weight * s)) / d.beta
+    if d.family is Family.HERMITE_FN:
+        turn = math.sqrt(2.0 * n + 1.0)
+        y_cut = turn + 9.3  # envelope below ~1e-18 of peak past the turning point
+        y_lo = max(d.beta * (x_split - d.x_left), -y_cut)
+        if y_lo >= y_cut:
+            return None
+        panels = int(math.ceil((y_cut - y_lo) * max(turn, 1.0) / (2.0 * math.pi))) + 1
+        y, w = _composite_gauss(np.linspace(y_lo, y_cut, panels + 1))
+        s = weight = None
+    else:
+        a = d.laguerre_a
+        y_cut = 4.0 * (n + a) + 2.0 + 90.0  # exp(-y/2) tail below 1e-18 relative
+        y_lo = min(max(d.beta * (x_split - d.x_left), 0.0), y_cut)
+        if y_lo >= y_cut:
+            return None
+        # integrate in s = sqrt(y): the oscillation wavelength is uniform there
+        s_lo, s_hi = math.sqrt(y_lo), math.sqrt(y_cut)
+        panels = int(math.ceil((s_hi - s_lo) * math.sqrt(n + 1.0) / math.pi)) + 1
+        s, w = _composite_gauss(np.linspace(s_lo, s_hi, panels + 1))
+        y = s * s
+        weight = y**a if a != 0.0 else 1.0
+    x = y / d.beta + d.x_left
+    E = evaluate_all(d, x) if d.size * x.size <= _CACHE_ENTRY_LIMIT else None
+    for arr in (x, w, s, weight, E):
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return _Panels(x=x, w=w, s=s, weight=weight, E=E)
 
 
 def default_split_point(d: BasisDescriptor) -> float:
@@ -196,9 +225,10 @@ def relative_error(u: SpectralExpansion, reference: Callable) -> float:
     aliasing to zero.  reference must accept a vector of points.
     """
     d = u.descriptor
-    r = nodes_weights(_fine_descriptor(d))
+    fine = _fine_descriptor(d)
+    r = nodes_weights(fine)
     fv = np.asarray(reference(r.nodes))
-    uv = to_values(u, r.nodes)
+    uv = _cross_matrix(d, fine).T @ u.coefficients
     den2 = float(r.weights @ np.abs(fv) ** 2)
     if den2 == 0.0:
         raise ValueError("reference has zero weighted norm")
@@ -208,11 +238,12 @@ def relative_error(u: SpectralExpansion, reference: Callable) -> float:
 
 def relative_error_2d(u: Expansion2D, reference: Callable) -> float:
     """Tensor-grid version; reference takes meshgrid arrays (indexing='ij')."""
-    rx = nodes_weights(_fine_descriptor(u.descriptor_x))
-    ry = nodes_weights(_fine_descriptor(u.descriptor_y))
+    fx = _fine_descriptor(u.descriptor_x)
+    fy = _fine_descriptor(u.descriptor_y)
+    rx, ry = nodes_weights(fx), nodes_weights(fy)
     X, Y = np.meshgrid(rx.nodes, ry.nodes, indexing="ij")
     fv = np.asarray(reference(X, Y))
-    uv = to_values_2d(u, rx.nodes, ry.nodes)
+    uv = _cross_matrix(u.descriptor_x, fx).T @ u.coefficients @ _cross_matrix(u.descriptor_y, fy)
     W = rx.weights[:, None] * ry.weights[None, :]
     den2 = float((W * np.abs(fv) ** 2).sum())
     if den2 == 0.0:

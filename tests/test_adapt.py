@@ -18,6 +18,7 @@ from adaptspec import (
     to_values,
     to_values_2d,
 )
+from adaptspec import basis
 from adaptspec.adapt import (
     AdaptiveState,
     ControllerConfig,
@@ -29,6 +30,7 @@ from adaptspec.adapt import (
     p_adapt_step_2d,
     refine,
     rescale,
+    resample,
     resample_2d,
     scale_step,
     translate,
@@ -70,6 +72,28 @@ def test_refine_is_lossless():
     npt.assert_allclose(to_values(v, x), to_values(u, x), atol=1e-12)
     # new top coefficient vanishes
     assert abs(v.coefficients[-1]) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        LEG(11),
+        CHEB(11),
+        BasisDescriptor(Family.JACOBI, 11, jacobi_a=0.5, jacobi_b=-0.3),
+        HER(11, beta=1.3, x_left=0.4),
+        LAG(11, beta=0.8, x_left=-1.0, laguerre_a=0.5),
+    ],
+    ids=str,
+)
+def test_refine_zero_pad_matches_resample(d):
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+    u = SpectralExpansion(d, c)
+    v = refine(u)
+    assert v.coefficients[-1] == 0.0 and np.array_equal(v.coefficients[:-1], c)
+    w = resample(u, replace(d, order=d.order + 1))
+    assert v.descriptor == w.descriptor
+    npt.assert_allclose(v.coefficients, w.coefficients, rtol=0, atol=1e-14)
 
 
 def test_refine_coarsen_refine_idempotent():
@@ -203,6 +227,27 @@ def test_p_adapt_refine_stops_at_absolute_cap():
     assert actions == ["refine"] * 2
     # the branch still rebases the reference
     npt.assert_allclose(st2.freq_ref, frequency_indicator(v), rtol=1e-13)
+
+
+def test_p_adapt_refine_stops_at_max_order(monkeypatch):
+    monkeypatch.setattr(basis, "MAX_ORDER", 12)
+    u = SpectralExpansion(LEG(12), np.ones(13))
+    v, st2, actions = p_adapt_step(u, state_with(freq_ref=1e-9), ControllerConfig(n_max=6))
+    assert actions == [] and v is u
+    npt.assert_allclose(st2.freq_ref, frequency_indicator(u), rtol=1e-15)
+    # n_abs above the limit does not lift it
+    v, _, actions = p_adapt_step(
+        SpectralExpansion(LEG(10), np.ones(11)),
+        state_with(freq_ref=1e-9),
+        ControllerConfig(n_max=6, n_abs=20),
+    )
+    assert actions == ["refine"] * 2 and v.descriptor.order == 12
+    u2 = Expansion2D(LEG(12), LEG(10), np.ones((13, 11)))
+    v2, _, _, actions = p_adapt_step_2d(
+        u2, state_with(freq_ref=1e-9), state_with(freq_ref=1e-9), ControllerConfig(n_max=6)
+    )
+    assert actions == ["refine_y"] * 2
+    assert (v2.descriptor_x.order, v2.descriptor_y.order) == (12, 12)
 
 
 def test_p_adapt_accepted_coarsen():

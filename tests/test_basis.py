@@ -1,6 +1,7 @@
 """Basis/quadrature layer: grids, transforms, differentiation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -21,6 +22,18 @@ from adaptspec import (
     to_coefficients_2d,
     to_values,
     to_values_2d,
+)
+from adaptspec import basis
+from adaptspec.basis import (
+    _LOG_RESCALE,
+    _RESCALE,
+    _hermite_functions,
+    _laguerre_functions,
+    _laguerre_function_derivs,
+    _recurrence_hermite,
+    _recurrence_laguerre,
+    _scaled_function_recurrence,
+    _transform_of,
 )
 
 
@@ -217,6 +230,13 @@ def test_unbounded_norms_are_one():
     npt.assert_allclose(norms(BasisDescriptor(Family.LAGUERRE_FN, 10, laguerre_a=0.5)), 1.0)
 
 
+def test_unbounded_norms_build_no_grid():
+    misses = basis._core.cache_info().misses
+    assert norms(BasisDescriptor(Family.HERMITE_FN, 1234)).shape == (1235,)
+    assert norms(BasisDescriptor(Family.LAGUERRE_FN, 1234, laguerre_a=0.25)).shape == (1235,)
+    assert basis._core.cache_info().misses == misses
+
+
 # ------------------------------------------------------- transforms
 
 
@@ -236,6 +256,17 @@ def test_transform_round_trip_complex(d):
     v = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
     back = node_values(to_coefficients(v, d))
     npt.assert_allclose(back, v, atol=1e-12)
+
+
+def test_transform_matrix_ignores_translation():
+    d = BasisDescriptor(Family.HERMITE_FN, 21, beta=1.3, x_left=0.0)
+    moved = [replace(d, x_left=x) for x in (-2.5, 0.7, 3.1)]
+    assert all(_transform_of(m) is _transform_of(d) for m in moved)
+    v = np.random.default_rng(5).standard_normal(d.size)
+    for m in moved:
+        assert np.array_equal(to_coefficients(v, m).coefficients, to_coefficients(v, d).coefficients)
+    lag = BasisDescriptor(Family.LAGUERRE_FN, 12, beta=0.8, laguerre_a=0.5)
+    assert _transform_of(replace(lag, x_left=-1.0)) is _transform_of(lag)
 
 
 def test_transform_recovers_exact_coefficients():
@@ -359,3 +390,74 @@ def test_derivative_complex_coefficients():
     h = 1e-6
     fd = (to_values(SpectralExpansion(d, c), x + h) - to_values(SpectralExpansion(d, c), x - h)) / (2 * h)
     npt.assert_allclose(to_values(du, x), fd, rtol=1e-7, atol=1e-7)
+
+
+# ---------------------------------------- kernels against their loop forms
+
+
+def scaled_recurrence_loop(alpha, beta, nmax, y, log_env, orient=1.0):
+    """Envelope recomputed from the exponent on every row."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    out = np.empty((nmax + 1, y.size))
+    s = log_env.copy()
+    v_prev = np.zeros_like(y)
+    v = np.full_like(y, 1.0 / math.sqrt(beta[0]))
+    out[0] = v * np.exp(s)
+    for k in range(nmax):
+        v_next = (orient * (y - alpha[k]) * v - math.sqrt(beta[k]) * v_prev) / math.sqrt(beta[k + 1])
+        v_prev, v = v, v_next
+        big = np.abs(v) > _RESCALE
+        if big.any():
+            v[big] /= _RESCALE
+            v_prev[big] /= _RESCALE
+            s[big] += _LOG_RESCALE
+        out[k + 1] = v * np.exp(s)
+    return out
+
+
+def hermite_derivative_loop(d, a):
+    b = np.zeros(d.order + 2, dtype=np.result_type(a.dtype, float))
+    for m in range(d.order + 1):
+        if a[m] == 0:
+            continue
+        if m >= 1:
+            b[m - 1] += d.beta * math.sqrt(m / 2.0) * a[m]
+        b[m + 1] -= d.beta * math.sqrt((m + 1) / 2.0) * a[m]
+    return b
+
+
+def test_scaled_recurrence_matches_loop_form():
+    # orders and points far enough out that rescaling fires in some columns
+    y = np.linspace(-60.0, 60.0, 301)
+    alpha, beta = _recurrence_hermite(902)
+    fast = _scaled_function_recurrence(alpha, beta, 900, y, -0.5 * y * y)
+    assert np.array_equal(fast, scaled_recurrence_loop(alpha, beta, 900, y, -0.5 * y * y))
+    assert np.array_equal(fast, _hermite_functions(900, y))
+    y = np.linspace(0.0, 900.0, 211)
+    alpha, beta = _recurrence_laguerre(402, 0.5)
+    slow = scaled_recurrence_loop(alpha, beta, 400, y, -0.5 * y, orient=-1.0)
+    assert np.array_equal(_laguerre_functions(400, y, 0.5), slow)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_hermite_derivative_matches_loop_form(complex_):
+    rng = np.random.default_rng(8)
+    d = BasisDescriptor(Family.HERMITE_FN, 40, beta=1.7, x_left=0.2)
+    c = rng.standard_normal(d.size)
+    if complex_:
+        c = c + 1j * rng.standard_normal(d.size)
+    c[[3, 17]] = 0.0
+    assert np.array_equal(differentiate(SpectralExpansion(d, c)).coefficients, hermite_derivative_loop(d, c))
+
+
+def test_laguerre_derivative_rows_cached_per_order():
+    d = BasisDescriptor(Family.LAGUERRE_FN, 20, beta=1.6, x_left=-0.3, laguerre_a=0.5)
+    c = np.random.default_rng(9).standard_normal(d.size)
+    y = nodes_weights(replace(d, beta=1.0, x_left=0.0)).nodes
+    rows = _laguerre_function_derivs(d.order, y, 0.5)
+    expect = to_coefficients((d.beta * math.sqrt(d.beta)) * (rows.T @ c), d).coefficients
+    assert np.array_equal(differentiate(SpectralExpansion(d, c)).coefficients, expect)
+    # beta and x_left stay outside the cached rows
+    hits = basis._laguerre_deriv_rows.cache_info().hits
+    differentiate(SpectralExpansion(replace(d, beta=0.9, x_left=4.0), c))
+    assert basis._laguerre_deriv_rows.cache_info().hits == hits + 1

@@ -1,6 +1,7 @@
 """Frequency/exterior indicators and relative error."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -12,10 +13,16 @@ from adaptspec import (
     Expansion2D,
     Family,
     SpectralExpansion,
+    differentiate,
     nodes_weights,
     to_coefficients,
+    to_values,
+    to_values_2d,
 )
+from adaptspec.basis import _CACHE_ENTRY_LIMIT
 from adaptspec.indicators import (
+    _composite_gauss,
+    _exterior_panels,
     IndicatorConfig,
     default_split_point,
     default_tail_width,
@@ -297,3 +304,125 @@ def test_relative_error_2d():
     assert relative_error_2d(U, f) < 1e-10
     V = Expansion2D(dx, dy, np.zeros((11, 13)))
     npt.assert_allclose(relative_error_2d(V, lambda x, y: np.ones_like(x)), 1.0)
+
+
+# ----------------------------------------- cached operators vs direct path
+#
+# The reference versions below evaluate the expansion through to_values on
+# every call, as the indicators did before their operators were cached; the
+# cached indicators must reproduce them bit for bit.
+
+
+def _fine_rule(d):
+    return nodes_weights(replace(d, order=2 * d.order + 2))
+
+
+def relative_error_direct(u, reference):
+    r = _fine_rule(u.descriptor)
+    fv = np.asarray(reference(r.nodes))
+    uv = to_values(u, r.nodes)
+    return math.sqrt(float(r.weights @ np.abs(uv - fv) ** 2) / float(r.weights @ np.abs(fv) ** 2))
+
+
+def relative_error_2d_direct(u, reference):
+    rx, ry = _fine_rule(u.descriptor_x), _fine_rule(u.descriptor_y)
+    X, Y = np.meshgrid(rx.nodes, ry.nodes, indexing="ij")
+    fv = np.asarray(reference(X, Y))
+    uv = to_values_2d(u, rx.nodes, ry.nodes)
+    W = rx.weights[:, None] * ry.weights[None, :]
+    return math.sqrt(float((W * np.abs(uv - fv) ** 2).sum()) / float((W * np.abs(fv) ** 2).sum()))
+
+
+def exterior_direct(u, x_split):
+    du = differentiate(u)
+    d, b = du.descriptor, du.coefficients
+    den2 = float(np.real(np.vdot(b, b)))
+    if den2 == 0.0:
+        return 0.0
+    n = d.order
+    if d.family is Family.HERMITE_FN:
+        turn = math.sqrt(2.0 * n + 1.0)
+        y_cut = turn + 9.3
+        y_lo = max(d.beta * (x_split - d.x_left), -y_cut)
+        if y_lo >= y_cut:
+            return 0.0
+        panels = int(math.ceil((y_cut - y_lo) * max(turn, 1.0) / (2.0 * math.pi))) + 1
+        y, w = _composite_gauss(np.linspace(y_lo, y_cut, panels + 1))
+        vals = to_values(du, y / d.beta + d.x_left)
+        num2 = float(w @ np.abs(vals) ** 2) / d.beta
+    else:
+        a = d.laguerre_a
+        y_cut = 4.0 * (n + a) + 2.0 + 90.0
+        y_lo = min(max(d.beta * (x_split - d.x_left), 0.0), y_cut)
+        if y_lo >= y_cut:
+            return 0.0
+        s_lo, s_hi = math.sqrt(y_lo), math.sqrt(y_cut)
+        panels = int(math.ceil((s_hi - s_lo) * math.sqrt(n + 1.0) / math.pi)) + 1
+        s, w = _composite_gauss(np.linspace(s_lo, s_hi, panels + 1))
+        y = s * s
+        vals = to_values(du, y / d.beta + d.x_left)
+        weight = y**a if a != 0.0 else 1.0
+        num2 = 2.0 * float(w @ (np.abs(vals) ** 2 * weight * s)) / d.beta
+    return min(math.sqrt(max(num2, 0.0) / den2), 1.0)
+
+
+CACHED_CASES = [
+    # Hermite with complex coefficients, then a refined and a translated space
+    (HER(18, beta=1.3, x_left=-0.4), True),
+    (HER(19, beta=1.3, x_left=-0.4), True),
+    (HER(18, beta=1.3, x_left=0.1), True),
+    # Laguerre with a != 0, before and after a rescale
+    (BasisDescriptor(Family.LAGUERRE_FN, 16, beta=0.7, x_left=0.5, laguerre_a=0.5), False),
+    (BasisDescriptor(Family.LAGUERRE_FN, 16, beta=0.9, x_left=0.5, laguerre_a=0.5), False),
+]
+
+
+def _coefficients(d, complex_, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(d.size) * 0.8 ** np.arange(d.size)
+    if complex_:
+        c = c + 1j * rng.standard_normal(d.size) * 0.8 ** np.arange(d.size)
+    return c
+
+
+def test_cached_exterior_equals_direct_across_descriptor_changes():
+    # each space twice in a row and again after the others: hits and misses
+    for d, complex_ in CACHED_CASES + CACHED_CASES[::-1] + CACHED_CASES:
+        u = SpectralExpansion(d, _coefficients(d, complex_, d.order))
+        for x_split in (default_split_point(d), d.x_left + 1.0):
+            assert exterior_error_indicator(u, x_split) == exterior_direct(u, x_split)
+            assert exterior_error_indicator(u, x_split) == exterior_direct(u, x_split)
+
+
+def test_cached_relative_error_equals_direct():
+    f = lambda x: np.exp(-0.3 * (x - 0.2) ** 2) * np.cos(x)
+    cases = CACHED_CASES + [(BasisDescriptor(Family.CHEBYSHEV, 14), False), (LEG(9), False)]
+    for d, complex_ in cases + cases[::-1]:
+        u = SpectralExpansion(d, _coefficients(d, complex_, d.order + 1))
+        assert relative_error(u, f) == relative_error_direct(u, f)
+        assert relative_error(u, f) == relative_error_direct(u, f)
+
+
+def test_cached_relative_error_2d_equals_direct():
+    f = lambda x, y: np.sin(2.0 * x) * np.cos(y) + x * y
+    spaces = [(LEG(8), LEG(11)), (LEG(9), LEG(11)), (LEG(8), LEG(11))]
+    for dx, dy in spaces:
+        rng = np.random.default_rng(dx.order)
+        u = Expansion2D(dx, dy, rng.standard_normal((dx.size, dy.size)))
+        assert relative_error_2d(u, f) == relative_error_2d_direct(u, f)
+        assert relative_error_2d(u, f) == relative_error_2d_direct(u, f)
+
+
+def test_exterior_cache_keeps_no_matrix_above_the_entry_limit():
+    # order 600: the derivative's panel matrix is 602 x 3880 entries
+    d = HER(600, beta=1.3)
+    u = SpectralExpansion(d, _coefficients(d, False, 3))
+    x_split = default_split_point(d)
+    e = exterior_error_indicator(u, x_split)
+    panels = _exterior_panels(differentiate(u).descriptor, x_split)  # a cache hit
+    assert panels.x.size * 602 > _CACHE_ENTRY_LIMIT
+    assert panels.E is None
+    assert e == exterior_direct(u, x_split)
+    small = SpectralExpansion(HER(40), _coefficients(HER(40), False, 4))
+    exterior_error_indicator(small, 0.5)
+    assert _exterior_panels(HER(41), 0.5).E is not None
