@@ -11,7 +11,12 @@ growing refine threshold and guarded coarsening; scaling that walks beta
 by a fixed ratio while trials do not increase the indicator; grid
 translation in fixed increments while the exterior indicator exceeds its
 reference.  `orchestrate_step` chains evolve -> move -> scale -> order
-per step and renews the reference indicators after basis changes.
+per step and renews the reference indicators after basis changes.  The
+exterior indicator always splits at the default node of the current grid,
+so the split point is not carried in AdaptiveState.
+
+Cross matrices are cached on the frame of both spaces and the shift
+between them, so repeated moves by a fixed increment reuse one matrix.
 
 The translation trigger/increment loop reconstructs behavior summarized
 from a companion method (the source describes only the thresholds), and
@@ -31,6 +36,7 @@ from .basis import (
     BasisDescriptor,
     Expansion2D,
     SpectralExpansion,
+    _apply_real,
     _cross_matrix,
     _cross_matrix_cached,  # noqa: F401  (its cache counters are read from this module too)
     to_coefficients,
@@ -38,7 +44,6 @@ from .basis import (
 )
 from .indicators import (
     IndicatorConfig,
-    default_split_point,
     exterior_error_indicator,
     frequency_indicator,
     frequency_indicator_axis,
@@ -130,14 +135,14 @@ class AdaptiveState:
     freq_ref: indicator at the last order event; scale_ref: indicator at
     the last scaling event; exterior_ref: exterior indicator at the last
     move/renewal; refine_factor: current refine multiplier (grows by
-    gamma); x_split: current exterior split point (nan for bounded).
+    gamma).  The exterior split point is not state: it is always the
+    default split node of the current descriptor.
     """
 
     freq_ref: float
     scale_ref: float
     exterior_ref: float
     refine_factor: float
-    x_split: float
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,7 @@ def resample(u: SpectralExpansion, d_new: BasisDescriptor) -> SpectralExpansion:
     """Interpolate u onto another space's grid (two matrix-vector passes)."""
     if d_new == u.descriptor:
         return u
-    vals = _cross_matrix(u.descriptor, d_new).T @ u.coefficients
+    vals = _apply_real(_cross_matrix(u.descriptor, d_new).T, u.coefficients)
     return to_coefficients(vals, d_new)
 
 
@@ -209,15 +214,8 @@ def translate(u: SpectralExpansion, dist: float) -> SpectralExpansion:
 def initial_state(u: SpectralExpansion, config: ControllerConfig) -> AdaptiveState:
     """Reference state from the initial expansion (orchestrator init box)."""
     f = frequency_indicator(u, config.indicator)
-    if u.descriptor.bounded:
-        x_split = math.nan
-        e = 0.0
-    else:
-        x_split = default_split_point(u.descriptor)
-        e = exterior_error_indicator(u, x_split)
-    return AdaptiveState(
-        freq_ref=f, scale_ref=f, exterior_ref=e, refine_factor=config.eta, x_split=x_split
-    )
+    e = 0.0 if u.descriptor.bounded else exterior_error_indicator(u)
+    return AdaptiveState(freq_ref=f, scale_ref=f, exterior_ref=e, refine_factor=config.eta)
 
 
 def _order_cap(config: ControllerConfig) -> int:
@@ -366,25 +364,23 @@ def move_step(
 
     While the exterior indicator exceeds mu * exterior_ref, shift the grid
     rightward by delta (at most d_max in total, so an integer number of
-    increments), re-deriving the split point from the shifted grid; after
-    any move the exterior reference and split point are renewed.
+    increments), splitting at the shifted grid's default node; after any
+    move the exterior reference is renewed.
     """
     if u.descriptor.bounded:
         return u, state, []
     actions: list[str] = []
-    e = exterior_error_indicator(u, state.x_split)
+    e = exterior_error_indicator(u)
     if e <= config.mu * state.exterior_ref:
         return u, state, []
     moved = 0.0
-    x_split = state.x_split
     while e > config.mu * state.exterior_ref and moved + config.delta <= config.d_max * (1 + 1e-12):
         u = translate(u, config.delta)
         moved += config.delta
         actions.append("move")
-        x_split = default_split_point(u.descriptor)
-        e = exterior_error_indicator(u, x_split)
+        e = exterior_error_indicator(u)
     if actions:
-        state = replace(state, exterior_ref=e, x_split=x_split)
+        state = replace(state, exterior_ref=e)
     return u, state, actions
 
 
@@ -396,10 +392,9 @@ def orchestrate_step(
 ) -> tuple[SpectralExpansion, AdaptiveState, StepRecord]:
     """One full adaptive step: evolve, then move, scale, and order checks.
 
-    After scaling, the split point follows the rescaled grid; after any
-    order change, the scale/exterior references and split point are
-    recomputed on the new basis (the order controller has already rebased
-    its own reference).
+    The exterior split point always follows the current grid; after any
+    order change, the scale/exterior references are recomputed on the new
+    basis (the order controller has already rebased its own reference).
     """
     u = evolve(u)
     actions: list[str] = []
@@ -412,25 +407,21 @@ def orchestrate_step(
     if config.scaling and unbounded:
         u, state, acts = scale_step(u, state, config)
         actions += acts
-        if acts:
-            state = replace(state, x_split=default_split_point(u.descriptor))
 
     if config.p_adaptivity:
         u, state, acts = p_adapt_step(u, state, config)
         actions += acts
         if acts and unbounded:
-            x_split = default_split_point(u.descriptor)
             state = replace(
                 state,
                 scale_ref=frequency_indicator(u, config.indicator),
-                exterior_ref=exterior_error_indicator(u, x_split),
-                x_split=x_split,
+                exterior_ref=exterior_error_indicator(u),
             )
         elif acts:
             state = replace(state, scale_ref=frequency_indicator(u, config.indicator))
 
     freq = frequency_indicator(u, config.indicator)
-    ext = exterior_error_indicator(u, state.x_split) if unbounded else math.nan
+    ext = exterior_error_indicator(u) if unbounded else math.nan
     record = StepRecord(
         actions=tuple(actions),
         freq=freq,

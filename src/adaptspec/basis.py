@@ -213,12 +213,11 @@ def _orthonormal_eval(t: float, alpha: np.ndarray, beta: np.ndarray, m: int):
     return p_prev, p
 
 
-def _gauss_nodes(alpha: np.ndarray, beta: np.ndarray):
+def _gauss_nodes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Jacobi matrix (the vectors are not needed)."""
     if len(alpha) == 1:
-        return np.array([alpha[0]]), None
-    off = np.sqrt(beta[1:])
-    vals, vecs = eigh_tridiagonal(alpha, off)
-    return vals, vecs
+        return np.array([alpha[0]])
+    return eigh_tridiagonal(alpha, np.sqrt(beta[1:]), eigvals_only=True)
 
 
 def _lobatto_nodes(alpha: np.ndarray, beta: np.ndarray, lo: float, hi: float):
@@ -464,7 +463,7 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
             gamma[0] = beta[0]
     elif family is Family.HERMITE_FN:
         alpha, beta = _recurrence_hermite(n + 1)
-        y, _ = _gauss_nodes(alpha, beta)
+        y = _gauss_nodes(alpha, beta)
         if n >= 1:
             ratio = _hermite_newton_ratio(n + 1)
             y = _polish_newton(y, ratio)
@@ -480,7 +479,7 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
             # single Radau node pinned at the left endpoint
             y = np.array([0.0])
         else:
-            y, _ = _gauss_nodes(alpha, beta)
+            y = _gauss_nodes(alpha, beta)
             y[0] = 0.0
             ratio = _laguerre_newton_ratio(n, a)
             y[1:] = _polish_newton(y[1:], ratio)
@@ -561,13 +560,25 @@ def norms(d: BasisDescriptor) -> np.ndarray:
     return _core_of(d).gamma
 
 
+def _frame(d: BasisDescriptor) -> tuple:
+    """d without its translation, as a plain tuple (a cheap cache key)."""
+    return (d.family, d.order, d.beta, d.jacobi_a, d.jacobi_b, d.laguerre_a)
+
+
+def _at(frame: tuple, x_left: float) -> BasisDescriptor:
+    """The descriptor of a frame placed at x_left."""
+    family, order, beta, jacobi_a, jacobi_b, laguerre_a = frame
+    return BasisDescriptor(family, order, beta, x_left, jacobi_a, jacobi_b, laguerre_a)
+
+
 @lru_cache(maxsize=256)
-def _transform_matrix(d: BasisDescriptor) -> np.ndarray:
+def _transform_matrix(frame: tuple) -> np.ndarray:
     """T with u = T @ values: row i is w_s B_i(x_s) / gamma_hat_i.
 
-    T depends on the core rule and beta only; callers key it through
-    _transform_of so that translated grids share one entry.
+    T depends on the core rule and beta only, so it is keyed on the frame
+    (through _transform_of) and translated grids share one entry.
     """
+    d = _at(frame, 0.0)
     core = _core_of(d)
     T = core.V * core.w / core.gamma_hat[:, None]
     if not d.bounded:
@@ -578,7 +589,7 @@ def _transform_matrix(d: BasisDescriptor) -> np.ndarray:
 
 
 def _transform_of(d: BasisDescriptor) -> np.ndarray:
-    return _transform_matrix(d if d.x_left == 0.0 else replace(d, x_left=0.0))
+    return _transform_matrix(_frame(d))
 
 
 # Operator caches hold at most this many matrix entries per matrix; larger
@@ -587,18 +598,28 @@ def _transform_of(d: BasisDescriptor) -> np.ndarray:
 _CACHE_ENTRY_LIMIT = 2_000_000
 
 
+def _cross_matrix_build(frame_from: tuple, frame_to: tuple, shift: float) -> np.ndarray:
+    return evaluate_all(_at(frame_from, 0.0), nodes_weights(_at(frame_to, shift)).nodes)
+
+
 @lru_cache(maxsize=24)
-def _cross_matrix_cached(d_from: BasisDescriptor, d_to: BasisDescriptor) -> np.ndarray:
-    B = evaluate_all(d_from, nodes_weights(d_to).nodes)
+def _cross_matrix_cached(frame_from: tuple, frame_to: tuple, shift: float) -> np.ndarray:
+    B = _cross_matrix_build(frame_from, frame_to, shift)
     B.setflags(write=False)
     return B
 
 
 def _cross_matrix(d_from: BasisDescriptor, d_to: BasisDescriptor) -> np.ndarray:
-    """B[i, s] = B_i(x_s) for the basis of d_from on the grid of d_to."""
+    """B[i, s] = B_i(x_s) for the basis of d_from on the grid of d_to.
+
+    The bases depend on x_left only through differences, so the matrix is
+    built with d_from at x_left = 0 and d_to shifted by the difference, and
+    cached on that shift: translations by a fixed step share one entry.
+    """
+    key = (_frame(d_from), _frame(d_to), d_to.x_left - d_from.x_left)
     if d_from.size * d_to.size <= _CACHE_ENTRY_LIMIT:
-        return _cross_matrix_cached(d_from, d_to)
-    return evaluate_all(d_from, nodes_weights(d_to).nodes)
+        return _cross_matrix_cached(*key)
+    return _cross_matrix_build(*key)
 
 
 def _values_matrix(d: BasisDescriptor) -> np.ndarray:
@@ -609,22 +630,35 @@ def _values_matrix(d: BasisDescriptor) -> np.ndarray:
     return math.sqrt(d.beta) * core.V
 
 
+def _apply_real(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """A @ c for a real matrix A and a real or complex vector c.
+
+    numpy would cast A to complex for a complex c; viewing c as an (n, 2)
+    real array instead runs one two-column real product, with no complex
+    copy of A.  Real c passes straight through.
+    """
+    if not np.iscomplexobj(c):
+        return A @ c
+    c = np.ascontiguousarray(c, dtype=complex)
+    return (A @ c.view(float).reshape(-1, 2)).view(complex).ravel()
+
+
 def to_coefficients(values, d: BasisDescriptor) -> SpectralExpansion:
     """Interpolate grid values: exact round trip with node_values."""
     values = np.asarray(values)
     if values.shape != (d.size,):
         raise ValueError(f"expected {d.size} grid values, got shape {values.shape}")
-    return SpectralExpansion(d, _transform_of(d) @ values)
+    return SpectralExpansion(d, _apply_real(_transform_of(d), values))
 
 
 def node_values(u: SpectralExpansion) -> np.ndarray:
     """Values of the expansion on its own grid (two-matvec path)."""
-    return _values_matrix(u.descriptor).T @ u.coefficients
+    return _apply_real(_values_matrix(u.descriptor).T, u.coefficients)
 
 
 def to_values(u: SpectralExpansion, x) -> np.ndarray:
     """Evaluate the expansion at arbitrary points."""
-    return evaluate_all(u.descriptor, x).T @ u.coefficients
+    return _apply_real(evaluate_all(u.descriptor, x).T, u.coefficients)
 
 
 def to_coefficients_2d(values, dx: BasisDescriptor, dy: BasisDescriptor) -> Expansion2D:
@@ -685,18 +719,26 @@ def differentiate(u: SpectralExpansion) -> SpectralExpansion:
         return SpectralExpansion(d, b)
 
     if d.family is Family.HERMITE_FN:
-        # h_m' = beta (sqrt(m/2) h_{m-1} - sqrt((m+1)/2) h_{m+1})
-        out = replace(d, order=n + 1)
-        b = np.zeros(n + 2, dtype=np.result_type(a.dtype, float))
-        b[1:] -= d.beta * np.sqrt(np.arange(1, n + 2) / 2.0) * a
-        b[:n] += d.beta * np.sqrt(np.arange(1, n + 1) / 2.0) * a[1:]
-        return SpectralExpansion(out, b)
+        return SpectralExpansion(replace(d, order=n + 1), _hermite_derivative(a, d.beta))
 
     if d.family is Family.JACOBI:
         return to_coefficients(_deriv_values_jacobi(d, a), d)
 
     # Laguerre functions
     return to_coefficients(_deriv_values_laguerre(d, a), d)
+
+
+def _hermite_derivative(a: np.ndarray, beta: float) -> np.ndarray:
+    """Order-(N+1) Hermite coefficients of the derivative of an order-N expansion.
+
+    h_m' = beta (sqrt(m/2) h_{m-1} - sqrt((m+1)/2) h_{m+1}).  No descriptor
+    is built, so this also serves expansions at MAX_ORDER.
+    """
+    n = a.size - 1
+    b = np.zeros(n + 2, dtype=np.result_type(a.dtype, float))
+    b[1:] -= beta * np.sqrt(np.arange(1, n + 2) / 2.0) * a
+    b[:n] += beta * np.sqrt(np.arange(1, n + 1) / 2.0) * a[1:]
+    return b
 
 
 def _deriv_values_jacobi(d: BasisDescriptor, a: np.ndarray) -> np.ndarray:

@@ -7,8 +7,11 @@ families), and the relative weighted-L2 error against a reference
 function on an oversampled grid.
 
 The exterior indicator and the relative error evaluate the expansion
-through matrices cached per descriptor (and split point), so while the
-basis stays put each call is a matrix-vector product.  Matrices above
+through cached matrices keyed in the reference frame: the exterior panels
+per (family, order, exponent, reference split point), the fine-grid matrix
+per descriptor without its translation.  Moving or rescaling the grid thus
+reuses them, and each call is a matrix-vector product, run in real
+arithmetic for complex coefficients.  Matrices above
 basis._CACHE_ENTRY_LIMIT entries are rebuilt per call instead of cached.
 """
 
@@ -28,9 +31,13 @@ from .basis import (
     Expansion2D,
     Family,
     SpectralExpansion,
+    _apply_real,
+    _core_of,
     _cross_matrix,
+    _hermite_derivative,
+    _hermite_functions,
+    _laguerre_functions,
     differentiate,
-    evaluate_all,
     nodes_weights,
     norms,
 )
@@ -117,7 +124,7 @@ def _composite_gauss(edges: np.ndarray):
     return pts, wts
 
 
-def exterior_error_indicator(u: SpectralExpansion, x_split: float) -> float:
+def exterior_error_indicator(u: SpectralExpansion, x_split: float | None = None) -> float:
     """Fraction of the derivative's weighted norm living beyond x_split.
 
     || dU/dx restricted to (x_split, inf) ||_w / || dU/dx ||_w for the
@@ -125,60 +132,79 @@ def exterior_error_indicator(u: SpectralExpansion, x_split: float) -> float:
     derivative expansion lives in an orthonormal family); the exterior
     piece uses composite Gauss panels out to where the basis envelope is
     below ~1e-18 of its peak, one panel per local oscillation wavelength.
+
+    The panels live in the reference coordinate y = beta (x - x_left), where
+    the ratio does not depend on beta or x_left beyond the split point, so
+    the rule is cached per (family, order, exponent, reference split).
+    x_split=None splits at the reference node of default_split_point.
     """
     d = u.descriptor
     if d.bounded:
         raise ValueError("exterior indicator requires an unbounded family")
-    du = differentiate(u)
-    b = du.coefficients
+    if d.family is Family.HERMITE_FN:
+        # the derivative has order N+1, beyond any descriptor at MAX_ORDER
+        b = _hermite_derivative(u.coefficients, d.beta)
+    else:
+        b = differentiate(u).coefficients
     den2 = float(np.real(np.vdot(b, b)))
     if den2 == 0.0:
         return 0.0
-    p = _exterior_panels(du.descriptor, float(x_split))
+    if x_split is None:
+        y_split = _reference_split(d)
+    else:
+        y_split = d.beta * (float(x_split) - d.x_left)
+    n = b.size - 1
+    p = _exterior_panels(d.family, n, float(d.laguerre_a), y_split)
     if p is None:
         return 0.0
-    E = p.E if p.E is not None else evaluate_all(du.descriptor, p.x)
-    v2 = np.abs(E.T @ b) ** 2
+    E = p.E if p.E is not None else _panel_values(d.family, n, d.laguerre_a, p.y)
+    v2 = np.abs(_apply_real(E.T, b)) ** 2
     if d.family is Family.HERMITE_FN:
-        num2 = float(p.w @ v2) / d.beta
+        num2 = float(p.w @ v2)
     else:
-        num2 = 2.0 * float(p.w @ (v2 * p.weight * p.s)) / d.beta
+        num2 = 2.0 * float(p.w @ (v2 * p.weight * p.s))
     return min(math.sqrt(max(num2, 0.0) / den2), 1.0)
 
 
 @dataclass(frozen=True)
 class _Panels:
-    """Exterior quadrature of one (descriptor, split point) pair.
+    """Exterior quadrature beyond one reference split point.
 
-    x: physical points; w: panel weights (in y for Hermite, in s = sqrt(y)
+    y: reference points; w: panel weights (in y for Hermite, in s = sqrt(y)
     for Laguerre); s, weight: Laguerre's s and y^a (None for Hermite); E:
-    basis values at x, or None when the matrix is above the entry limit.
+    reference basis values at y, or None when the matrix is above the
+    entry limit.
     """
 
-    x: np.ndarray
+    y: np.ndarray
     w: np.ndarray
     s: np.ndarray | None
     weight: np.ndarray | float | None
     E: np.ndarray | None
 
 
+def _panel_values(family: Family, n: int, a: float, y: np.ndarray) -> np.ndarray:
+    """Reference basis values (no sqrt(beta)) of orders 0..n at y."""
+    if family is Family.HERMITE_FN:
+        return _hermite_functions(n, y)
+    return _laguerre_functions(n, y, a)
+
+
 @lru_cache(maxsize=2)
-def _exterior_panels(d: BasisDescriptor, x_split: float) -> _Panels | None:
-    """Panel rule beyond x_split for the derivative space d; None if empty."""
-    n = d.order
-    if d.family is Family.HERMITE_FN:
+def _exterior_panels(family: Family, n: int, a: float, y_split: float) -> _Panels | None:
+    """Panel rule beyond y_split for the order-n derivative space; None if empty."""
+    if family is Family.HERMITE_FN:
         turn = math.sqrt(2.0 * n + 1.0)
         y_cut = turn + 9.3  # envelope below ~1e-18 of peak past the turning point
-        y_lo = max(d.beta * (x_split - d.x_left), -y_cut)
+        y_lo = max(y_split, -y_cut)
         if y_lo >= y_cut:
             return None
         panels = int(math.ceil((y_cut - y_lo) * max(turn, 1.0) / (2.0 * math.pi))) + 1
         y, w = _composite_gauss(np.linspace(y_lo, y_cut, panels + 1))
         s = weight = None
     else:
-        a = d.laguerre_a
         y_cut = 4.0 * (n + a) + 2.0 + 90.0  # exp(-y/2) tail below 1e-18 relative
-        y_lo = min(max(d.beta * (x_split - d.x_left), 0.0), y_cut)
+        y_lo = min(max(y_split, 0.0), y_cut)
         if y_lo >= y_cut:
             return None
         # integrate in s = sqrt(y): the oscillation wavelength is uniform there
@@ -187,12 +213,27 @@ def _exterior_panels(d: BasisDescriptor, x_split: float) -> _Panels | None:
         s, w = _composite_gauss(np.linspace(s_lo, s_hi, panels + 1))
         y = s * s
         weight = y**a if a != 0.0 else 1.0
-    x = y / d.beta + d.x_left
-    E = evaluate_all(d, x) if d.size * x.size <= _CACHE_ENTRY_LIMIT else None
-    for arr in (x, w, s, weight, E):
+    E = _panel_values(family, n, a, y) if (n + 1) * y.size <= _CACHE_ENTRY_LIMIT else None
+    for arr in (y, w, s, weight, E):
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
-    return _Panels(x=x, w=w, s=s, weight=weight, E=E)
+    return _Panels(y=y, w=w, s=s, weight=weight, E=E)
+
+
+def _split_index(d: BasisDescriptor) -> int:
+    """Grid index of the default split: Hermite (2N+2)//3, Laguerre (N+2)//3."""
+    if d.bounded:
+        raise ValueError("split point is defined for unbounded families only")
+    if d.family is Family.HERMITE_FN:
+        idx = (2 * d.order + 2) // 3
+    else:
+        idx = (d.order + 2) // 3
+    return min(idx, d.order)
+
+
+def _reference_split(d: BasisDescriptor) -> float:
+    """The default split point in reference coordinates: a reference node."""
+    return float(_core_of(d).y[_split_index(d)])
 
 
 def default_split_point(d: BasisDescriptor) -> float:
@@ -201,14 +242,7 @@ def default_split_point(d: BasisDescriptor) -> float:
     Hermite: node index (2N+2)//3 of the N+1 Gauss nodes; Laguerre: index
     (N+2)//3 of the Radau nodes (0-based, ascending).
     """
-    if d.bounded:
-        raise ValueError("split point is defined for unbounded families only")
-    nodes = nodes_weights(d).nodes
-    if d.family is Family.HERMITE_FN:
-        idx = (2 * d.order + 2) // 3
-    else:
-        idx = (d.order + 2) // 3
-    return float(nodes[min(idx, d.order)])
+    return float(nodes_weights(d).nodes[_split_index(d)])
 
 
 # ------------------------------------------------------------ errors
@@ -228,7 +262,7 @@ def relative_error(u: SpectralExpansion, reference: Callable) -> float:
     fine = _fine_descriptor(d)
     r = nodes_weights(fine)
     fv = np.asarray(reference(r.nodes))
-    uv = _cross_matrix(d, fine).T @ u.coefficients
+    uv = _apply_real(_cross_matrix(d, fine).T, u.coefficients)
     den2 = float(r.weights @ np.abs(fv) ** 2)
     if den2 == 0.0:
         raise ValueError("reference has zero weighted norm")

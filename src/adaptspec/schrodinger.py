@@ -7,6 +7,13 @@ derivative-derivative term is assembled analytically (pentadiagonal), the
 potential term is contracted matrix-free through the quadrature grid, and
 the time dependence of the external drive is integrated with a three-point
 Gauss-Legendre rule inside the step.
+
+Every operator applied to the complex coefficients (the collocation pair,
+transforms, cross matrices, exterior panels) is real, so each product runs
+in real arithmetic as one two-column real matrix product, never through a
+complex copy of the matrix.  Transforms, cross matrices and exterior
+panels are cached in the reference frame (without x_left), so a moving
+grid reuses them.
 """
 
 import math
@@ -21,6 +28,7 @@ from .basis import (
     BasisDescriptor,
     Family,
     SpectralExpansion,
+    _apply_real,
     _values_matrix,
     nodes_weights,
     to_coefficients,
@@ -150,7 +158,7 @@ def potential_apply(d: BasisDescriptor, V, V_ex, t_n, dt, X) -> np.ndarray:
         return np.zeros_like(X)
     phi, proj = _collocation_matrices(d)
     g = _integrated_potential(d, V, V_ex, t_n, dt)
-    return proj @ (g * (phi.T @ X))
+    return _apply_real(proj, g * _apply_real(phi.T, X))
 
 
 def propagate_step(psi, d: BasisDescriptor, problem: SchrodingerProblem, t_n):
@@ -169,7 +177,7 @@ def propagate_step(psi, d: BasisDescriptor, problem: SchrodingerProblem, t_n):
         phi, proj = _collocation_matrices(d)
         g = _integrated_potential(d, problem.V, problem.V_ex, t_n, dt)
         apply_a = lambda X: -1j * (
-            dt * stiffness_apply(d, X) + proj @ (g * (phi.T @ X))
+            dt * stiffness_apply(d, X) + _apply_real(proj, g * _apply_real(phi.T, X))
         )
     return expm_action(apply_a, psi, problem.expm_config)
 

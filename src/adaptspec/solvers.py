@@ -194,14 +194,12 @@ def track_function_2d(
         scale_ref=0.0,
         exterior_ref=0.0,
         refine_factor=config.eta,
-        x_split=float("nan"),
     )
     state_y = AdaptiveState(
         freq_ref=frequency_indicator_axis(u, 1, config.indicator),
         scale_ref=0.0,
         exterior_ref=0.0,
         refine_factor=config.eta,
-        x_split=float("nan"),
     )
     records = []
     for n in range(_step_count(dt, T)):

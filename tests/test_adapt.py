@@ -49,7 +49,7 @@ CHEB = lambda n: BasisDescriptor(Family.CHEBYSHEV, n)
 
 
 def state_with(**kw):
-    base = dict(freq_ref=0.5, scale_ref=0.5, exterior_ref=0.0, refine_factor=1.2, x_split=0.0)
+    base = dict(freq_ref=0.5, scale_ref=0.5, exterior_ref=0.0, refine_factor=1.2)
     base.update(kw)
     return AdaptiveState(**base)
 
@@ -436,9 +436,8 @@ def packet_expansion(center, n=40, beta=1.0, x_left=0.0):
 
 def test_move_noop_below_threshold():
     u = packet_expansion(0.0)
-    xs = default_split_point(u.descriptor)
-    e = exterior_error_indicator(u, xs)
-    st = state_with(exterior_ref=e, x_split=xs)
+    e = exterior_error_indicator(u)
+    st = state_with(exterior_ref=e)
     v, st2, actions = move_step(u, st, ControllerConfig())
     assert actions == []
     assert v is u and st2 == st
@@ -448,24 +447,23 @@ def test_move_caps_at_d_max():
     # reference far below reality: every increment still exceeds the
     # threshold, so the full budget is spent
     u = packet_expansion(1.0)
-    xs = default_split_point(u.descriptor)
-    st = state_with(exterior_ref=1e-12, x_split=xs)
+    st = state_with(exterior_ref=1e-12)
     cfg = ControllerConfig(mu=1.0002, delta=0.005, d_max=0.1)
     v, st2, actions = move_step(u, st, cfg)
     assert actions == ["move"] * 20
     npt.assert_allclose(v.descriptor.x_left, 0.1, atol=1e-12)
-    # references renewed on the moved basis
-    npt.assert_allclose(st2.x_split, default_split_point(v.descriptor), rtol=1e-13)
+    # reference renewed on the moved basis, split at its default node
     npt.assert_allclose(
-        st2.exterior_ref, exterior_error_indicator(v, st2.x_split), rtol=1e-12
+        st2.exterior_ref,
+        exterior_error_indicator(v, default_split_point(v.descriptor)),
+        rtol=1e-12,
     )
 
 
 def test_move_displacement_integer_multiple_of_delta():
     u = packet_expansion(0.8)
-    xs = default_split_point(u.descriptor)
-    e = exterior_error_indicator(u, xs)
-    st = state_with(exterior_ref=e / 4, x_split=xs)
+    e = exterior_error_indicator(u)
+    st = state_with(exterior_ref=e / 4)
     cfg = ControllerConfig(mu=1.05, delta=0.03, d_max=0.3)
     v, _, actions = move_step(u, st, cfg)
     k = len(actions)
@@ -475,9 +473,8 @@ def test_move_displacement_integer_multiple_of_delta():
 
 def test_move_stops_once_indicator_recovers():
     u = packet_expansion(0.6)
-    xs = default_split_point(u.descriptor)
-    e = exterior_error_indicator(u, xs)
-    st = state_with(exterior_ref=e / 1.5, x_split=xs)
+    e = exterior_error_indicator(u)
+    st = state_with(exterior_ref=e / 1.5)
     cfg = ControllerConfig(mu=1.1, delta=0.02, d_max=1.0)
     v, st2, actions = move_step(u, st, cfg)
     assert actions  # moved at least once
@@ -509,9 +506,10 @@ def test_orchestrate_renews_references_after_order_change():
     assert "refine" in rec.actions
     assert v.descriptor.order == 15
     npt.assert_allclose(st2.scale_ref, frequency_indicator(v), rtol=1e-12)
-    npt.assert_allclose(st2.x_split, default_split_point(v.descriptor), rtol=1e-13)
     npt.assert_allclose(
-        st2.exterior_ref, exterior_error_indicator(v, st2.x_split), rtol=1e-10
+        st2.exterior_ref,
+        exterior_error_indicator(v, default_split_point(v.descriptor)),
+        rtol=1e-10,
     )
 
 
@@ -561,3 +559,48 @@ def test_config_validation():
         ControllerConfig(mu=0.9)
     with pytest.raises(ValueError):
         ControllerConfig(n_abs=3, n_min=5)
+
+
+# ------------------------------------------- reference-frame operator caches
+
+
+def _physical_resample(u, d_new):
+    """The resample of the physical frame: the old basis at the new nodes."""
+    B = basis.evaluate_all(u.descriptor, nodes_weights(d_new).nodes)
+    return to_coefficients(B.T @ u.coefficients, d_new)
+
+
+@pytest.mark.parametrize("d", [HER(30, beta=1.3, x_left=0.37), LAG(24, beta=0.8, x_left=1.1)])
+def test_translate_through_shift_cache_matches_physical_frame(d):
+    rng = np.random.default_rng(d.order)
+    c = (rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)) * 0.85 ** np.arange(d.size)
+    u = SpectralExpansion(d, c)
+    for dist in (0.005, 0.005, 0.13):
+        v = translate(u, dist)
+        w = _physical_resample(u, v.descriptor)
+        npt.assert_allclose(v.coefficients, w.coefficients, rtol=0, atol=1e-13 * np.abs(c).max())
+        u = v
+
+
+def test_repeated_moves_reuse_cross_matrices_and_panels():
+    from adaptspec import indicators
+
+    basis._cross_matrix_cached.cache_clear()
+    indicators._exterior_panels.cache_clear()
+    u = packet_expansion(1.0, n=36, beta=1.1, x_left=0.21)
+    cfg = ControllerConfig(mu=1.0002, delta=0.005, d_max=0.1)
+    v, _, actions = move_step(u, state_with(exterior_ref=1e-12), cfg)
+    assert actions == ["move"] * 20
+    assert basis._cross_matrix_cached.cache_info().misses <= 2
+    assert indicators._exterior_panels.cache_info().misses == 1
+
+
+def test_orchestrate_exterior_at_max_order(monkeypatch):
+    u = packet_expansion(0.3, n=12, beta=1.2, x_left=-0.1)
+    cfg = ControllerConfig(n_max=3, moving=False, scaling=False)
+    st = initial_state(u, cfg)
+    _, _, expected = orchestrate_step(u, st, cfg, evolve=lambda w: w)
+    monkeypatch.setattr(basis, "MAX_ORDER", 12)
+    v, _, rec = orchestrate_step(u, replace(st, freq_ref=1e-9), cfg, evolve=lambda w: w)
+    assert v.descriptor.order == 12 and math.isfinite(rec.ext)
+    assert rec.ext == expected.ext

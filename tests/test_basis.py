@@ -27,6 +27,7 @@ from adaptspec import basis
 from adaptspec.basis import (
     _LOG_RESCALE,
     _RESCALE,
+    _apply_real,
     _hermite_functions,
     _laguerre_functions,
     _laguerre_function_derivs,
@@ -461,3 +462,33 @@ def test_laguerre_derivative_rows_cached_per_order():
     hits = basis._laguerre_deriv_rows.cache_info().hits
     differentiate(SpectralExpansion(replace(d, beta=0.9, x_left=4.0), c))
     assert basis._laguerre_deriv_rows.cache_info().hits == hits + 1
+
+
+# ------------------------------------------------- real-matrix products
+
+
+def _apply_real_cases():
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((7, 9))
+    c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    wide = rng.standard_normal(18) + 1j * rng.standard_normal(18)
+    yield A, c  # C-ordered matrix, contiguous complex vector
+    yield np.asfortranarray(A), c  # F-ordered matrix
+    yield A.T.T, wide[::2]  # strided (non-contiguous) complex vector
+    yield rng.standard_normal((9, 7)).T, c  # transposed view, as phi.T
+    yield A, rng.standard_normal(9)  # real vector
+
+
+def test_apply_real_matches_numpy_product():
+    for A, c in _apply_real_cases():
+        out = _apply_real(A, c)
+        ref = A @ c
+        assert out.dtype == c.dtype and out.shape == ref.shape
+        npt.assert_allclose(out, ref, rtol=1e-15, atol=1e-15 * np.abs(ref).max())
+
+
+def test_apply_real_passes_real_vectors_through():
+    rng = np.random.default_rng(12)
+    A, c, v = rng.standard_normal((6, 8)), rng.standard_normal(8), rng.standard_normal(12)
+    assert np.array_equal(_apply_real(A, c), A @ c)
+    assert np.array_equal(_apply_real(A.T, v[::2]), A.T @ v[::2])

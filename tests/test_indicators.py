@@ -23,6 +23,7 @@ from adaptspec.basis import _CACHE_ENTRY_LIMIT
 from adaptspec.indicators import (
     _composite_gauss,
     _exterior_panels,
+    _reference_split,
     IndicatorConfig,
     default_split_point,
     default_tail_width,
@@ -309,15 +310,30 @@ def test_relative_error_2d():
 # ----------------------------------------- cached operators vs direct path
 #
 # The reference versions below evaluate the expansion through to_values on
-# every call, as the indicators did before their operators were cached; the
-# cached indicators must reproduce them bit for bit.
+# every call, in the frame the cached indicators use: the expansion and its
+# grids with x_left moved to 0, and the exterior panels in the reference
+# coordinate y = beta (x - x_left).  The cached indicators must reproduce
+# them bit for bit.  The *_physical versions evaluate in physical
+# coordinates, as the indicators once did; they agree to roundoff.
 
 
 def _fine_rule(d):
     return nodes_weights(replace(d, order=2 * d.order + 2))
 
 
+def _untranslated(u):
+    return SpectralExpansion(replace(u.descriptor, x_left=0.0), u.coefficients)
+
+
 def relative_error_direct(u, reference):
+    r = _fine_rule(u.descriptor)
+    fv = np.asarray(reference(r.nodes))
+    u0 = _untranslated(u)
+    uv = to_values(u0, _fine_rule(u0.descriptor).nodes)
+    return math.sqrt(float(r.weights @ np.abs(uv - fv) ** 2) / float(r.weights @ np.abs(fv) ** 2))
+
+
+def relative_error_physical(u, reference):
     r = _fine_rule(u.descriptor)
     fv = np.asarray(reference(r.nodes))
     uv = to_values(u, r.nodes)
@@ -333,37 +349,66 @@ def relative_error_2d_direct(u, reference):
     return math.sqrt(float((W * np.abs(uv - fv) ** 2).sum()) / float((W * np.abs(fv) ** 2).sum()))
 
 
-def exterior_direct(u, x_split):
-    du = differentiate(u)
-    d, b = du.descriptor, du.coefficients
-    den2 = float(np.real(np.vdot(b, b)))
-    if den2 == 0.0:
-        return 0.0
+def _exterior_rule(d, y_split):
+    """Panels beyond y_split for the derivative space d: y, w, s, weight."""
     n = d.order
     if d.family is Family.HERMITE_FN:
         turn = math.sqrt(2.0 * n + 1.0)
         y_cut = turn + 9.3
-        y_lo = max(d.beta * (x_split - d.x_left), -y_cut)
+        y_lo = max(y_split, -y_cut)
         if y_lo >= y_cut:
-            return 0.0
+            return None
         panels = int(math.ceil((y_cut - y_lo) * max(turn, 1.0) / (2.0 * math.pi))) + 1
         y, w = _composite_gauss(np.linspace(y_lo, y_cut, panels + 1))
-        vals = to_values(du, y / d.beta + d.x_left)
-        num2 = float(w @ np.abs(vals) ** 2) / d.beta
+        return y, w, None, None
+    a = d.laguerre_a
+    y_cut = 4.0 * (n + a) + 2.0 + 90.0
+    y_lo = min(max(y_split, 0.0), y_cut)
+    if y_lo >= y_cut:
+        return None
+    s_lo, s_hi = math.sqrt(y_lo), math.sqrt(y_cut)
+    panels = int(math.ceil((s_hi - s_lo) * math.sqrt(n + 1.0) / math.pi)) + 1
+    s, w = _composite_gauss(np.linspace(s_lo, s_hi, panels + 1))
+    y = s * s
+    return y, w, s, (y**a if a != 0.0 else 1.0)
+
+
+def _exterior_from_values(du, rule, vals, scale):
+    b = du.coefficients
+    den2 = float(np.real(np.vdot(b, b)))
+    if den2 == 0.0:
+        return 0.0
+    y, w, s, weight = rule
+    if du.descriptor.family is Family.HERMITE_FN:
+        num2 = float(w @ np.abs(vals) ** 2) / scale
     else:
-        a = d.laguerre_a
-        y_cut = 4.0 * (n + a) + 2.0 + 90.0
-        y_lo = min(max(d.beta * (x_split - d.x_left), 0.0), y_cut)
-        if y_lo >= y_cut:
-            return 0.0
-        s_lo, s_hi = math.sqrt(y_lo), math.sqrt(y_cut)
-        panels = int(math.ceil((s_hi - s_lo) * math.sqrt(n + 1.0) / math.pi)) + 1
-        s, w = _composite_gauss(np.linspace(s_lo, s_hi, panels + 1))
-        y = s * s
-        vals = to_values(du, y / d.beta + d.x_left)
-        weight = y**a if a != 0.0 else 1.0
-        num2 = 2.0 * float(w @ (np.abs(vals) ** 2 * weight * s)) / d.beta
+        num2 = 2.0 * float(w @ (np.abs(vals) ** 2 * weight * s)) / scale
     return min(math.sqrt(max(num2, 0.0) / den2), 1.0)
+
+
+def exterior_direct(u, x_split=None):
+    d = u.descriptor
+    du = differentiate(u)
+    if x_split is None:
+        # the default split node of the reference grid (beta = 1, x_left = 0)
+        idx = (2 * d.order + 2) // 3 if d.family is Family.HERMITE_FN else (d.order + 2) // 3
+        y_split = float(nodes_weights(replace(d, beta=1.0, x_left=0.0)).nodes[min(idx, d.order)])
+    else:
+        y_split = d.beta * (x_split - d.x_left)
+    rule = _exterior_rule(du.descriptor, y_split)
+    if rule is None:
+        return 0.0
+    reference = SpectralExpansion(replace(du.descriptor, beta=1.0, x_left=0.0), du.coefficients)
+    return _exterior_from_values(du, rule, to_values(reference, rule[0]), 1.0)
+
+
+def exterior_physical(u, x_split):
+    du = differentiate(u)
+    d = du.descriptor
+    rule = _exterior_rule(d, d.beta * (x_split - d.x_left))
+    if rule is None:
+        return 0.0
+    return _exterior_from_values(du, rule, to_values(du, rule[0] / d.beta + d.x_left), d.beta)
 
 
 CACHED_CASES = [
@@ -389,9 +434,21 @@ def test_cached_exterior_equals_direct_across_descriptor_changes():
     # each space twice in a row and again after the others: hits and misses
     for d, complex_ in CACHED_CASES + CACHED_CASES[::-1] + CACHED_CASES:
         u = SpectralExpansion(d, _coefficients(d, complex_, d.order))
-        for x_split in (default_split_point(d), d.x_left + 1.0):
+        for x_split in (None, default_split_point(d), d.x_left + 1.0):
             assert exterior_error_indicator(u, x_split) == exterior_direct(u, x_split)
             assert exterior_error_indicator(u, x_split) == exterior_direct(u, x_split)
+
+
+def test_exterior_reference_frame_matches_physical_frame():
+    for d, complex_ in CACHED_CASES:
+        u = SpectralExpansion(d, _coefficients(d, complex_, d.order))
+        xs = default_split_point(d)
+        for x_split in (None, xs, d.x_left + 1.0):
+            npt.assert_allclose(
+                exterior_error_indicator(u, x_split),
+                exterior_physical(u, xs if x_split is None else x_split),
+                rtol=1e-13,
+            )
 
 
 def test_cached_relative_error_equals_direct():
@@ -401,6 +458,13 @@ def test_cached_relative_error_equals_direct():
         u = SpectralExpansion(d, _coefficients(d, complex_, d.order + 1))
         assert relative_error(u, f) == relative_error_direct(u, f)
         assert relative_error(u, f) == relative_error_direct(u, f)
+
+
+def test_relative_error_reference_frame_matches_physical_frame():
+    f = lambda x: np.exp(-0.3 * (x - 0.2) ** 2) * np.cos(x)
+    for d, complex_ in CACHED_CASES:
+        u = SpectralExpansion(d, _coefficients(d, complex_, d.order + 1))
+        npt.assert_allclose(relative_error(u, f), relative_error_physical(u, f), rtol=1e-13)
 
 
 def test_cached_relative_error_2d_equals_direct():
@@ -417,12 +481,14 @@ def test_exterior_cache_keeps_no_matrix_above_the_entry_limit():
     # order 600: the derivative's panel matrix is 602 x 3880 entries
     d = HER(600, beta=1.3)
     u = SpectralExpansion(d, _coefficients(d, False, 3))
-    x_split = default_split_point(d)
-    e = exterior_error_indicator(u, x_split)
-    panels = _exterior_panels(differentiate(u).descriptor, x_split)  # a cache hit
-    assert panels.x.size * 602 > _CACHE_ENTRY_LIMIT
+    e = exterior_error_indicator(u)
+    panels = _exterior_panels(Family.HERMITE_FN, 601, 0.0, _reference_split(d))
+    assert _exterior_panels.cache_info().hits > 0  # the indicator's entry
+    assert panels.y.size * 602 > _CACHE_ENTRY_LIMIT
     assert panels.E is None
-    assert e == exterior_direct(u, x_split)
+    assert e == exterior_direct(u)
     small = SpectralExpansion(HER(40), _coefficients(HER(40), False, 4))
     exterior_error_indicator(small, 0.5)
-    assert _exterior_panels(HER(41), 0.5).E is not None
+    misses = _exterior_panels.cache_info().misses
+    assert _exterior_panels(Family.HERMITE_FN, 41, 0.0, 0.5).E is not None
+    assert _exterior_panels.cache_info().misses == misses

@@ -274,3 +274,26 @@ def test_problem_validation():
         SchrodingerProblem(psi0=lambda x: x, dt=0.1, T=0.05)
     with pytest.raises(ValueError):
         SchrodingerProblem(psi0=lambda x: x, m=0)
+
+
+def test_propagate_step_with_potential_matches_dense_exponential():
+    from scipy.linalg import expm
+
+    from adaptspec.basis import _values_matrix
+
+    d = HER(24, beta=1.2, x_left=0.3)
+    V = lambda s: 0.5 * s**2
+    V_ex = lambda s, t: np.sin(3.0 * t) * np.exp(-(s**2))
+    problem = SchrodingerProblem(psi0=lambda s: 0 * s, V=V, V_ex=V_ex, dt=0.01, T=0.01)
+    t_n = 0.2
+    # assemble the generator densely: potential columns from unit vectors
+    rule = nodes_weights(d)
+    phi = _values_matrix(d)
+    g = V(rule.nodes) * problem.dt
+    for xi, wq in zip((0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)), (5 / 18, 4 / 9, 5 / 18)):
+        g = g + wq * problem.dt * V_ex(rule.nodes, t_n + xi * problem.dt)
+    generator = -1j * (problem.dt * stiffness_matrix(d) + (phi * (rule.weights * g)) @ phi.T)
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+    out = propagate_step(psi, d, problem, t_n)
+    npt.assert_allclose(out, expm(generator) @ psi, rtol=0, atol=1e-12 * np.linalg.norm(psi))
