@@ -304,18 +304,29 @@ def _scaled_function_recurrence(alpha, beta, nmax, y, log_env, orient=1.0):
     s = log_env.copy()
     v_prev = np.zeros_like(y)
     v = np.full_like(y, 1.0 / math.sqrt(beta[0]))
+    v_next = np.empty_like(y)
+    mag = np.empty_like(y)
     env = np.exp(s)  # refreshed only in the columns a rescale touched
-    out[0] = v * env
+    np.multiply(v, env, out=out[0])
     for k in range(nmax):
-        v_next = (orient * (y - alpha[k]) * v - math.sqrt(beta[k]) * v_prev) / math.sqrt(beta[k + 1])
-        v_prev, v = v, v_next
-        big = np.abs(v) > _RESCALE
-        if big.any():
-            v[big] /= _RESCALE
-            v_prev[big] /= _RESCALE
-            s[big] += _LOG_RESCALE
-            env[big] = np.exp(s[big])
-        out[k + 1] = v * env
+        # v_next = (orient * (y - alpha[k]) * v - sqrt(beta[k]) * v_prev) / sqrt(beta[k+1]),
+        # in that operation order, in preallocated buffers
+        np.subtract(y, alpha[k], out=v_next)
+        if orient != 1.0:
+            v_next *= orient
+        v_next *= v
+        v_prev *= math.sqrt(beta[k])
+        v_next -= v_prev
+        v_next /= math.sqrt(beta[k + 1])
+        v_prev, v, v_next = v, v_next, v_prev
+        # "not <=" also lets a NaN column through to the mask, as ">" per column would
+        if not np.abs(v, out=mag).max() <= _RESCALE:
+            big = mag > _RESCALE
+            np.divide(v, _RESCALE, out=v, where=big)
+            np.divide(v_prev, _RESCALE, out=v_prev, where=big)
+            np.add(s, _LOG_RESCALE, out=s, where=big)
+            np.exp(s, out=env, where=big)
+        np.multiply(v, env, out=out[k + 1])
     return out
 
 

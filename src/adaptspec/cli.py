@@ -25,7 +25,6 @@ _VALUE_FLAGS = (
     ("--beta0", "beta0", float, "initial scaling factor"),
     ("--dt", "dt", float, "time step"),
     ("--T", "T", float, "final time"),
-    ("--m", "m", int, "exponential splitting depth"),
     ("--nref", "n_ref", int, "example 6 reference order"),
 )
 
@@ -83,7 +82,7 @@ def _collect_overrides(args):
     if args.config:
         overrides.update(experiments.load_config_file(args.config))
     if args.full:
-        overrides.update(n_ref=2500, m_ref=48, m=48)
+        overrides.update(n_ref=2500)
     for _, dest, _, _ in _VALUE_FLAGS:
         value = getattr(args, dest)
         if value is not None:

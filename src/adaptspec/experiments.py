@@ -17,10 +17,22 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc
 
-from .adapt import ControllerConfig
-from .basis import BasisDescriptor, Family, nodes_weights, to_coefficients, to_values
-from .indicators import relative_error, relative_error_2d
-from .schrodinger import SchrodingerProblem, adapt_schrodinger_run, gaussian_packet
+from .adapt import AdaptiveState, ControllerConfig, scale_step
+from .basis import (
+    BasisDescriptor,
+    Family,
+    SpectralExpansion,
+    nodes_weights,
+    to_coefficients,
+    to_values,
+)
+from .indicators import frequency_indicator, relative_error, relative_error_2d
+from .schrodinger import (
+    SchrodingerProblem,
+    adapt_schrodinger_run,
+    gaussian_packet,
+    propagate_step,
+)
 from .solvers import (
     EvolutionProblem,
     advection_rhs,
@@ -65,8 +77,8 @@ class ExperimentConfig:
 
     a/b parameterize the decaying-envelope targets (examples 3-4), zeta/k
     the wave packet (5-6), v_* and drive_* the double-well potential and
-    its time-periodic forcing (6).  n_ref/m_ref describe example 6's
-    fixed-order reference march; m is the exponential's splitting depth.
+    its time-periodic forcing (6).  n_ref is the order of example 6's
+    fixed-order reference march.
     """
 
     example: int
@@ -83,9 +95,7 @@ class ExperimentConfig:
     b: float = 0.0
     zeta: float = 0.3
     k: float = 1.0
-    m: int = 6
     n_ref: int = 600
-    m_ref: int = 12
     v_depth: float = 10.0
     v_sharp: float = 10.0
     drive_amp: float = 25.0
@@ -100,8 +110,8 @@ class ExperimentConfig:
             raise ValueError("dt and T must be positive")
         if self.beta0 <= 0:
             raise ValueError("beta0 must be positive")
-        if self.m < 1 or self.m_ref < 1 or self.n_ref < 1:
-            raise ValueError("m, m_ref, n_ref must be >= 1")
+        if self.n_ref < 1:
+            raise ValueError("n_ref must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +164,7 @@ _SCHEMA = {
     "b": float,
     "zeta": float,
     "k": float,
-    "m": int,
     "n_ref": int,
-    "m_ref": int,
     "v_depth": float,
     "v_sharp": float,
     "drive_amp": float,
@@ -258,9 +266,7 @@ _FACTORY_DEFAULTS = {
             T=1.0,
             zeta=0.3,
             k=1.0,
-            m=12,
             n_ref=600,
-            m_ref=12,
         ),
     ),
 }
@@ -386,7 +392,7 @@ def _run_example_4(cfg):
 def _run_example_5(cfg):
     zeta, k = cfg.zeta, cfg.k
     problem = SchrodingerProblem(
-        psi0=lambda x: gaussian_packet(x, 0.0, zeta, k), dt=cfg.dt, T=cfg.T, m=cfg.m
+        psi0=lambda x: gaussian_packet(x, 0.0, zeta, k), dt=cfg.dt, T=cfg.T
     )
     d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
     records = []
@@ -397,10 +403,7 @@ def _run_example_5(cfg):
     return records, u
 
 
-def _example_6_potentials(cfg):
-    depth, sharp = cfg.v_depth, cfg.v_sharp
-    amp, omega = cfg.drive_amp, cfg.drive_freq
-
+def _example_6_potentials(depth, sharp, amp, omega):
     def V(x):
         return -depth * (np.exp(-sharp * (x - 1.0) ** 2) + np.exp(-sharp * (x + 1.0) ** 2))
 
@@ -414,49 +417,44 @@ def _example_6_potentials(cfg):
 def _reference_trajectory_6(key):
     """Example 6 yardstick: scaling-only march at the fixed reference order.
 
-    Cached on the scalar knobs it depends on so the three adaptive
-    variants compared against it pay for it once.
+    Each step propagates, then runs the scaling controller, exactly as
+    adapt_schrodinger_run does with only scaling on, but without the
+    per-step indicators nobody reads.  Cached on the scalar knobs it
+    depends on so the three adaptive variants compared against it pay for
+    it once.
     """
-    (n_ref, m_ref, dt, T, beta0, x_left0, zeta, k,
+    (n_ref, dt, T, beta0, x_left0, zeta, k,
      depth, sharp, amp, omega, q, nu, beta_lo, beta_hi) = key
-    cfg = ExperimentConfig(
-        example=6,
-        controller=ControllerConfig(
-            p_adaptivity=False,
-            scaling=True,
-            moving=False,
-            q=q,
-            nu=nu,
-            beta_lo=beta_lo,
-            beta_hi=beta_hi,
-        ),
-        family=Family.HERMITE_FN,
-        order=n_ref,
-        beta0=beta0,
-        x_left0=x_left0,
-        dt=dt,
-        T=T,
-        zeta=zeta,
-        k=k,
-        v_depth=depth,
-        v_sharp=sharp,
-        drive_amp=amp,
-        drive_freq=omega,
+    controller = ControllerConfig(
+        p_adaptivity=False,
+        scaling=True,
+        moving=False,
+        q=q,
+        nu=nu,
+        beta_lo=beta_lo,
+        beta_hi=beta_hi,
     )
-    V, V_ex = _example_6_potentials(cfg)
+    V, V_ex = _example_6_potentials(depth, sharp, amp, omega)
     problem = SchrodingerProblem(
-        psi0=lambda x: gaussian_packet(x, 0.0, zeta, k), V=V, V_ex=V_ex, dt=dt, T=T, m=m_ref
+        psi0=lambda x: gaussian_packet(x, 0.0, zeta, k), V=V, V_ex=V_ex, dt=dt, T=T
     )
     d0 = BasisDescriptor(Family.HERMITE_FN, n_ref, beta=beta0, x_left=x_left0)
+    u = to_coefficients(np.asarray(problem.psi0(nodes_weights(d0).nodes), dtype=complex), d0)
+    f = frequency_indicator(u, controller.indicator)
+    # exterior_ref is read only by the moving controller, which is off
+    state = AdaptiveState(freq_ref=f, scale_ref=f, exterior_ref=math.nan, refine_factor=controller.eta)
     trajectory = []
-    adapt_schrodinger_run(problem, cfg.controller, d0, on_step=lambda t, u, rec: trajectory.append(u))
+    for n in range(int(round(T / dt))):
+        psi = propagate_step(u.coefficients, u.descriptor, problem, n * dt)
+        u, state, _ = scale_step(SpectralExpansion(u.descriptor, psi), state, controller)
+        trajectory.append(u)
     return tuple(trajectory)
 
 
 def _reference_key_6(cfg):
     ctrl = cfg.controller
     return (
-        cfg.n_ref, cfg.m_ref, cfg.dt, cfg.T, cfg.beta0, cfg.x_left0, cfg.zeta, cfg.k,
+        cfg.n_ref, cfg.dt, cfg.T, cfg.beta0, cfg.x_left0, cfg.zeta, cfg.k,
         cfg.v_depth, cfg.v_sharp, cfg.drive_amp, cfg.drive_freq,
         ctrl.q, ctrl.nu, ctrl.beta_lo, ctrl.beta_hi,
     )
@@ -464,14 +462,13 @@ def _reference_key_6(cfg):
 
 def _run_example_6(cfg):
     reference = _reference_trajectory_6(_reference_key_6(cfg))
-    V, V_ex = _example_6_potentials(cfg)
+    V, V_ex = _example_6_potentials(cfg.v_depth, cfg.v_sharp, cfg.drive_amp, cfg.drive_freq)
     problem = SchrodingerProblem(
         psi0=lambda x: gaussian_packet(x, 0.0, cfg.zeta, cfg.k),
         V=V,
         V_ex=V_ex,
         dt=cfg.dt,
         T=cfg.T,
-        m=cfg.m,
     )
     # Refinement may grow the order, but never past max what the yardstick resolves.
     controller = dataclasses.replace(cfg.controller, n_abs=cfg.n_ref)

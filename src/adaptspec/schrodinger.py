@@ -8,6 +8,13 @@ potential term is contracted matrix-free through the quadrature grid, and
 the time dependence of the external drive is integrated with a three-point
 Gauss-Legendre rule inside the step.
 
+The step exponential is a Chebyshev series sized from the generator's
+spectrum, which is known in closed form: the stiffness matrix is positive
+semidefinite with its top eigenvalue bounded by the Gershgorin row sums of
+its two bands, and the potential term has exactly the node values of the
+time-integrated potential as eigenvalues (the Gauss rule is exact for
+products of two basis functions).  No splitting depth is tuned by hand.
+
 Every operator applied to the complex coefficients (the collocation pair,
 transforms, cross matrices, exterior panels) is real, so each product runs
 in real arithmetic as one two-column real matrix product, never through a
@@ -33,7 +40,7 @@ from .basis import (
     nodes_weights,
     to_coefficients,
 )
-from .expm import ExpmConfig, expm_action
+from .expm import expm_action
 
 __all__ = [
     "SchrodingerProblem",
@@ -55,8 +62,7 @@ class SchrodingerProblem:
     """Potentials, initial data, and stepping knobs for one run.
 
     V is the static potential V(x); V_ex(x, t) the time-dependent drive;
-    either may be None for identically zero.  m and taylor_tol feed the
-    exponential evaluator.
+    either may be None for identically zero.
     """
 
     psi0: Callable
@@ -64,20 +70,12 @@ class SchrodingerProblem:
     V_ex: Optional[Callable] = None
     dt: float = 0.01
     T: float = 1.0
-    m: int = 6
-    taylor_tol: float = 1e-15
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.T >= self.dt:
             raise ValueError("T must cover at least one step")
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
-
-    @property
-    def expm_config(self):
-        return ExpmConfig(m=self.m, taylor_tol=self.taylor_tol)
 
 
 def _require_hermite(d: BasisDescriptor):
@@ -95,6 +93,15 @@ def _stiffness_bands(d: BasisDescriptor):
     main.setflags(write=False)
     upper2.setflags(write=False)
     return main, upper2
+
+
+def _stiffness_bound(d: BasisDescriptor) -> float:
+    """Gershgorin bound on the top eigenvalue of S: largest absolute row sum."""
+    main, upper2 = _stiffness_bands(d)
+    rows = main.copy()
+    rows[:-2] += np.abs(upper2)
+    rows[2:] += np.abs(upper2)
+    return float(rows.max())
 
 
 def stiffness_matrix(d: BasisDescriptor) -> np.ndarray:
@@ -164,22 +171,26 @@ def potential_apply(d: BasisDescriptor, V, V_ex, t_n, dt, X) -> np.ndarray:
 def propagate_step(psi, d: BasisDescriptor, problem: SchrodingerProblem, t_n):
     """Advance the coefficient vector by one step of size problem.dt.
 
-    The generator is -i (S dt + Vtilde) with S the derivative-derivative
+    The generator is -i H with H = S dt + Vtilde, S the derivative-derivative
     matrix and Vtilde the time-integrated potential; the step is its exact
-    exponential up to the Taylor tolerance.
+    exponential up to the series tolerance.  By Weyl's inequality the
+    eigenvalues of H lie in [min g, dt * rho_S + max g], with rho_S the
+    Gershgorin bound of S and g the integrated potential at the nodes.
     """
     _require_hermite(d)
     psi = np.asarray(psi, dtype=complex)
     dt = problem.dt
     if problem.V is None and problem.V_ex is None:
         apply_a = lambda X: -1j * dt * stiffness_apply(d, X)
+        g_lo = g_hi = 0.0
     else:
         phi, proj = _collocation_matrices(d)
         g = _integrated_potential(d, problem.V, problem.V_ex, t_n, dt)
         apply_a = lambda X: -1j * (
             dt * stiffness_apply(d, X) + _apply_real(proj, g * _apply_real(phi.T, X))
         )
-    return expm_action(apply_a, psi, problem.expm_config)
+        g_lo, g_hi = g.min(), g.max()
+    return expm_action(apply_a, psi, spectrum=(g_lo, dt * _stiffness_bound(d) + g_hi))
 
 
 def adapt_schrodinger_run(

@@ -440,6 +440,32 @@ def test_scaled_recurrence_matches_loop_form():
     assert np.array_equal(_laguerre_functions(400, y, 0.5), slow)
 
 
+@pytest.mark.parametrize("family", ["hermite", "laguerre"])
+@pytest.mark.parametrize("nmax,npts", [(600, 3880), (600, 487), (60, 200), (0, 5)])
+def test_scaled_recurrence_in_place_equals_loop_form(family, nmax, npts):
+    # the shapes of the order-600 exterior panels, the per-step yardstick
+    # and a small expansion, plus the single-row case; rescaling fires far out
+    if family == "hermite":
+        y = np.linspace(-70.0, 70.0, npts)
+        alpha, beta = _recurrence_hermite(nmax + 2)
+        args = (alpha, beta, nmax, y, -0.5 * y * y)
+    else:
+        y = np.linspace(0.0, 1500.0, npts)
+        alpha, beta = _recurrence_laguerre(nmax + 2, 0.5)
+        args = (alpha, beta, nmax, y, -0.5 * y, -1.0)
+    assert np.array_equal(_scaled_function_recurrence(*args), scaled_recurrence_loop(*args))
+
+
+def test_scaled_recurrence_keeps_nan_columns_apart():
+    # a NaN column must not stop the other columns from rescaling
+    y = np.array([np.nan, 40.0, 60.0, -55.0])
+    alpha, beta = _recurrence_hermite(402)
+    fast = _scaled_function_recurrence(alpha, beta, 400, y, -0.5 * y * y)
+    slow = scaled_recurrence_loop(alpha, beta, 400, y, -0.5 * y * y)
+    assert np.array_equal(fast, slow, equal_nan=True)
+    assert np.isnan(fast[:, 0]).all() and np.isfinite(fast[:, 1:]).all()
+
+
 @pytest.mark.parametrize("complex_", [False, True])
 def test_hermite_derivative_matches_loop_form(complex_):
     rng = np.random.default_rng(8)

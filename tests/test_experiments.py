@@ -69,6 +69,36 @@ def test_experiment_config_validation():
                          order=50, beta0=0.0)
 
 
+def test_reference_march_equals_the_scaling_only_adaptive_run():
+    # the direct propagate-then-scale march must reproduce what the full
+    # orchestrated run with only scaling on produces, bit for bit
+    from adaptspec.basis import BasisDescriptor
+    from adaptspec.schrodinger import SchrodingerProblem, adapt_schrodinger_run, gaussian_packet
+
+    cfg = example_config(6, n_ref=60, T=0.5)
+    key = experiments._reference_key_6(cfg)
+    march = experiments._reference_trajectory_6(key)
+    V, V_ex = experiments._example_6_potentials(
+        cfg.v_depth, cfg.v_sharp, cfg.drive_amp, cfg.drive_freq
+    )
+    problem = SchrodingerProblem(
+        psi0=lambda x: gaussian_packet(x, 0.0, cfg.zeta, cfg.k), V=V, V_ex=V_ex, dt=cfg.dt, T=cfg.T
+    )
+    ctrl = cfg.controller
+    controller = experiments.ControllerConfig(
+        p_adaptivity=False, scaling=True, moving=False,
+        q=ctrl.q, nu=ctrl.nu, beta_lo=ctrl.beta_lo, beta_hi=ctrl.beta_hi,
+    )
+    d0 = BasisDescriptor(cfg.family, 60, beta=cfg.beta0, x_left=cfg.x_left0)
+    run = []
+    adapt_schrodinger_run(problem, controller, d0, on_step=lambda t, u, rec: run.append(u))
+    assert len(march) == len(run) == 50
+    assert any(a.descriptor.beta != cfg.beta0 for a in run)  # scaling did act
+    for a, b in zip(march, run):
+        assert a.descriptor == b.descriptor
+        assert np.array_equal(a.coefficients, b.coefficients)
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "overrides.txt"
     path.write_text(

@@ -103,3 +103,39 @@ def test_config_validation():
         ExpmConfig(taylor_tol=0.0)
     with pytest.raises(ValueError):
         ExpmConfig(max_terms=0)
+
+
+def test_chebyshev_path_matches_eigendecomposition_on_criterion_6_matrices():
+    # the same random skew-Hermitian draws as acceptance criterion 6; the
+    # spectral interval comes from the 2-norm, not from the eigensolver
+    rng = np.random.default_rng(7)
+    for n in (8, 20, 32):
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = (b - b.conj().T) / 2.0
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rho = np.linalg.norm(a, 2)
+        y = expm_action(lambda v: a @ v, x, spectrum=(-rho, rho))
+        err = np.linalg.norm(y - expm_dense_oracle(a) @ x) / np.linalg.norm(x)
+        assert err < 1e-12
+
+
+def test_chebyshev_path_on_a_shifted_interval_and_a_point():
+    # H = diag(h) on [lo, hi] far from the origin; a one-point interval
+    # is a pure phase and needs no apply
+    h = np.linspace(40.0, 55.0, 7)
+    x = np.random.default_rng(16).standard_normal(7) + 0j
+    y = expm_action(lambda v: -1j * h * v, x, spectrum=(40.0, 55.0))
+    npt.assert_allclose(y, np.exp(-1j * h) * x, rtol=0, atol=1e-13)
+    calls = []
+    y = expm_action(lambda v: calls.append(v) or -3j * v, x, spectrum=(3.0, 3.0))
+    assert not calls
+    npt.assert_allclose(y, np.exp(-3j) * x, rtol=0, atol=1e-15)
+
+
+def test_chebyshev_path_rejects_a_bad_interval_and_caps_the_degree():
+    x = np.ones(3) + 0j
+    for bad in ((1.0, 0.0), (0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="interval"):
+            expm_action(lambda v: 0 * v, x, spectrum=bad)
+    with pytest.raises(RuntimeError, match="terms.*half-width 5.000e\\+03"):
+        expm_action(lambda v: -1j * v, x, spectrum=(-5e3, 5e3))

@@ -1,5 +1,7 @@
 """Solver pieces against quadrature, dense-assembly, and analytic oracles."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,7 +15,10 @@ from adaptspec import (
     to_coefficients,
     to_values,
 )
+from adaptspec import schrodinger
 from adaptspec.adapt import ControllerConfig, initial_state, orchestrate_step
+from adaptspec.basis import _values_matrix
+from adaptspec.experiments import _example_6_potentials, example_config
 from adaptspec.indicators import relative_error
 from adaptspec.schrodinger import (
     SchrodingerProblem,
@@ -213,12 +218,27 @@ def test_zero_potential_path_equals_explicit_zero():
 
 
 def test_stiff_potential_aborts_with_diagnostics():
+    # a spread potential: the spectral half-width (6.7e6) needs far more
+    # Chebyshev terms than the degree cap allows
     d = HER(10)
-    prob = SchrodingerProblem(
-        psi0=lambda x: x, V=lambda s: 1e6 + 0 * s, dt=1.0, T=1.0, m=1
-    )
-    with pytest.raises(RuntimeError, match="term"):
-        propagate_step(np.ones(11, dtype=complex), d, prob, 0.0)
+    prob = SchrodingerProblem(psi0=lambda x: x, V=lambda s: 1e6 * s**2, dt=1.0, T=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="term"):
+            propagate_step(np.ones(11, dtype=complex), d, prob, 0.0)
+    assert not caught
+
+
+def test_constant_stiff_potential_is_a_phase():
+    # a constant potential only shifts the spectral interval: the step is
+    # the free step times exp(-i V dt), whatever the size of V
+    d = HER(10)
+    psi = np.ones(11, dtype=complex)
+    stiff = SchrodingerProblem(psi0=lambda x: x, V=lambda s: 1e6 + 0 * s, dt=1.0, T=1.0)
+    free = SchrodingerProblem(psi0=lambda x: x, dt=1.0, T=1.0)
+    expect = np.exp(-1e6j) * propagate_step(psi, d, free, 0.0)
+    out = propagate_step(psi, d, stiff, 0.0)
+    npt.assert_allclose(out, expect, rtol=0, atol=1e-9 * np.linalg.norm(psi))
 
 
 # ------------------------------------------------------- adaptive runs
@@ -272,14 +292,10 @@ def test_problem_validation():
         SchrodingerProblem(psi0=lambda x: x, dt=0.0)
     with pytest.raises(ValueError):
         SchrodingerProblem(psi0=lambda x: x, dt=0.1, T=0.05)
-    with pytest.raises(ValueError):
-        SchrodingerProblem(psi0=lambda x: x, m=0)
 
 
 def test_propagate_step_with_potential_matches_dense_exponential():
     from scipy.linalg import expm
-
-    from adaptspec.basis import _values_matrix
 
     d = HER(24, beta=1.2, x_left=0.3)
     V = lambda s: 0.5 * s**2
@@ -297,3 +313,51 @@ def test_propagate_step_with_potential_matches_dense_exponential():
     psi = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
     out = propagate_step(psi, d, problem, t_n)
     npt.assert_allclose(out, expm(generator) @ psi, rtol=0, atol=1e-12 * np.linalg.norm(psi))
+
+
+# ------------------------------------------------ spectral-bound propagator
+
+
+@pytest.mark.parametrize("n", [10, 50, 242, 600])
+def test_gershgorin_bound_is_tight_above_stiffness_spectrum(n):
+    d = HER(n, beta=1.3)
+    top = np.linalg.eigvalsh(stiffness_matrix(d)).max()
+    bound = schrodinger._stiffness_bound(d)
+    assert top <= bound <= 1.15 * top
+
+
+def test_potential_operator_eigenvalues_are_the_node_values():
+    d = HER(40, beta=1.3, x_left=0.2)
+    cfg = example_config(6)
+    V, V_ex = _example_6_potentials(cfg.v_depth, cfg.v_sharp, cfg.drive_amp, cfg.drive_freq)
+    g = schrodinger._integrated_potential(d, V, V_ex, 0.37, 0.01)
+    phi = _values_matrix(d)
+    vtilde = (phi * (nodes_weights(d).weights * g)) @ phi.T
+    eig = np.linalg.eigvalsh((vtilde + vtilde.T) / 2)
+    slack = 1e-13 * np.abs(g).max()
+    assert g.min() - slack <= eig.min() and eig.max() <= g.max() + slack
+    npt.assert_allclose(np.sort(eig), np.sort(g), rtol=0, atol=slack)
+
+
+def test_example_6_step_at_reference_order_needs_few_applies(monkeypatch):
+    cfg = example_config(6)
+    V, V_ex = _example_6_potentials(cfg.v_depth, cfg.v_sharp, cfg.drive_amp, cfg.drive_freq)
+    problem = SchrodingerProblem(
+        psi0=lambda x: gaussian_packet(x, 0.0, cfg.zeta, cfg.k), V=V, V_ex=V_ex, dt=cfg.dt, T=cfg.T
+    )
+    d = HER(600, beta=1.3)
+    psi = to_coefficients(problem.psi0(nodes_weights(d).nodes).astype(complex), d).coefficients
+    applies = []
+    expm_action = schrodinger.expm_action
+
+    def counted(apply_a, x, *args, **kwargs):
+        def apply_counted(v):
+            applies.append(1)
+            return apply_a(v)
+
+        return expm_action(apply_counted, x, *args, **kwargs)
+
+    monkeypatch.setattr(schrodinger, "expm_action", counted)
+    out = propagate_step(psi, d, problem, 0.0)
+    assert 0 < len(applies) <= 45
+    assert abs(np.linalg.norm(out) / np.linalg.norm(psi) - 1) < 1e-13
