@@ -218,11 +218,37 @@ def initial_state(u: SpectralExpansion, config: ControllerConfig) -> AdaptiveSta
     return AdaptiveState(freq_ref=f, scale_ref=f, exterior_ref=e, refine_factor=config.eta)
 
 
-def _order_cap(config: ControllerConfig) -> int:
-    """Highest order refinement may reach: n_abs, never past MAX_ORDER."""
-    if config.n_abs is None:
-        return basis.MAX_ORDER
-    return min(config.n_abs, basis.MAX_ORDER)
+def _order_rule(u, state, config, order, trial, indicator, suffix=""):
+    """The refine/coarsen rule shared by p_adapt_step and each 2-D axis.
+
+    order(w) is the controlled order of w, trial(w, step) the expansion one
+    order up (step = 1) or down (step = -1), indicator(w) the frequency
+    indicator the rule reads; suffix tags the actions.
+    """
+    actions: list[str] = []
+    f = indicator(u)
+    if f > state.refine_factor * state.freq_ref:
+        # refinement never passes n_abs or MAX_ORDER
+        cap = min(config.n_abs, basis.MAX_ORDER) if config.n_abs is not None else basis.MAX_ORDER
+        while (
+            f > state.refine_factor * state.freq_ref
+            and len(actions) < config.n_max
+            and order(u) < cap
+        ):
+            u = trial(u, 1)
+            actions.append("refine" + suffix)
+            f = indicator(u)
+        state = replace(
+            state, freq_ref=f, refine_factor=config.gamma * state.refine_factor
+        )
+    elif f < state.freq_ref / config.eta0 and order(u) > config.n_min:
+        candidate = trial(u, -1)
+        f_trial = indicator(candidate)
+        if f_trial < state.freq_ref:
+            u = candidate
+            state = replace(state, freq_ref=f_trial)
+            actions.append("coarsen" + suffix)
+    return u, state, actions
 
 
 def p_adapt_step(
@@ -237,74 +263,14 @@ def p_adapt_step(
     order exceeds n_min, try a single coarsening and keep it only if it
     strictly lowers the indicator below freq_ref.
     """
-    actions: list[str] = []
-    f = frequency_indicator(u, config.indicator)
-    if f > state.refine_factor * state.freq_ref:
-        increments = 0
-        cap = _order_cap(config)
-        while f > state.refine_factor * state.freq_ref and increments < config.n_max:
-            if u.descriptor.order + 1 > cap:
-                break
-            u = refine(u)
-            increments += 1
-            actions.append("refine")
-            f = frequency_indicator(u, config.indicator)
-        state = replace(
-            state, freq_ref=f, refine_factor=config.gamma * state.refine_factor
-        )
-    elif f < state.freq_ref / config.eta0 and u.descriptor.order > config.n_min:
-        trial = coarsen(u)
-        f_trial = frequency_indicator(trial, config.indicator)
-        if f_trial < state.freq_ref:
-            u = trial
-            state = replace(state, freq_ref=f_trial)
-            actions.append("coarsen")
-    return u, state, actions
-
-
-def _axis_descriptor(u: Expansion2D, axis: int) -> BasisDescriptor:
-    return u.descriptor_x if axis == 0 else u.descriptor_y
-
-
-def _with_axis_order(u: Expansion2D, axis: int, order: int) -> Expansion2D:
-    if axis == 0:
-        return resample_2d(u, replace(u.descriptor_x, order=order), u.descriptor_y)
-    return resample_2d(u, u.descriptor_x, replace(u.descriptor_y, order=order))
-
-
-def _p_adapt_axis(
-    u: Expansion2D, axis: int, state: AdaptiveState, config: ControllerConfig
-) -> tuple[int, AdaptiveState, list[str]]:
-    """Order decision along one axis with the other axis frozen."""
-    suffix = "_x" if axis == 0 else "_y"
-    actions: list[str] = []
-    work = u
-    f = frequency_indicator_axis(work, axis, config.indicator)
-    if f > state.refine_factor * state.freq_ref:
-        increments = 0
-        cap = _order_cap(config)
-        while f > state.refine_factor * state.freq_ref and increments < config.n_max:
-            order = _axis_descriptor(work, axis).order + 1
-            if order > cap:
-                break
-            work = _with_axis_order(work, axis, order)
-            increments += 1
-            actions.append("refine" + suffix)
-            f = frequency_indicator_axis(work, axis, config.indicator)
-        state = replace(
-            state, freq_ref=f, refine_factor=config.gamma * state.refine_factor
-        )
-    elif (
-        f < state.freq_ref / config.eta0
-        and _axis_descriptor(work, axis).order > config.n_min
-    ):
-        trial = _with_axis_order(work, axis, _axis_descriptor(work, axis).order - 1)
-        f_trial = frequency_indicator_axis(trial, axis, config.indicator)
-        if f_trial < state.freq_ref:
-            work = trial
-            state = replace(state, freq_ref=f_trial)
-            actions.append("coarsen" + suffix)
-    return _axis_descriptor(work, axis).order, state, actions
+    return _order_rule(
+        u,
+        state,
+        config,
+        order=lambda w: w.descriptor.order,
+        trial=lambda w, step: refine(w) if step > 0 else coarsen(w),
+        indicator=lambda w: frequency_indicator(w, config.indicator),
+    )
 
 
 def p_adapt_step_2d(
@@ -314,10 +280,33 @@ def p_adapt_step_2d(
     config: ControllerConfig,
 ) -> tuple[Expansion2D, AdaptiveState, AdaptiveState, list[str]]:
     """Axis-wise order adaptivity: decisions made independently from the
-    same input (each axis judged with the other frozen), then applied."""
-    nx, state_x, ax = _p_adapt_axis(u, 0, state_x, config)
-    ny, state_y, ay = _p_adapt_axis(u, 1, state_y, config)
-    out = resample_2d(u, replace(u.descriptor_x, order=nx), replace(u.descriptor_y, order=ny))
+    same input (each axis judged with the other frozen), then applied.
+
+    Each axis trial resamples the tensor expansion from the previous trial
+    (resample_2d), in both directions.  Zero-padding the refine trials, as
+    1-D does, is exact in exact arithmetic but not in floating point, and
+    example 2's tail sits at roundoff, so its decisions would change.
+    """
+
+    def axis(k, state):
+        def trial(w, step):
+            ds = [w.descriptor_x, w.descriptor_y]
+            ds[k] = replace(ds[k], order=ds[k].order + step)
+            return resample_2d(w, *ds)
+
+        return _order_rule(
+            u,
+            state,
+            config,
+            order=lambda w: (w.descriptor_x, w.descriptor_y)[k].order,
+            trial=trial,
+            indicator=lambda w: frequency_indicator_axis(w, k, config.indicator),
+            suffix=("_x", "_y")[k],
+        )
+
+    wx, state_x, ax = axis(0, state_x)
+    wy, state_y, ay = axis(1, state_y)
+    out = resample_2d(u, wx.descriptor_x, wy.descriptor_y)
     return out, state_x, state_y, ax + ay
 
 

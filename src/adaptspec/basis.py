@@ -17,6 +17,19 @@ orthonormal polynomial values, followed by one Newton polish; weights for
 the function families use the Christoffel form 1/sum_k phi_k(y)^2, which
 stays finite for orders in the thousands where the classical closed forms
 overflow.
+
+Every family obeys one three-term recurrence (Gautschi),
+
+    p_{k+1} = ((A_k x + B_k) p_k - C_k p_{k-1}) / D_k,
+
+and one engine (_recurrence) evaluates it from a small coefficient table
+per family: the classical Chebyshev, Legendre and Jacobi polynomials, and
+the orthonormal polynomials of a monic recurrence, which give the Hermite
+and Laguerre functions under an exponential envelope (the polynomial part
+is divided by 1e130 wherever it exceeds that, and the envelope makes up
+the difference).  A companion recurrence for p_k' serves the
+Newton polish of the nodes and the Jacobi and Laguerre derivatives, and
+the Lobatto and Radau endpoint values come from the same engine.
 """
 
 from __future__ import annotations
@@ -203,14 +216,138 @@ def _recurrence_hermite(n: int):
     return alpha, beta
 
 
-def _orthonormal_eval(t: float, alpha: np.ndarray, beta: np.ndarray, m: int):
-    """(p_{m-1}(t), p_m(t)) for the orthonormal polynomials of the recurrence."""
-    p_prev = 0.0
-    p = 1.0 / math.sqrt(beta[0])
-    for k in range(m):
-        p_next = ((t - alpha[k]) * p - math.sqrt(beta[k]) * p_prev) / math.sqrt(beta[k + 1])
-        p_prev, p = p, p_next
-    return p_prev, p
+# --------------------------------------------------------------------------
+# One three-term recurrence for every family.  A table (A, B, C, D, p0)
+# defines rows p_0 = p0, p_{-1} = 0 and
+#     p_{k+1} = ((A_k x + B_k) p_k - C_k p_{k-1}) / D_k.
+
+
+def _orthonormal_table(alpha: np.ndarray, beta: np.ndarray, orient: float = 1.0):
+    """Table of the orthonormal polynomials of a monic recurrence, degrees 0..n.
+
+    p_{k+1} = (orient (x - alpha_k) p_k - sqrt(beta_k) p_{k-1}) / sqrt(beta_{k+1})
+    with n = len(alpha) - 1; orient = -1 flips every odd degree (the
+    classical Laguerre sign convention, positive at the left endpoint).
+    """
+    n = len(alpha) - 1
+    r = np.sqrt(beta[: n + 1])
+    return np.full(n, orient), -orient * alpha[:n], r[:n], r[1:], 1.0 / r[0]
+
+
+def _family_table(family: Family, n: int, a: float = 0.0, b: float = 0.0):
+    """Table of the reference basis rows 0..n of a family (exponents a, b)."""
+    k = np.arange(n, dtype=float)
+    if family is Family.CHEBYSHEV:
+        # T_1 = x, T_{k+1} = 2x T_k - T_{k-1}
+        return np.where(k == 0, 1.0, 2.0), np.zeros(n), np.ones(n), np.ones(n), 1.0
+    if family is Family.LEGENDRE:
+        # (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}
+        return 2.0 * k + 1.0, np.zeros(n), k, k + 1.0, 1.0
+    if family is Family.JACOBI:
+        n2ab = 2.0 * k + a + b
+        A = n2ab * (n2ab + 1.0) * (n2ab + 2.0)
+        B = (n2ab + 1.0) * (a * a - b * b)
+        C = 2.0 * (k + a) * (k + b) * (n2ab + 2.0)
+        D = 2.0 * (k + 1.0) * (k + a + b + 1.0) * n2ab
+        # P_1 = (a+b+2)/2 x + (a-b)/2
+        A[:1], B[:1], C[:1], D[:1] = 0.5 * (a + b + 2.0), 0.5 * (a - b), 0.0, 1.0
+        return A, B, C, D, 1.0
+    if family is Family.HERMITE_FN:
+        return _orthonormal_table(*_recurrence_hermite(n + 1))
+    return _orthonormal_table(*_recurrence_laguerre(n + 1, a), orient=-1.0)
+
+
+def _log_envelope(family: Family, y: np.ndarray):
+    """Exponent of the function families' envelope; None for polynomials."""
+    if family is Family.HERMITE_FN:
+        return -0.5 * y * y
+    if family is Family.LAGUERRE_FN:
+        return -0.5 * y
+    return None
+
+
+def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
+    """Yield (p_k, d_k, env) for k = 0..n, one row at a time.
+
+    d_k = p_k'(x) follows the companion recurrence
+        d_{k+1} = ((A_k x + B_k) d_k + A_k p_k - C_k d_{k-1}) / D_k
+    when deriv is set (None otherwise).  With log_env the rows are divided
+    by 1e130 wherever they exceed it and the deficit is folded into the
+    exponent, so p_k * env is the row times exp(log_env) and columns where
+    that value is O(1) never pass through a denormal intermediate; env is
+    None without log_env.  The yielded arrays are working buffers, valid
+    until the generator advances.
+    """
+    A, B, C, D, p0 = table
+    p_prev, p = np.zeros_like(x), np.full_like(x, p0)
+    p_next, buf = np.empty_like(x), np.empty_like(x)
+    d = None
+    if deriv:
+        d_prev, d = np.zeros_like(x), np.zeros_like(x)
+        d_next, ap = np.empty_like(x), np.empty_like(x)
+    env = None
+    if log_env is not None:
+        s = log_env.copy()
+        env = np.exp(s)  # refreshed only in the columns a rescale touched
+        mag = np.empty_like(x)
+    yield p, d, env
+    for a, b, c, dk in zip(A.tolist(), B.tolist(), C.tolist(), D.tolist()):
+        # in this operation order, in preallocated buffers (ufunc calls with
+        # out=: in-place operators with a float operand cost more per call);
+        # factors of one and terms of zero are skipped (exact either way)
+        if a == 1.0:
+            xb = np.add(x, b, out=buf) if b else x
+        else:
+            xb = np.multiply(x, a, out=buf)
+            if b:
+                np.add(xb, b, out=xb)
+        if deriv:
+            np.multiply(xb, d, out=d_next)
+            np.add(d_next, np.multiply(p, a, out=ap), out=d_next)
+            np.multiply(d_prev, c, out=d_prev)
+            np.subtract(d_next, d_prev, out=d_next)
+            np.divide(d_next, dk, out=d_next)
+            d_prev, d, d_next = d, d_next, d_prev
+        np.multiply(xb, p, out=p_next)
+        if c != 1.0:
+            np.multiply(p_prev, c, out=p_prev)
+        np.subtract(p_next, p_prev, out=p_next)
+        if dk != 1.0:
+            np.divide(p_next, dk, out=p_next)
+        p_prev, p, p_next = p, p_next, p_prev
+        # "not <=" also lets a NaN column through to the mask, as ">" per column would
+        if env is not None and not np.abs(p, out=mag).max() <= _RESCALE:
+            big = mag > _RESCALE
+            for arr in (p, p_prev, d, d_prev) if deriv else (p, p_prev):
+                np.divide(arr, _RESCALE, out=arr, where=big)
+            np.add(s, _LOG_RESCALE, out=s, where=big)
+            np.exp(s, out=env, where=big)
+        yield p, d, env
+
+
+def _rows(table, x: np.ndarray, log_env=None) -> np.ndarray:
+    """All rows of a table at x, times the envelope when one is given."""
+    out = np.empty((len(table[0]) + 1, x.size))
+    for k, (p, _, env) in enumerate(_recurrence(table, x, log_env)):
+        if env is None:
+            out[k] = p
+        else:
+            np.multiply(p, env, out=out[k])
+    return out
+
+
+def _basis_rows(family: Family, n: int, y: np.ndarray, a: float = 0.0, b: float = 0.0):
+    """Reference basis values B_k(y), k = 0..n (no sqrt(beta) factor)."""
+    return _rows(_family_table(family, n, a, b), y, _log_envelope(family, y))
+
+
+def _last_row(table, x: np.ndarray, rescale: bool = False):
+    """(p_n, p_n') at x; rescale keeps their common scale bounded (ratios only)."""
+    # the rescale rides on a zero envelope, exp(-inf): never read, never overflows
+    log_env = np.full_like(x, -np.inf) if rescale else None
+    for p, d, _ in _recurrence(table, x, log_env, deriv=True):
+        pass
+    return p, d
 
 
 def _gauss_nodes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -228,8 +365,8 @@ def _lobatto_nodes(alpha: np.ndarray, beta: np.ndarray, lo: float, hi: float):
     orthonormal polynomial values (the monic values under/overflow first).
     """
     m = len(alpha) - 1
-    pl1, pl = _orthonormal_eval(lo, alpha, beta, m)
-    pr1, pr = _orthonormal_eval(hi, alpha, beta, m)
+    P = _rows(_orthonormal_table(alpha, beta), np.array([lo, hi]))
+    (pl1, pr1), (pl, pr) = P[m - 1], P[m]
     det = pl * pr1 - pr * pl1
     alpha_star = (lo * pl * pr1 - hi * pr * pl1) / det
     beta_star = (hi - lo) * pl * pr / det * math.sqrt(beta[m])
@@ -246,168 +383,8 @@ def _lobatto_nodes(alpha: np.ndarray, beta: np.ndarray, lo: float, hi: float):
 def _radau_alpha(alpha: np.ndarray, beta: np.ndarray, t: float):
     """Modified last diagonal entry pinning t as a node (Gauss-Radau)."""
     m = len(alpha) - 1
-    p1, p = _orthonormal_eval(t, alpha, beta, m)
+    p1, p = _rows(_orthonormal_table(alpha, beta), np.array([t]))[m - 1 :, 0]
     return t - math.sqrt(beta[m]) * p1 / p
-
-
-# --------------------------------------------------------------------------
-# Basis evaluation in reference coordinates.
-
-
-def _chebyshev_polys(nmax: int, x: np.ndarray) -> np.ndarray:
-    out = np.empty((nmax + 1, x.size))
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = x
-    for k in range(1, nmax):
-        out[k + 1] = 2.0 * x * out[k] - out[k - 1]
-    return out
-
-
-def _legendre_polys(nmax: int, x: np.ndarray) -> np.ndarray:
-    out = np.empty((nmax + 1, x.size))
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = x
-    for k in range(1, nmax):
-        out[k + 1] = ((2.0 * k + 1.0) * x * out[k] - k * out[k - 1]) / (k + 1.0)
-    return out
-
-
-def _jacobi_polys(nmax: int, x: np.ndarray, a: float, b: float) -> np.ndarray:
-    out = np.empty((nmax + 1, x.size))
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 0.5 * (a + b + 2.0) * x + 0.5 * (a - b)
-    for n in range(1, nmax):
-        n2ab = 2.0 * n + a + b
-        c1 = 2.0 * (n + 1.0) * (n + a + b + 1.0) * n2ab
-        c2 = (n2ab + 1.0) * (a * a - b * b)
-        c3 = n2ab * (n2ab + 1.0) * (n2ab + 2.0)
-        c4 = 2.0 * (n + a) * (n + b) * (n2ab + 2.0)
-        out[n + 1] = ((c2 + c3 * x) * out[n] - c4 * out[n - 1]) / c1
-    return out
-
-
-def _scaled_function_recurrence(alpha, beta, nmax, y, log_env, orient=1.0):
-    """Orthonormal-polynomial recurrence times an exponential envelope.
-
-    Returns rows f_k(y) = p_k(y) * exp(log_env(y)), k = 0..nmax, evaluated
-    stably: the polynomial part is rescaled whenever it exceeds 1e130 and
-    the deficit is folded into the envelope exponent, so columns where the
-    true function is O(1) never pass through a denormal intermediate.
-    orient = -1 selects the classical Laguerre sign convention
-    (f_k = (-1)^k p_k, i.e. positive at the left endpoint).
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.empty((nmax + 1, y.size))
-    s = log_env.copy()
-    v_prev = np.zeros_like(y)
-    v = np.full_like(y, 1.0 / math.sqrt(beta[0]))
-    v_next = np.empty_like(y)
-    mag = np.empty_like(y)
-    env = np.exp(s)  # refreshed only in the columns a rescale touched
-    np.multiply(v, env, out=out[0])
-    for k in range(nmax):
-        # v_next = (orient * (y - alpha[k]) * v - sqrt(beta[k]) * v_prev) / sqrt(beta[k+1]),
-        # in that operation order, in preallocated buffers
-        np.subtract(y, alpha[k], out=v_next)
-        if orient != 1.0:
-            v_next *= orient
-        v_next *= v
-        v_prev *= math.sqrt(beta[k])
-        v_next -= v_prev
-        v_next /= math.sqrt(beta[k + 1])
-        v_prev, v, v_next = v, v_next, v_prev
-        # "not <=" also lets a NaN column through to the mask, as ">" per column would
-        if not np.abs(v, out=mag).max() <= _RESCALE:
-            big = mag > _RESCALE
-            np.divide(v, _RESCALE, out=v, where=big)
-            np.divide(v_prev, _RESCALE, out=v_prev, where=big)
-            np.add(s, _LOG_RESCALE, out=s, where=big)
-            np.exp(s, out=env, where=big)
-        np.multiply(v, env, out=out[k + 1])
-    return out
-
-
-def _hermite_functions(nmax: int, y: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite functions h_k(y), unit weight on the line."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    alpha, beta = _recurrence_hermite(nmax + 2)
-    return _scaled_function_recurrence(alpha, beta, nmax, y, -0.5 * y * y)
-
-
-def _laguerre_functions(nmax: int, y: np.ndarray, a: float) -> np.ndarray:
-    """Orthonormal Laguerre functions l_k(y), weight y^a on the half line."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    alpha, beta = _recurrence_laguerre(nmax + 2, a)
-    return _scaled_function_recurrence(alpha, beta, nmax, y, -0.5 * y, orient=-1.0)
-
-
-def _polish_newton(y, ratio_fn):
-    """One Newton step y -= f/f' with the ratio supplied in one piece."""
-    return y - ratio_fn(y)
-
-
-def _hermite_newton_ratio(nroot: int):
-    # root function: h_{nroot}; h' = sqrt(n/2) h_{n-1} - sqrt((n+1)/2) h_{n+1};
-    # the shared envelope cancels, so the plain polynomial parts may be used
-    # ... except they overflow, so reuse the rescaled recurrence (ratios of
-    # rows at a common column share the column's scale).
-    def ratio(y):
-        h = _hermite_functions(nroot + 1, y)
-        deriv = math.sqrt(nroot / 2.0) * h[nroot - 1] - math.sqrt((nroot + 1) / 2.0) * h[nroot + 1]
-        return h[nroot] / deriv
-
-    return ratio
-
-
-def _laguerre_newton_ratio(nroot: int, a: float):
-    # Interior Radau nodes are roots of the degree-nroot Laguerre(a+1)
-    # polynomial; work in function form l = p * exp(-y/2), whose derivative
-    # is (p' - p/2)exp(-y/2): Newton ratio l/l' = p/(p' - p/2) needs the
-    # polynomial and its derivative at a common scale.
-    alpha, beta = _recurrence_laguerre(nroot + 1, a + 1.0)
-
-    def ratio(y):
-        y = np.atleast_1d(y)
-        v_prev = np.zeros_like(y)
-        v = np.full_like(y, 1.0 / math.sqrt(beta[0]))
-        d_prev = np.zeros_like(y)
-        d = np.zeros_like(y)
-        for k in range(nroot):
-            rb = math.sqrt(beta[k + 1])
-            v_next = ((y - alpha[k]) * v - math.sqrt(beta[k]) * v_prev) / rb
-            d_next = (v + (y - alpha[k]) * d - math.sqrt(beta[k]) * d_prev) / rb
-            v_prev, v, d_prev, d = v, v_next, d, d_next
-            big = np.abs(v) > _RESCALE
-            if big.any():
-                for arr in (v, v_prev, d, d_prev):
-                    arr[big] /= _RESCALE
-        return v / (d - 0.5 * v)
-
-    return ratio
-
-
-def _jacobi_newton_ratio(nroot: int, a: float, b: float):
-    # Interior Lobatto nodes: roots of the degree-nroot Jacobi(a+1, b+1)
-    # orthonormal polynomial.  Bounded arguments, no rescaling needed.
-    alpha, beta = _recurrence_jacobi(nroot + 1, a + 1.0, b + 1.0)
-
-    def ratio(y):
-        y = np.atleast_1d(y)
-        v_prev = np.zeros_like(y)
-        v = np.full_like(y, 1.0 / math.sqrt(beta[0]))
-        d_prev = np.zeros_like(y)
-        d = np.zeros_like(y)
-        for k in range(nroot):
-            rb = math.sqrt(beta[k + 1])
-            v_next = ((y - alpha[k]) * v - math.sqrt(beta[k]) * v_prev) / rb
-            d_next = (v + (y - alpha[k]) * d - math.sqrt(beta[k]) * d_prev) / rb
-            v_prev, v, d_prev, d = v, v_next, d, d_next
-        return v / d
-
-    return ratio
 
 
 # --------------------------------------------------------------------------
@@ -439,12 +416,9 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
             w = np.full(n + 1, math.pi / n)
             w[0] *= 0.5
             w[-1] *= 0.5
-        V = _chebyshev_polys(n, y)
         gamma = np.full(n + 1, math.pi / 2.0)
         gamma[0] = math.pi
     elif family in (Family.LEGENDRE, Family.JACOBI):
-        if family is Family.LEGENDRE:
-            a = b = 0.0
         alpha, beta = _recurrence_jacobi(n + 1, a, b)
         if n == 0:
             y = np.array([alpha[0]])
@@ -452,15 +426,14 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
         else:
             y, w = _lobatto_nodes(alpha, beta, -1.0, 1.0)
             if n > 1:
-                ratio = _jacobi_newton_ratio(n - 1, a, b)
-                y[1:-1] = _polish_newton(y[1:-1], ratio)
+                # interior nodes: roots of the degree n-1 Jacobi(a+1, b+1) polynomial
+                table = _orthonormal_table(*_recurrence_jacobi(n, a + 1.0, b + 1.0))
+                p, dp = _last_row(table, y[1:-1])
+                y[1:-1] = y[1:-1] - p / dp
+        i = np.arange(n + 1, dtype=float)
         if family is Family.LEGENDRE:
-            V = _legendre_polys(n, y)
-            i = np.arange(n + 1, dtype=float)
             gamma = 2.0 / (2.0 * i + 1.0)
         else:
-            V = _jacobi_polys(n, y, a, b)
-            i = np.arange(n + 1, dtype=float)
             logg = (
                 (a + b + 1.0) * math.log(2.0)
                 + gammaln(i + a + 1.0)
@@ -476,15 +449,15 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
         alpha, beta = _recurrence_hermite(n + 1)
         y = _gauss_nodes(alpha, beta)
         if n >= 1:
-            ratio = _hermite_newton_ratio(n + 1)
-            y = _polish_newton(y, ratio)
+            # Newton on h_{n+1}, h' = sqrt(m/2) h_{m-1} - sqrt((m+1)/2) h_{m+1} at m = n+1:
+            # ratios of rows at a common column share the column's envelope
+            h = _basis_rows(family, n + 2, y)
+            dh = math.sqrt((n + 1) / 2.0) * h[n] - math.sqrt((n + 2) / 2.0) * h[n + 2]
+            y = y - h[n + 1] / dh
+            del h  # not kept alive while V is built
             y = 0.5 * (y - y[::-1])  # enforce the exact symmetry of the grid
-        V = _hermite_functions(n, y)
-        w = 1.0 / np.sum(V * V, axis=0)
-        gamma = np.ones(n + 1)
     elif family is Family.LAGUERRE_FN:
         alpha, beta = _recurrence_laguerre(n + 1, a)
-        alpha = alpha.copy()
         alpha[n] = _radau_alpha(alpha, beta, 0.0) if n >= 1 else a + 1.0
         if n == 0:
             # single Radau node pinned at the left endpoint
@@ -492,26 +465,35 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
         else:
             y = _gauss_nodes(alpha, beta)
             y[0] = 0.0
-            ratio = _laguerre_newton_ratio(n, a)
-            y[1:] = _polish_newton(y[1:], ratio)
-        V = _laguerre_functions(n, y, a)
-        w = 1.0 / np.sum(V * V, axis=0)
-        gamma = np.ones(n + 1)
+            # interior nodes: roots of the degree-n Laguerre(a+1) function
+            # p e^{-y/2}, whose Newton ratio is p / (p' - p/2)
+            table = _orthonormal_table(*_recurrence_laguerre(n + 1, a + 1.0))
+            p, dp = _last_row(table, y[1:], rescale=True)
+            y[1:] = y[1:] - p / (dp - 0.5 * p)
     else:  # pragma: no cover
         raise ValueError(f"unknown family {family!r}")
 
+    V = _basis_rows(family, n, y, a, b)
+    if family not in _BOUNDED:
+        w = 1.0 / np.sum(V * V, axis=0)
+        gamma = np.ones(n + 1)
     gamma_hat = (V * V) @ w
     for arr in (y, w, V, gamma, gamma_hat):
         arr.setflags(write=False)
     return _CoreRule(y=y, w=w, V=V, gamma=gamma, gamma_hat=gamma_hat)
 
 
-def _core_of(d: BasisDescriptor) -> _CoreRule:
+def _exponents(d: BasisDescriptor) -> tuple:
+    """(a, b) of the family's weight: Jacobi (a, b), Laguerre (a, 0), else (0, 0)."""
     if d.family is Family.JACOBI:
-        return _core(d.family, d.order, float(d.jacobi_a), float(d.jacobi_b))
+        return float(d.jacobi_a), float(d.jacobi_b)
     if d.family is Family.LAGUERRE_FN:
-        return _core(d.family, d.order, float(d.laguerre_a), 0.0)
-    return _core(d.family, d.order, 0.0, 0.0)
+        return float(d.laguerre_a), 0.0
+    return 0.0, 0.0
+
+
+def _core_of(d: BasisDescriptor) -> _CoreRule:
+    return _core(d.family, d.order, *_exponents(d))
 
 
 # --------------------------------------------------------------------------
@@ -538,21 +520,15 @@ def nodes_weights(d: BasisDescriptor) -> QuadratureRule:
 def evaluate_all(d: BasisDescriptor, x) -> np.ndarray:
     """Values B_i(x), shape (order+1, len(x)).  Scalar x is promoted."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if d.family is Family.CHEBYSHEV:
+    if d.bounded:
         _check_bounded_domain(x)
-        return _chebyshev_polys(d.order, x)
-    if d.family is Family.LEGENDRE:
-        _check_bounded_domain(x)
-        return _legendre_polys(d.order, x)
-    if d.family is Family.JACOBI:
-        _check_bounded_domain(x)
-        return _jacobi_polys(d.order, x, d.jacobi_a, d.jacobi_b)
+        return _basis_rows(d.family, d.order, x, *_exponents(d))
     y = d.beta * (x - d.x_left)
-    if d.family is Family.HERMITE_FN:
-        return math.sqrt(d.beta) * _hermite_functions(d.order, y)
-    if (y < -1e-9).any():
-        raise ValueError("evaluation point below x_left for a half-line basis")
-    return math.sqrt(d.beta) * _laguerre_functions(d.order, np.maximum(y, 0.0), d.laguerre_a)
+    if d.family is Family.LAGUERRE_FN:
+        if (y < -1e-9).any():
+            raise ValueError("evaluation point below x_left for a half-line basis")
+        y = np.maximum(y, 0.0)
+    return math.sqrt(d.beta) * _basis_rows(d.family, d.order, y, *_exponents(d))
 
 
 def _check_bounded_domain(x: np.ndarray):
@@ -732,11 +708,13 @@ def differentiate(u: SpectralExpansion) -> SpectralExpansion:
     if d.family is Family.HERMITE_FN:
         return SpectralExpansion(replace(d, order=n + 1), _hermite_derivative(a, d.beta))
 
-    if d.family is Family.JACOBI:
-        return to_coefficients(_deriv_values_jacobi(d, a), d)
-
-    # Laguerre functions
-    return to_coefficients(_deriv_values_laguerre(d, a), d)
+    # Jacobi polynomials, Laguerre functions: derivative values at the nodes
+    rows = _derivative_rows_cached if d.size * d.size <= _CACHE_ENTRY_LIMIT else _derivative_rows
+    dphi = rows(d.family, n, *_exponents(d))
+    if d.bounded:
+        return to_coefficients(dphi.T @ a, d)
+    # chain rule of y = beta (x - x_left) and the sqrt(beta) normalisation
+    return to_coefficients((d.beta * math.sqrt(d.beta)) * (dphi.T @ a), d)
 
 
 def _hermite_derivative(a: np.ndarray, beta: float) -> np.ndarray:
@@ -752,63 +730,21 @@ def _hermite_derivative(a: np.ndarray, beta: float) -> np.ndarray:
     return b
 
 
-def _deriv_values_jacobi(d: BasisDescriptor, a: np.ndarray) -> np.ndarray:
-    """d/dx of the expansion at the grid nodes via the derivative recurrence."""
-    core = _core_of(d)
-    x = core.y
-    n = d.order
-    aa, bb = d.jacobi_a, d.jacobi_b
-    P = core.V
-    dP = np.zeros_like(P)
-    if n >= 1:
-        dP[1] = 0.5 * (aa + bb + 2.0)
-    for m in range(1, n):
-        n2ab = 2.0 * m + aa + bb
-        c1 = 2.0 * (m + 1.0) * (m + aa + bb + 1.0) * n2ab
-        c2 = (n2ab + 1.0) * (aa * aa - bb * bb)
-        c3 = n2ab * (n2ab + 1.0) * (n2ab + 2.0)
-        c4 = 2.0 * (m + aa) * (m + bb) * (n2ab + 2.0)
-        dP[m + 1] = ((c2 + c3 * x) * dP[m] + c3 * P[m] - c4 * dP[m - 1]) / c1
-    return dP.T @ a
-
-
-def _deriv_values_laguerre(d: BasisDescriptor, a: np.ndarray) -> np.ndarray:
-    """d/dx of the expansion at the grid nodes (chain rule included)."""
-    if d.size * d.size <= _CACHE_ENTRY_LIMIT:
-        dphi = _laguerre_deriv_rows(d.order, float(d.laguerre_a))
-    else:
-        dphi = _laguerre_function_derivs(d.order, _core_of(d).y, d.laguerre_a)
-    return (d.beta * math.sqrt(d.beta)) * (dphi.T @ a)
+def _derivative_rows(family: Family, order: int, a: float, b: float) -> np.ndarray:
+    """Rows B_k'(y) on the reference grid (Jacobi, Laguerre); beta enters as a factor."""
+    y = _core(family, order, a, b).y
+    out = np.empty((order + 1, y.size))
+    rows = _recurrence(_family_table(family, order, a, b), y, _log_envelope(family, y), deriv=True)
+    for k, (p, dp, env) in enumerate(rows):
+        if env is None:
+            out[k] = dp
+        else:  # (p e^{-y/2})' = (p' - p/2) e^{-y/2}
+            np.multiply(dp - 0.5 * p, env, out=out[k])
+    return out
 
 
 @lru_cache(maxsize=2)
-def _laguerre_deriv_rows(order: int, a: float) -> np.ndarray:
-    """Derivative rows on the reference Radau grid; beta enters as a factor."""
-    dphi = _laguerre_function_derivs(order, _core(Family.LAGUERRE_FN, order, a, 0.0).y, a)
+def _derivative_rows_cached(family: Family, order: int, a: float, b: float) -> np.ndarray:
+    dphi = _derivative_rows(family, order, a, b)
     dphi.setflags(write=False)
     return dphi
-
-
-def _laguerre_function_derivs(nmax: int, y: np.ndarray, a: float) -> np.ndarray:
-    """Rows l_k'(y): derivative of the orthonormal Laguerre functions."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    alpha, beta = _recurrence_laguerre(nmax + 2, a)
-    out = np.empty((nmax + 1, y.size))
-    s = -0.5 * y
-    v_prev = np.zeros_like(y)
-    v = np.full_like(y, 1.0 / math.sqrt(beta[0]))
-    d_prev = np.zeros_like(y)
-    dv = np.zeros_like(y)
-    out[0] = (dv - 0.5 * v) * np.exp(s)
-    for k in range(nmax):
-        rb = math.sqrt(beta[k + 1])
-        v_next = ((alpha[k] - y) * v - math.sqrt(beta[k]) * v_prev) / rb
-        d_next = (-v + (alpha[k] - y) * dv - math.sqrt(beta[k]) * d_prev) / rb
-        v_prev, v, d_prev, dv = v, v_next, dv, d_next
-        big = np.abs(v) > _RESCALE
-        if big.any():
-            for arr in (v, v_prev, dv, d_prev):
-                arr[big] /= _RESCALE
-            s[big] += _LOG_RESCALE
-        out[k + 1] = (dv - 0.5 * v) * np.exp(s)
-    return out

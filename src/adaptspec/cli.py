@@ -8,24 +8,25 @@ import sys
 
 from . import experiments
 
-# argparse dest -> example_config override key, for the plain value flags.
+# flag, example_config override key (the argparse dest) and help text of
+# the plain value flags; each value is parsed as its config-file key is.
 _VALUE_FLAGS = (
-    ("--eta", "eta", float, "refinement threshold multiplier"),
-    ("--eta0", "eta0", float, "coarsening threshold divisor"),
-    ("--gamma", "gamma", float, "growth factor applied to eta after refining"),
-    ("--q", "q", float, "scale-contraction ratio (trial beta -> q*beta)"),
-    ("--nu", "nu", float, "scaling trigger multiplier"),
-    ("--mu", "mu", float, "moving trigger multiplier"),
-    ("--delta", "delta", float, "translation increment"),
-    ("--dmax", "d_max", float, "max translation per step"),
-    ("--nmax", "n_max", int, "max order increments per step"),
-    ("--nmin", "n_min", int, "order floor"),
-    ("--nabs", "n_abs", int, "hard order ceiling"),
-    ("--order", "order", int, "initial expansion order"),
-    ("--beta0", "beta0", float, "initial scaling factor"),
-    ("--dt", "dt", float, "time step"),
-    ("--T", "T", float, "final time"),
-    ("--nref", "n_ref", int, "example 6 reference order"),
+    ("--eta", "eta", "refinement threshold multiplier"),
+    ("--eta0", "eta0", "coarsening threshold divisor"),
+    ("--gamma", "gamma", "growth factor applied to eta after refining"),
+    ("--q", "q", "scale-contraction ratio (trial beta -> q*beta)"),
+    ("--nu", "nu", "scaling trigger multiplier"),
+    ("--mu", "mu", "moving trigger multiplier"),
+    ("--delta", "delta", "translation increment"),
+    ("--dmax", "d_max", "max translation per step"),
+    ("--nmax", "n_max", "max order increments per step"),
+    ("--nmin", "n_min", "order floor"),
+    ("--nabs", "n_abs", "hard order ceiling"),
+    ("--order", "order", "initial expansion order"),
+    ("--beta0", "beta0", "initial scaling factor"),
+    ("--dt", "dt", "time step"),
+    ("--T", "T", "final time"),
+    ("--nref", "n_ref", "example 6 reference order"),
 )
 
 
@@ -43,8 +44,9 @@ def _add_common(parser):
     parser.add_argument("--example", type=int, required=True, choices=range(1, 7),
                         help="which packaged study to run (1-6)")
     parser.add_argument("--config", help="key=value file applied before other flags")
-    for flag, dest, kind, help_text in _VALUE_FLAGS:
-        parser.add_argument(flag, dest=dest, type=kind, default=None, help=help_text)
+    for flag, dest, help_text in _VALUE_FLAGS:
+        parser.add_argument(flag, dest=dest, type=experiments._SCHEMA[dest], default=None,
+                            help=help_text)
     parser.add_argument("--no-scaling", dest="scaling", action="store_false", default=None,
                         help="disable the scaling controller")
     parser.add_argument("--no-moving", dest="moving", action="store_false", default=None,
@@ -83,11 +85,7 @@ def _collect_overrides(args):
         overrides.update(experiments.load_config_file(args.config))
     if args.full:
         overrides.update(n_ref=2500)
-    for _, dest, _, _ in _VALUE_FLAGS:
-        value = getattr(args, dest)
-        if value is not None:
-            overrides[dest] = value
-    for dest in ("scaling", "moving", "p_adaptivity"):
+    for dest in [key for _, key, _ in _VALUE_FLAGS] + ["scaling", "moving", "p_adaptivity"]:
         value = getattr(args, dest)
         if value is not None:
             overrides[dest] = value

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import typing
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,7 @@ from .schrodinger import (
 )
 from .solvers import (
     EvolutionProblem,
+    _step_count,
     advection_rhs,
     solve_collocation,
     track_function,
@@ -117,16 +119,6 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_CONTROLLER_FIELDS = frozenset(f.name for f in dataclasses.fields(ControllerConfig)) - {
-    "indicator"
-}
-_EXPERIMENT_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig)) - {
-    "example",
-    "controller",
-    "family",
-}
-
-
 def _parse_bool(text):
     low = text.lower()
     if low in ("1", "true", "yes", "on"):
@@ -136,40 +128,27 @@ def _parse_bool(text):
     raise ValueError("expected a boolean, got %r" % (text,))
 
 
-_SCHEMA = {
-    "eta": float,
-    "eta0": float,
-    "gamma": float,
-    "n_max": int,
-    "n_min": int,
-    "n_abs": int,
-    "q": float,
-    "nu": float,
-    "beta_lo": float,
-    "beta_hi": float,
-    "mu": float,
-    "delta": float,
-    "d_max": float,
-    "p_adaptivity": _parse_bool,
-    "scaling": _parse_bool,
-    "moving": _parse_bool,
-    "order": int,
-    "order_y": int,
-    "beta0": float,
-    "x_left0": float,
-    "dt": float,
-    "T": float,
-    "out": str,
-    "a": float,
-    "b": float,
-    "zeta": float,
-    "k": float,
-    "n_ref": int,
-    "v_depth": float,
-    "v_sharp": float,
-    "drive_amp": float,
-    "drive_freq": float,
-}
+def _schema(cls):
+    """Config-file parser per plain field of a config dataclass.
+
+    The parser is the field's type, with X | None read as X and bool as
+    _parse_bool; fields holding objects (indicator, example, controller,
+    family) are not configurable from a file.
+    """
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        if f.name in ("indicator", "example", "controller", "family"):
+            continue
+        kinds = [t for t in typing.get_args(hints[f.name]) if t is not type(None)]
+        kind = kinds[0] if kinds else hints[f.name]
+        schema[f.name] = _parse_bool if kind is bool else kind
+    return schema
+
+
+_CONTROLLER_FIELDS = frozenset(_schema(ControllerConfig))
+_EXPERIMENT_FIELDS = frozenset(_schema(ExperimentConfig))
+_SCHEMA = {**_schema(ControllerConfig), **_schema(ExperimentConfig)}
 
 
 def load_config_file(path):
@@ -444,7 +423,7 @@ def _reference_trajectory_6(key):
     # exterior_ref is read only by the moving controller, which is off
     state = AdaptiveState(freq_ref=f, scale_ref=f, exterior_ref=math.nan, refine_factor=controller.eta)
     trajectory = []
-    for n in range(int(round(T / dt))):
+    for n in range(_step_count(dt, T)):
         psi = propagate_step(u.coefficients, u.descriptor, problem, n * dt)
         u, state, _ = scale_step(SpectralExpansion(u.descriptor, psi), state, controller)
         trajectory.append(u)
@@ -461,6 +440,7 @@ def _reference_key_6(cfg):
 
 
 def _run_example_6(cfg):
+    _step_count(cfg.dt, cfg.T)  # refuse a fractional horizon before the reference march
     reference = _reference_trajectory_6(_reference_key_6(cfg))
     V, V_ex = _example_6_potentials(cfg.v_depth, cfg.v_sharp, cfg.drive_amp, cfg.drive_freq)
     problem = SchrodingerProblem(
@@ -474,24 +454,11 @@ def _run_example_6(cfg):
     controller = dataclasses.replace(cfg.controller, n_abs=cfg.n_ref)
     d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
     records = []
-
-    def log(t, u, rec):
-        ref = reference[len(records)]
-        err = relative_error(u, lambda x: to_values(ref, x))
-        records.append(
-            TimeSeriesRecord(
-                t=t,
-                error=err,
-                freq=rec.freq,
-                ext=rec.ext,
-                order=rec.order,
-                beta=rec.beta,
-                x_left=rec.x_left,
-                actions=rec.actions,
-            )
-        )
-
-    u, _ = adapt_schrodinger_run(problem, controller, d0, on_step=log)
+    # the step being logged is reference step len(records) (appended after)
+    target = lambda x, t: to_values(reference[len(records)], x)
+    u, _ = adapt_schrodinger_run(
+        problem, controller, d0, on_step=_log_1d(records, target)
+    )
     return records, u
 
 

@@ -32,11 +32,10 @@ from .basis import (
     Family,
     SpectralExpansion,
     _apply_real,
+    _basis_rows,
     _core_of,
     _cross_matrix,
     _hermite_derivative,
-    _hermite_functions,
-    _laguerre_functions,
     differentiate,
     nodes_weights,
     norms,
@@ -157,7 +156,7 @@ def exterior_error_indicator(u: SpectralExpansion, x_split: float | None = None)
     p = _exterior_panels(d.family, n, float(d.laguerre_a), y_split)
     if p is None:
         return 0.0
-    E = p.E if p.E is not None else _panel_values(d.family, n, d.laguerre_a, p.y)
+    E = p.E if p.E is not None else _basis_rows(d.family, n, p.y, d.laguerre_a)
     v2 = np.abs(_apply_real(E.T, b)) ** 2
     if d.family is Family.HERMITE_FN:
         num2 = float(p.w @ v2)
@@ -183,13 +182,6 @@ class _Panels:
     E: np.ndarray | None
 
 
-def _panel_values(family: Family, n: int, a: float, y: np.ndarray) -> np.ndarray:
-    """Reference basis values (no sqrt(beta)) of orders 0..n at y."""
-    if family is Family.HERMITE_FN:
-        return _hermite_functions(n, y)
-    return _laguerre_functions(n, y, a)
-
-
 @lru_cache(maxsize=2)
 def _exterior_panels(family: Family, n: int, a: float, y_split: float) -> _Panels | None:
     """Panel rule beyond y_split for the order-n derivative space; None if empty."""
@@ -213,7 +205,7 @@ def _exterior_panels(family: Family, n: int, a: float, y_split: float) -> _Panel
         s, w = _composite_gauss(np.linspace(s_lo, s_hi, panels + 1))
         y = s * s
         weight = y**a if a != 0.0 else 1.0
-    E = _panel_values(family, n, a, y) if (n + 1) * y.size <= _CACHE_ENTRY_LIMIT else None
+    E = _basis_rows(family, n, y, a) if (n + 1) * y.size <= _CACHE_ENTRY_LIMIT else None
     for arr in (y, w, s, weight, E):
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)

@@ -41,6 +41,7 @@ from .basis import (
     to_coefficients,
 )
 from .expm import expm_action
+from .solvers import _step_count
 
 __all__ = [
     "SchrodingerProblem",
@@ -211,11 +212,8 @@ def adapt_schrodinger_run(
     rule = nodes_weights(d0)
     u = to_coefficients(np.asarray(problem.psi0(rule.nodes), dtype=complex), d0)
     state = initial_state(u, config)
-    n_steps = int(round(problem.T / problem.dt))
-    if abs(n_steps * problem.dt - problem.T) > 1e-9 * problem.T:
-        raise ValueError("T must be an integer number of steps")
     records = []
-    for n in range(n_steps):
+    for n in range(_step_count(problem.dt, problem.T)):
         t_n = n * problem.dt
 
         def evolve(w):

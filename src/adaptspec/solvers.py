@@ -189,17 +189,15 @@ def track_function_2d(
     rx, ry = nodes_weights(dx0), nodes_weights(dy0)
     X, Y = np.meshgrid(rx.nodes, ry.nodes, indexing="ij")
     u = to_coefficients_2d(np.asarray(target(X, Y, 0.0)), dx0, dy0)
-    state_x = AdaptiveState(
-        freq_ref=frequency_indicator_axis(u, 0, config.indicator),
-        scale_ref=0.0,
-        exterior_ref=0.0,
-        refine_factor=config.eta,
-    )
-    state_y = AdaptiveState(
-        freq_ref=frequency_indicator_axis(u, 1, config.indicator),
-        scale_ref=0.0,
-        exterior_ref=0.0,
-        refine_factor=config.eta,
+    # only the order controller runs: the scale and exterior references stay unread
+    state_x, state_y = (
+        AdaptiveState(
+            freq_ref=frequency_indicator_axis(u, axis, config.indicator),
+            scale_ref=0.0,
+            exterior_ref=0.0,
+            refine_factor=config.eta,
+        )
+        for axis in (0, 1)
     )
     records = []
     for n in range(_step_count(dt, T)):

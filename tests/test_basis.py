@@ -1,6 +1,7 @@
 """Basis/quadrature layer: grids, transforms, differentiation."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,12 +29,16 @@ from adaptspec.basis import (
     _LOG_RESCALE,
     _RESCALE,
     _apply_real,
-    _hermite_functions,
-    _laguerre_functions,
-    _laguerre_function_derivs,
+    _basis_rows,
+    _core,
+    _derivative_rows,
+    _gauss_nodes,
+    _lobatto_nodes,
+    _orthonormal_table,
     _recurrence_hermite,
+    _recurrence_jacobi,
     _recurrence_laguerre,
-    _scaled_function_recurrence,
+    _rows,
     _transform_of,
 )
 
@@ -394,10 +399,66 @@ def test_derivative_complex_coefficients():
 
 
 # ---------------------------------------- kernels against their loop forms
+#
+# One loop per family and per use, in the operation order the package
+# used before all of them became one recurrence (basis._recurrence); the
+# engine must reproduce each bit for bit.
+
+
+def chebyshev_loop(nmax, x):
+    out = np.empty((nmax + 1, x.size))
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = x
+    for k in range(1, nmax):
+        out[k + 1] = 2.0 * x * out[k] - out[k - 1]
+    return out
+
+
+def legendre_loop(nmax, x):
+    out = np.empty((nmax + 1, x.size))
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = x
+    for k in range(1, nmax):
+        out[k + 1] = ((2.0 * k + 1.0) * x * out[k] - k * out[k - 1]) / (k + 1.0)
+    return out
+
+
+def jacobi_coefficients(n, a, b):
+    n2ab = 2.0 * n + a + b
+    c1 = 2.0 * (n + 1.0) * (n + a + b + 1.0) * n2ab
+    c2 = (n2ab + 1.0) * (a * a - b * b)
+    c3 = n2ab * (n2ab + 1.0) * (n2ab + 2.0)
+    c4 = 2.0 * (n + a) * (n + b) * (n2ab + 2.0)
+    return c1, c2, c3, c4
+
+
+def jacobi_loop(nmax, x, a, b):
+    out = np.empty((nmax + 1, x.size))
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = 0.5 * (a + b + 2.0) * x + 0.5 * (a - b)
+    for n in range(1, nmax):
+        c1, c2, c3, c4 = jacobi_coefficients(n, a, b)
+        out[n + 1] = ((c2 + c3 * x) * out[n] - c4 * out[n - 1]) / c1
+    return out
+
+
+def jacobi_derivative_loop(nmax, x, a, b):
+    """Rows P_k'(x) from the differentiated recurrence."""
+    P = jacobi_loop(nmax, x, a, b)
+    dP = np.zeros_like(P)
+    if nmax >= 1:
+        dP[1] = 0.5 * (a + b + 2.0)
+    for m in range(1, nmax):
+        c1, c2, c3, c4 = jacobi_coefficients(m, a, b)
+        dP[m + 1] = ((c2 + c3 * x) * dP[m] + c3 * P[m] - c4 * dP[m - 1]) / c1
+    return dP
 
 
 def scaled_recurrence_loop(alpha, beta, nmax, y, log_env, orient=1.0):
-    """Envelope recomputed from the exponent on every row."""
+    """Orthonormal rows times exp(log_env), envelope recomputed on every row."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     out = np.empty((nmax + 1, y.size))
     s = log_env.copy()
@@ -416,6 +477,66 @@ def scaled_recurrence_loop(alpha, beta, nmax, y, log_env, orient=1.0):
     return out
 
 
+def hermite_loop(nmax, y):
+    return scaled_recurrence_loop(*_recurrence_hermite(nmax + 2), nmax, y, -0.5 * y * y)
+
+
+def laguerre_loop(nmax, y, a):
+    return scaled_recurrence_loop(*_recurrence_laguerre(nmax + 2, a), nmax, y, -0.5 * y, -1.0)
+
+
+def laguerre_derivative_loop(nmax, y, a):
+    """Rows l_k'(y) of the orthonormal Laguerre functions."""
+    alpha, beta = _recurrence_laguerre(nmax + 2, a)
+    out = np.empty((nmax + 1, y.size))
+    s = -0.5 * y
+    v_prev = np.zeros_like(y)
+    v = np.full_like(y, 1.0 / math.sqrt(beta[0]))
+    d_prev = np.zeros_like(y)
+    dv = np.zeros_like(y)
+    out[0] = (dv - 0.5 * v) * np.exp(s)
+    for k in range(nmax):
+        rb = math.sqrt(beta[k + 1])
+        v_next = ((alpha[k] - y) * v - math.sqrt(beta[k]) * v_prev) / rb
+        d_next = (-v + (alpha[k] - y) * dv - math.sqrt(beta[k]) * d_prev) / rb
+        v_prev, v, d_prev, dv = v, v_next, dv, d_next
+        big = np.abs(v) > _RESCALE
+        if big.any():
+            for arr in (v, v_prev, dv, d_prev):
+                arr[big] /= _RESCALE
+            s[big] += _LOG_RESCALE
+        out[k + 1] = (dv - 0.5 * v) * np.exp(s)
+    return out
+
+
+def orthonormal_value_loop(t, alpha, beta, m):
+    """(p_{m-1}(t), p_m(t)) in scalar arithmetic."""
+    p_prev = 0.0
+    p = 1.0 / math.sqrt(beta[0])
+    for k in range(m):
+        p_next = ((t - alpha[k]) * p - math.sqrt(beta[k]) * p_prev) / math.sqrt(beta[k + 1])
+        p_prev, p = p, p_next
+    return p_prev, p
+
+
+def newton_ratio_loop(y, alpha, beta, nroot, rescale):
+    """p/p' of the degree-nroot orthonormal polynomial (p and p' rescaled together)."""
+    v_prev = np.zeros_like(y)
+    v = np.full_like(y, 1.0 / math.sqrt(beta[0]))
+    d_prev = np.zeros_like(y)
+    d = np.zeros_like(y)
+    for k in range(nroot):
+        rb = math.sqrt(beta[k + 1])
+        v_next = ((y - alpha[k]) * v - math.sqrt(beta[k]) * v_prev) / rb
+        d_next = (v + (y - alpha[k]) * d - math.sqrt(beta[k]) * d_prev) / rb
+        v_prev, v, d_prev, d = v, v_next, d, d_next
+        big = np.abs(v) > _RESCALE
+        if rescale and big.any():
+            for arr in (v, v_prev, d, d_prev):
+                arr[big] /= _RESCALE
+    return v, d
+
+
 def hermite_derivative_loop(d, a):
     b = np.zeros(d.order + 2, dtype=np.result_type(a.dtype, float))
     for m in range(d.order + 1):
@@ -427,17 +548,24 @@ def hermite_derivative_loop(d, a):
     return b
 
 
+JACOBI_EXPONENTS = [(0.3, -0.4), (1.5, 0.5), (-0.5, -0.5)]
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2, 400])
+def test_polynomial_rows_equal_loop_forms(nmax):
+    x = np.r_[-1.0, np.random.default_rng(4).uniform(-1.0, 1.0, 97), 0.0, 1.0]
+    assert np.array_equal(_basis_rows(Family.CHEBYSHEV, nmax, x), chebyshev_loop(nmax, x))
+    assert np.array_equal(_basis_rows(Family.LEGENDRE, nmax, x), legendre_loop(nmax, x))
+    for a, b in JACOBI_EXPONENTS:
+        assert np.array_equal(_basis_rows(Family.JACOBI, nmax, x, a, b), jacobi_loop(nmax, x, a, b))
+
+
 def test_scaled_recurrence_matches_loop_form():
     # orders and points far enough out that rescaling fires in some columns
     y = np.linspace(-60.0, 60.0, 301)
-    alpha, beta = _recurrence_hermite(902)
-    fast = _scaled_function_recurrence(alpha, beta, 900, y, -0.5 * y * y)
-    assert np.array_equal(fast, scaled_recurrence_loop(alpha, beta, 900, y, -0.5 * y * y))
-    assert np.array_equal(fast, _hermite_functions(900, y))
+    assert np.array_equal(_basis_rows(Family.HERMITE_FN, 900, y), hermite_loop(900, y))
     y = np.linspace(0.0, 900.0, 211)
-    alpha, beta = _recurrence_laguerre(402, 0.5)
-    slow = scaled_recurrence_loop(alpha, beta, 400, y, -0.5 * y, orient=-1.0)
-    assert np.array_equal(_laguerre_functions(400, y, 0.5), slow)
+    assert np.array_equal(_basis_rows(Family.LAGUERRE_FN, 400, y, 0.5), laguerre_loop(400, y, 0.5))
 
 
 @pytest.mark.parametrize("family", ["hermite", "laguerre"])
@@ -447,23 +575,78 @@ def test_scaled_recurrence_in_place_equals_loop_form(family, nmax, npts):
     # and a small expansion, plus the single-row case; rescaling fires far out
     if family == "hermite":
         y = np.linspace(-70.0, 70.0, npts)
-        alpha, beta = _recurrence_hermite(nmax + 2)
-        args = (alpha, beta, nmax, y, -0.5 * y * y)
+        assert np.array_equal(_basis_rows(Family.HERMITE_FN, nmax, y), hermite_loop(nmax, y))
     else:
         y = np.linspace(0.0, 1500.0, npts)
-        alpha, beta = _recurrence_laguerre(nmax + 2, 0.5)
-        args = (alpha, beta, nmax, y, -0.5 * y, -1.0)
-    assert np.array_equal(_scaled_function_recurrence(*args), scaled_recurrence_loop(*args))
+        fast = _basis_rows(Family.LAGUERRE_FN, nmax, y, 0.5)
+        assert np.array_equal(fast, laguerre_loop(nmax, y, 0.5))
 
 
 def test_scaled_recurrence_keeps_nan_columns_apart():
     # a NaN column must not stop the other columns from rescaling
     y = np.array([np.nan, 40.0, 60.0, -55.0])
-    alpha, beta = _recurrence_hermite(402)
-    fast = _scaled_function_recurrence(alpha, beta, 400, y, -0.5 * y * y)
-    slow = scaled_recurrence_loop(alpha, beta, 400, y, -0.5 * y * y)
-    assert np.array_equal(fast, slow, equal_nan=True)
+    fast = _basis_rows(Family.HERMITE_FN, 400, y)
+    assert np.array_equal(fast, hermite_loop(400, y), equal_nan=True)
     assert np.isnan(fast[:, 0]).all() and np.isfinite(fast[:, 1:]).all()
+    y = np.array([1200.0, np.nan, 30.0])
+    assert np.array_equal(_basis_rows(Family.LAGUERRE_FN, 400, y, 0.5), laguerre_loop(400, y, 0.5), equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 400])
+def test_endpoint_values_equal_scalar_loop(n):
+    # the Lobatto and Radau modifications read p_{n-1}, p_n at the endpoints
+    for alpha, beta, points in [
+        (*_recurrence_jacobi(n + 1, 0.3, -0.4), (-1.0, 1.0)),
+        (*_recurrence_jacobi(n + 1, 0.0, 0.0), (-1.0, 1.0)),
+        (*_recurrence_laguerre(n + 1, 2.0), (0.0,)),
+    ]:
+        P = _rows(_orthonormal_table(alpha, beta), np.array(points))
+        for j, t in enumerate(points):
+            assert (P[n - 1, j], P[n, j]) == orthonormal_value_loop(t, alpha, beta, n)
+
+
+def core_built(family, n, a=0.0, b=0.0):
+    """A fresh (uncached) core rule; any warning while building it fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _core.__wrapped__(family, n, a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 36, 200, 400, 1000])
+def test_newton_polish_equals_loop_forms(n):
+    # Hermite: h_{n+1} over its derivative, from the function rows
+    y = _gauss_nodes(*_recurrence_hermite(n + 1))
+    h = hermite_loop(n + 2, y)
+    y = y - h[n + 1] / (math.sqrt((n + 1) / 2.0) * h[n] - math.sqrt((n + 2) / 2.0) * h[n + 2])
+    assert np.array_equal(core_built(Family.HERMITE_FN, n).y, 0.5 * (y - y[::-1]))
+    # Laguerre: interior Radau nodes polished on the degree-n Laguerre(a+1)
+    # function, with the overflow rescale (it fires here from n = 200 on)
+    a = 2.0
+    alpha, beta = _recurrence_laguerre(n + 1, a)
+    p1, p = orthonormal_value_loop(0.0, alpha, beta, n)
+    alpha[n] = 0.0 - math.sqrt(beta[n]) * p1 / p
+    y = _gauss_nodes(alpha, beta)
+    y[0] = 0.0
+    v, d = newton_ratio_loop(y[1:], *_recurrence_laguerre(n + 1, a + 1.0), n, rescale=True)
+    y[1:] = y[1:] - v / (d - 0.5 * v)
+    assert np.array_equal(core_built(Family.LAGUERRE_FN, n, a).y, y)
+    # Jacobi: interior Lobatto nodes on the degree n-1 Jacobi(a+1, b+1) polynomial
+    for a, b in JACOBI_EXPONENTS + [(0.0, 0.0)]:
+        y, _ = _lobatto_nodes(*_recurrence_jacobi(n + 1, a, b), -1.0, 1.0)
+        v, d = newton_ratio_loop(y[1:-1], *_recurrence_jacobi(n, a + 1.0, b + 1.0), n - 1, rescale=False)
+        y[1:-1] = y[1:-1] - v / d
+        family = Family.LEGENDRE if a == b == 0.0 else Family.JACOBI
+        assert np.array_equal(core_built(family, n, a, b).y, y)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40, 400])
+def test_derivative_rows_equal_loop_forms(n):
+    for a, b in JACOBI_EXPONENTS:
+        y = _core(Family.JACOBI, n, a, b).y
+        assert np.array_equal(_derivative_rows(Family.JACOBI, n, a, b), jacobi_derivative_loop(n, y, a, b))
+    for a in (0.0, 0.5, 2.0):
+        y = np.array(_core(Family.LAGUERRE_FN, n, a, 0.0).y)
+        assert np.array_equal(_derivative_rows(Family.LAGUERRE_FN, n, a, 0.0), laguerre_derivative_loop(n, y, a))
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -480,14 +663,14 @@ def test_hermite_derivative_matches_loop_form(complex_):
 def test_laguerre_derivative_rows_cached_per_order():
     d = BasisDescriptor(Family.LAGUERRE_FN, 20, beta=1.6, x_left=-0.3, laguerre_a=0.5)
     c = np.random.default_rng(9).standard_normal(d.size)
-    y = nodes_weights(replace(d, beta=1.0, x_left=0.0)).nodes
-    rows = _laguerre_function_derivs(d.order, y, 0.5)
+    y = np.array(nodes_weights(replace(d, beta=1.0, x_left=0.0)).nodes)
+    rows = laguerre_derivative_loop(d.order, y, 0.5)
     expect = to_coefficients((d.beta * math.sqrt(d.beta)) * (rows.T @ c), d).coefficients
     assert np.array_equal(differentiate(SpectralExpansion(d, c)).coefficients, expect)
     # beta and x_left stay outside the cached rows
-    hits = basis._laguerre_deriv_rows.cache_info().hits
+    hits = basis._derivative_rows_cached.cache_info().hits
     differentiate(SpectralExpansion(replace(d, beta=0.9, x_left=4.0), c))
-    assert basis._laguerre_deriv_rows.cache_info().hits == hits + 1
+    assert basis._derivative_rows_cached.cache_info().hits == hits + 1
 
 
 # ------------------------------------------------- real-matrix products

@@ -121,6 +121,53 @@ def test_load_config_file(tmp_path):
         load_config_file(bad)
 
 
+def test_config_schema_covers_every_plain_field():
+    # every dataclass field that holds a plain value is a config-file key,
+    # parsed as its type (X | None as X, bool through _parse_bool)
+    import dataclasses
+
+    from adaptspec.adapt import ControllerConfig
+
+    names = {f.name for cls in (ControllerConfig, ExperimentConfig) for f in dataclasses.fields(cls)}
+    plain = names - {"indicator", "example", "controller", "family"}
+    assert set(experiments._SCHEMA) == plain
+    ints = {"n_max", "n_min", "n_abs", "order", "order_y", "n_ref"}
+    bools = {"p_adaptivity", "scaling", "moving"}
+    for name, parser in experiments._SCHEMA.items():
+        if name in bools:
+            assert parser is experiments._parse_bool
+        elif name in ints:
+            assert parser is int
+        else:
+            assert parser is (str if name == "out" else float)
+
+
+def test_config_file_refuses_unknown_and_object_keys(tmp_path):
+    path = tmp_path / "c.txt"
+    for line in ("m=12", "m_ref=48", "indicator=none", "family=hermite_function", "example=3"):
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="unknown key"):
+            load_config_file(path)
+
+
+def test_cli_value_flags_parse_as_their_config_keys():
+    from adaptspec import cli
+
+    args = cli.build_parser().parse_args(
+        ["run", "--example", "3", "--nmax", "4", "--nabs", "90", "--eta", "1.5", "--T", "0.5"]
+    )
+    assert (args.n_max, args.n_abs, args.eta, args.T) == (4, 90, 1.5, 0.5)
+    assert type(args.n_max) is int and type(args.eta) is float
+    assert {dest for _, dest, _ in cli._VALUE_FLAGS} <= set(experiments._SCHEMA)
+
+
+def test_example_6_refuses_a_fractional_horizon_before_the_reference_march(tmp_path):
+    misses = experiments._reference_trajectory_6.cache_info().misses
+    with pytest.raises(ValueError, match="integer number of steps"):
+        experiments.run(example_config(6, T=0.105), out=str(tmp_path / "r.csv"))
+    assert experiments._reference_trajectory_6.cache_info().misses == misses
+
+
 # ---------------------------------------------------------------------------
 # run() and the CSV contract
 
@@ -175,6 +222,26 @@ def test_2d_run_fills_per_axis_columns(tmp_path):
         assert r["N"] == "" and r["beta"] == "" and r["xL"] == ""
         for token in filter(None, r["actions"].split(";")):
             assert token in TOKENS_2D
+
+
+def test_2d_run_actions_pinned(tmp_path):
+    # each axis trial resamples from the previous one; zero-padded refine
+    # trials round differently and change these decisions (example 2's tail
+    # sits at roundoff)
+    experiments.run(example_config(2, T=0.1), out=str(tmp_path / "r.csv"))
+    refine_y3 = "refine_y;refine_y;refine_y"
+    assert [r["actions"] for r in _read(tmp_path / "r.csv")] == [
+        refine_y3,
+        "coarsen_y",
+        refine_y3,
+        "refine_x;refine_x;refine_x;coarsen_y",
+        "coarsen_x;" + refine_y3,
+        "coarsen_x;coarsen_y",
+        refine_y3,
+        "coarsen_y",
+        refine_y3,
+        "coarsen_y",
+    ]
 
 
 def test_recorded_actions_respect_controller_invariants(tmp_path):
