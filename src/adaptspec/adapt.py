@@ -17,6 +17,8 @@ so the split point is not carried in AdaptiveState.
 
 Cross matrices are cached on the frame of both spaces and the shift
 between them, so repeated moves by a fixed increment reuse one matrix.
+On the bounded families only a coarsening needs one: the same or a finer
+grid reads the top rows of its core rule's basis values.
 
 The translation trigger/increment loop reconstructs behavior summarized
 from a companion method (the source describes only the thresholds), and
@@ -39,11 +41,13 @@ from .basis import (
     _apply_real,
     _cross_matrix,
     _cross_matrix_cached,  # noqa: F401  (its cache counters are read from this module too)
+    _with_order,
     to_coefficients,
     to_coefficients_2d,
 )
 from .indicators import (
     IndicatorConfig,
+    _axis_indicators,
     exterior_error_indicator,
     frequency_indicator,
     frequency_indicator_axis,
@@ -184,14 +188,14 @@ def refine(u: SpectralExpansion) -> SpectralExpansion:
     c = u.coefficients
     b = np.zeros(c.size + 1, dtype=np.result_type(c.dtype, float))
     b[:-1] = c
-    return SpectralExpansion(replace(u.descriptor, order=u.descriptor.order + 1), b)
+    return SpectralExpansion(_with_order(u.descriptor, u.descriptor.order + 1), b)
 
 
 def coarsen(u: SpectralExpansion) -> SpectralExpansion:
     """Order N -> N-1 by interpolation; generally lossy."""
     if u.descriptor.order == 0:
         raise ValueError("cannot coarsen below order 0")
-    return resample(u, replace(u.descriptor, order=u.descriptor.order - 1))
+    return resample(u, _with_order(u.descriptor, u.descriptor.order - 1))
 
 
 def rescale(u: SpectralExpansion, beta_new: float) -> SpectralExpansion:
@@ -218,15 +222,17 @@ def initial_state(u: SpectralExpansion, config: ControllerConfig) -> AdaptiveSta
     return AdaptiveState(freq_ref=f, scale_ref=f, exterior_ref=e, refine_factor=config.eta)
 
 
-def _order_rule(u, state, config, order, trial, indicator, suffix=""):
+def _order_rule(u, state, config, order, trial, indicator, suffix="", f=None):
     """The refine/coarsen rule shared by p_adapt_step and each 2-D axis.
 
     order(w) is the controlled order of w, trial(w, step) the expansion one
     order up (step = 1) or down (step = -1), indicator(w) the frequency
-    indicator the rule reads; suffix tags the actions.
+    indicator the rule reads; suffix tags the actions.  f, when given, is
+    indicator(u), already computed.
     """
     actions: list[str] = []
-    f = indicator(u)
+    if f is None:
+        f = indicator(u)
     if f > state.refine_factor * state.freq_ref:
         # refinement never passes n_abs or MAX_ORDER
         cap = min(config.n_abs, basis.MAX_ORDER) if config.n_abs is not None else basis.MAX_ORDER
@@ -288,10 +294,12 @@ def p_adapt_step_2d(
     example 2's tail sits at roundoff, so its decisions would change.
     """
 
+    f = _axis_indicators(u, config.indicator)  # both axes judge the same input
+
     def axis(k, state):
         def trial(w, step):
             ds = [w.descriptor_x, w.descriptor_y]
-            ds[k] = replace(ds[k], order=ds[k].order + step)
+            ds[k] = _with_order(ds[k], ds[k].order + step)
             return resample_2d(w, *ds)
 
         return _order_rule(
@@ -302,6 +310,7 @@ def p_adapt_step_2d(
             trial=trial,
             indicator=lambda w: frequency_indicator_axis(w, k, config.indicator),
             suffix=("_x", "_y")[k],
+            f=f[k],
         )
 
     wx, state_x, ax = axis(0, state_x)

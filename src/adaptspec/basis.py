@@ -29,13 +29,14 @@ and Laguerre functions under an exponential envelope (the polynomial part
 is divided by 1e130 wherever it exceeds that, and the envelope makes up
 the difference).  A companion recurrence for p_k' serves the
 Newton polish of the nodes and the Jacobi and Laguerre derivatives, and
-the Lobatto and Radau endpoint values come from the same engine.
+the Lobatto and Radau endpoint values come from the same recurrence run
+in scalar arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -77,6 +78,10 @@ class Family(Enum):
     LAGUERRE_FN = "laguerre_function"
     HERMITE_FN = "hermite_function"
 
+    # members are singletons: hash by identity in C, not Enum's Python-level
+    # hash of the name, since every lru_cache key holds a Family
+    __hash__ = object.__hash__
+
 
 _BOUNDED = frozenset({Family.JACOBI, Family.CHEBYSHEV, Family.LEGENDRE})
 
@@ -109,9 +114,9 @@ class BasisDescriptor:
             raise ValueError(
                 f"order {self.order} exceeds the supported limit {MAX_ORDER}"
             )
-        if not (np.isfinite(self.beta) and self.beta > 0):
+        if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-        if not np.isfinite(self.x_left):
+        if not math.isfinite(self.x_left):
             raise ValueError(f"x_left must be finite, got {self.x_left!r}")
         if self.family in _BOUNDED and (self.beta != 1.0 or self.x_left != 0.0):
             raise ValueError("bounded families require beta == 1 and x_left == 0")
@@ -365,8 +370,8 @@ def _lobatto_nodes(alpha: np.ndarray, beta: np.ndarray, lo: float, hi: float):
     orthonormal polynomial values (the monic values under/overflow first).
     """
     m = len(alpha) - 1
-    P = _rows(_orthonormal_table(alpha, beta), np.array([lo, hi]))
-    (pl1, pr1), (pl, pr) = P[m - 1], P[m]
+    pl1, pl = _endpoint_values(alpha, beta, lo)
+    pr1, pr = _endpoint_values(alpha, beta, hi)
     det = pl * pr1 - pr * pl1
     alpha_star = (lo * pl * pr1 - hi * pr * pl1) / det
     beta_star = (hi - lo) * pl * pr / det * math.sqrt(beta[m])
@@ -383,8 +388,22 @@ def _lobatto_nodes(alpha: np.ndarray, beta: np.ndarray, lo: float, hi: float):
 def _radau_alpha(alpha: np.ndarray, beta: np.ndarray, t: float):
     """Modified last diagonal entry pinning t as a node (Gauss-Radau)."""
     m = len(alpha) - 1
-    p1, p = _rows(_orthonormal_table(alpha, beta), np.array([t]))[m - 1 :, 0]
+    p1, p = _endpoint_values(alpha, beta, t)
     return t - math.sqrt(beta[m]) * p1 / p
+
+
+def _endpoint_values(alpha: np.ndarray, beta: np.ndarray, t: float):
+    """(p_{m-1}(t), p_m(t)) of the orthonormal rows, m = len(alpha) - 1.
+
+    _recurrence's operations on one point in scalar arithmetic, equal bit
+    for bit: at one or two points its per-row ufunc calls cost about ten
+    times the arithmetic.
+    """
+    _, B, C, D, p0 = _orthonormal_table(alpha, beta)
+    p_prev, p = 0.0, float(p0)
+    for b, c, dk in zip(B.tolist(), C.tolist(), D.tolist()):
+        p_prev, p = p, ((t + b if b else t) * p - c * p_prev) / dk
+    return p_prev, p
 
 
 # --------------------------------------------------------------------------
@@ -558,6 +577,11 @@ def _at(frame: tuple, x_left: float) -> BasisDescriptor:
     return BasisDescriptor(family, order, beta, x_left, jacobi_a, jacobi_b, laguerre_a)
 
 
+def _with_order(d: BasisDescriptor, order: int) -> BasisDescriptor:
+    """replace(d, order=order), without dataclasses.replace's walk over the fields."""
+    return BasisDescriptor(d.family, order, d.beta, d.x_left, d.jacobi_a, d.jacobi_b, d.laguerre_a)
+
+
 @lru_cache(maxsize=256)
 def _transform_matrix(frame: tuple) -> np.ndarray:
     """T with u = T @ values: row i is w_s B_i(x_s) / gamma_hat_i.
@@ -602,7 +626,20 @@ def _cross_matrix(d_from: BasisDescriptor, d_to: BasisDescriptor) -> np.ndarray:
     The bases depend on x_left only through differences, so the matrix is
     built with d_from at x_left = 0 and d_to shifted by the difference, and
     cached on that shift: translations by a fixed step share one entry.
+    A bounded basis on the grid of its own family (same exponents) at the
+    same or a higher order is the top rows of that space's core V, bit for
+    bit (row k of the recurrence depends on rows k-1 and k-2 only), so it
+    is neither built nor cached.  The unbounded grids y/beta + x_left do
+    not map back to y exactly, so they take no such shortcut.
     """
+    if (
+        d_from.bounded
+        and d_from.family is d_to.family
+        and d_from.order <= d_to.order
+        and _exponents(d_from) == _exponents(d_to)
+    ):
+        V = _core_of(d_to).V
+        return V if d_from.order == d_to.order else V[: d_from.size]
     key = (_frame(d_from), _frame(d_to), d_to.x_left - d_from.x_left)
     if d_from.size * d_to.size <= _CACHE_ENTRY_LIMIT:
         return _cross_matrix_cached(*key)
@@ -624,7 +661,7 @@ def _apply_real(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     real array instead runs one two-column real product, with no complex
     copy of A.  Real c passes straight through.
     """
-    if not np.iscomplexobj(c):
+    if c.dtype.kind != "c":
         return A @ c
     c = np.ascontiguousarray(c, dtype=complex)
     return (A @ c.view(float).reshape(-1, 2)).view(complex).ravel()
@@ -672,6 +709,11 @@ def to_values_2d(u: Expansion2D, x, y) -> np.ndarray:
 # Differentiation.
 
 
+# 1, 2, 3, ...: the integer factors of the Chebyshev and Legendre derivatives
+_COUNT = np.arange(1.0, 2.0 * MAX_ORDER + 2.0)
+_COUNT.setflags(write=False)
+
+
 def differentiate(u: SpectralExpansion) -> SpectralExpansion:
     """Expansion of du/dx.
 
@@ -686,27 +728,33 @@ def differentiate(u: SpectralExpansion) -> SpectralExpansion:
     n = d.order
     a = np.asarray(u.coefficients, dtype=np.result_type(u.coefficients.dtype, np.float64))
 
+    # The Chebyshev and Legendre recurrences run downward in steps of two:
+    # each is two running sums, one per parity, summed in the loop's order
+    # by np.add.accumulate on reversed strided slices.
     if d.family is Family.CHEBYSHEV:
-        b = np.zeros(n + 1, dtype=a.dtype)
+        # b_k = b_{k+2} + 2(k+1) a_{k+1} from b_{n-1} = 2n a_n and b_n = 0
+        s = np.zeros(n + 1, dtype=a.dtype)
+        np.multiply(_COUNT[1 : 2 * n : 2], a[1:], out=s[:n])
+        b = np.empty_like(s)
+        np.add.accumulate(s[n::-2], out=b[n::-2])
         if n >= 1:
-            b[n - 1] = 2.0 * n * a[n]
-            for k in range(n - 2, 0, -1):
-                b[k] = b[k + 2] + 2.0 * (k + 1.0) * a[k + 1]
+            np.add.accumulate(s[n - 1 :: -2], out=b[n - 1 :: -2])
             b[0] = a[1] + (0.5 * b[2] if n >= 2 else 0.0)
         return SpectralExpansion(d, b)
 
     if d.family is Family.LEGENDRE:
+        # b_k = (2k+1) c_k with c_k = a_{k+1} + c_{k+2} and c_n = c_{n+1} = 0
+        s = np.zeros(n + 2, dtype=a.dtype)
+        s[:n] = a[1:]
+        c = np.empty_like(s)
+        np.add.accumulate(s[n::-2], out=c[n::-2])
+        np.add.accumulate(s[n + 1 :: -2], out=c[n + 1 :: -2])
         b = np.zeros(n + 1, dtype=a.dtype)
-        c_kp1 = 0.0
-        c_kp2 = 0.0
-        for k in range(n - 1, -1, -1):
-            c_k = a[k + 1] + c_kp2
-            b[k] = (2.0 * k + 1.0) * c_k
-            c_kp2, c_kp1 = c_kp1, c_k
+        np.multiply(_COUNT[: 2 * n : 2], c[:n], out=b[:n])
         return SpectralExpansion(d, b)
 
     if d.family is Family.HERMITE_FN:
-        return SpectralExpansion(replace(d, order=n + 1), _hermite_derivative(a, d.beta))
+        return SpectralExpansion(_with_order(d, n + 1), _hermite_derivative(a, d.beta))
 
     # Jacobi polynomials, Laguerre functions: derivative values at the nodes
     rows = _derivative_rows_cached if d.size * d.size <= _CACHE_ENTRY_LIMIT else _derivative_rows

@@ -9,7 +9,8 @@ function on an oversampled grid.
 The exterior indicator and the relative error evaluate the expansion
 through cached matrices keyed in the reference frame: the exterior panels
 per (family, order, exponent, reference split point), the fine-grid matrix
-per descriptor without its translation.  Moving or rescaling the grid thus
+per descriptor without its translation (on the bounded families, the top
+rows of the fine rule's own basis values).  Moving or rescaling the grid thus
 reuses them, and each call is a matrix-vector product, run in real
 arithmetic for complex coefficients.  Matrices above
 basis._CACHE_ENTRY_LIMIT entries are rebuilt per call instead of cached.
@@ -18,7 +19,7 @@ basis._CACHE_ENTRY_LIMIT entries are rebuilt per call instead of cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -36,6 +37,7 @@ from .basis import (
     _core_of,
     _cross_matrix,
     _hermite_derivative,
+    _with_order,
     differentiate,
     nodes_weights,
     norms,
@@ -95,17 +97,24 @@ def frequency_indicator_axis(
     """Per-axis frequency indicator of a tensor expansion (axis 0 = x)."""
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis}")
+    return _axis_indicators(u, config)[axis]
+
+
+def _axis_indicators(u: Expansion2D, config: IndicatorConfig | None = None) -> tuple:
+    """The x and y frequency indicators of u, from one energy array."""
     gx = norms(u.descriptor_x)
     gy = norms(u.descriptor_y)
     energy = np.abs(u.coefficients) ** 2 * gx[:, None] * gy[None, :]
     total = float(energy.sum())
     if total == 0.0:
-        return 0.0
-    d = u.descriptor_x if axis == 0 else u.descriptor_y
-    m = _tail_width(d.order, config)
-    lo = max(d.order - m + 1, 0)
-    tail = float(energy[lo:, :].sum() if axis == 0 else energy[:, lo:].sum())
-    return min(math.sqrt(tail / total), 1.0)
+        return 0.0, 0.0
+    out = []
+    for axis, d in enumerate((u.descriptor_x, u.descriptor_y)):
+        m = _tail_width(d.order, config)
+        lo = max(d.order - m + 1, 0)
+        tail = float(energy[lo:, :].sum() if axis == 0 else energy[:, lo:].sum())
+        out.append(min(math.sqrt(tail / total), 1.0))
+    return tuple(out)
 
 
 # ------------------------------------------------------------ exterior
@@ -241,7 +250,7 @@ def default_split_point(d: BasisDescriptor) -> float:
 
 
 def _fine_descriptor(d: BasisDescriptor) -> BasisDescriptor:
-    return replace(d, order=min(2 * d.order + 2, MAX_ORDER))
+    return _with_order(d, min(2 * d.order + 2, MAX_ORDER))
 
 
 def relative_error(u: SpectralExpansion, reference: Callable) -> float:
@@ -263,12 +272,18 @@ def relative_error(u: SpectralExpansion, reference: Callable) -> float:
 
 
 def relative_error_2d(u: Expansion2D, reference: Callable) -> float:
-    """Tensor-grid version; reference takes meshgrid arrays (indexing='ij')."""
+    """Tensor-grid version of relative_error.
+
+    reference(X, Y) receives the open grids of the fine rule: X of shape
+    (nx, 1) and Y of shape (1, ny), as meshgrid(..., indexing='ij',
+    sparse=True) gives them.  Its result is broadcast to (nx, ny); a shape
+    that does not broadcast raises ValueError.
+    """
     fx = _fine_descriptor(u.descriptor_x)
     fy = _fine_descriptor(u.descriptor_y)
     rx, ry = nodes_weights(fx), nodes_weights(fy)
-    X, Y = np.meshgrid(rx.nodes, ry.nodes, indexing="ij")
-    fv = np.asarray(reference(X, Y))
+    X, Y = np.meshgrid(rx.nodes, ry.nodes, indexing="ij", sparse=True)
+    fv = np.broadcast_to(reference(X, Y), (rx.nodes.size, ry.nodes.size))
     uv = _cross_matrix(u.descriptor_x, fx).T @ u.coefficients @ _cross_matrix(u.descriptor_y, fy)
     W = rx.weights[:, None] * ry.weights[None, :]
     den2 = float((W * np.abs(fv) ** 2).sum())

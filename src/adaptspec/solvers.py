@@ -31,7 +31,7 @@ from .basis import (
     to_coefficients,
     to_coefficients_2d,
 )
-from .indicators import frequency_indicator_axis
+from .indicators import _axis_indicators
 
 __all__ = [
     "EvolutionProblem",
@@ -66,7 +66,7 @@ class EvolutionProblem:
 
 
 def _check_finite(vals, t, what):
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise RuntimeError(f"non-finite {what} at t={t:.6g}")
     return vals
 
@@ -182,37 +182,37 @@ def track_function_2d(
 ):
     """Tensor-product tracking with axis-wise order adaptivity.
 
-    target(X, Y, t) takes meshgrid arrays (indexing='ij').  Bounded
-    domains only get order control, so the loop is interpolate -> order
-    step each way.
+    target(X, Y, t) receives the open grids of the current tensor grid: X
+    of shape (nx, 1) and Y of shape (1, ny), as meshgrid(..., indexing='ij',
+    sparse=True) gives them.  Its result is broadcast to (nx, ny); a shape
+    that does not broadcast raises ValueError.  Bounded domains only get
+    order control, so the loop is interpolate -> order step each way.
     """
-    rx, ry = nodes_weights(dx0), nodes_weights(dy0)
-    X, Y = np.meshgrid(rx.nodes, ry.nodes, indexing="ij")
-    u = to_coefficients_2d(np.asarray(target(X, Y, 0.0)), dx0, dy0)
+
+    def interpolate(dx, dy, t):
+        rx, ry = nodes_weights(dx), nodes_weights(dy)
+        X, Y = np.meshgrid(rx.nodes, ry.nodes, indexing="ij", sparse=True)
+        return to_coefficients_2d(np.broadcast_to(target(X, Y, t), (dx.size, dy.size)), dx, dy)
+
+    u = interpolate(dx0, dy0, 0.0)
     # only the order controller runs: the scale and exterior references stay unread
     state_x, state_y = (
-        AdaptiveState(
-            freq_ref=frequency_indicator_axis(u, axis, config.indicator),
-            scale_ref=0.0,
-            exterior_ref=0.0,
-            refine_factor=config.eta,
-        )
-        for axis in (0, 1)
+        AdaptiveState(freq_ref=f, scale_ref=0.0, exterior_ref=0.0, refine_factor=config.eta)
+        for f in _axis_indicators(u, config.indicator)
     )
     records = []
     for n in range(_step_count(dt, T)):
         t_next = (n + 1) * dt
-        rx, ry = nodes_weights(u.descriptor_x), nodes_weights(u.descriptor_y)
-        X, Y = np.meshgrid(rx.nodes, ry.nodes, indexing="ij")
-        u = to_coefficients_2d(np.asarray(target(X, Y, t_next)), u.descriptor_x, u.descriptor_y)
+        u = interpolate(u.descriptor_x, u.descriptor_y, t_next)
         if config.p_adaptivity:
             u, state_x, state_y, actions = p_adapt_step_2d(u, state_x, state_y, config)
         else:
             actions = []
+        freq_x, freq_y = _axis_indicators(u, config.indicator)
         rec = Record2D(
             actions=tuple(actions),
-            freq_x=frequency_indicator_axis(u, 0, config.indicator),
-            freq_y=frequency_indicator_axis(u, 1, config.indicator),
+            freq_x=freq_x,
+            freq_y=freq_y,
             order_x=u.descriptor_x.order,
             order_y=u.descriptor_y.order,
         )

@@ -188,6 +188,24 @@ def test_resample_2d_refines_both_axes():
     npt.assert_allclose(to_values_2d(v, xs, xs), to_values_2d(u, xs, xs), atol=1e-12)
 
 
+def test_resample_2d_axis_trials_build_only_the_coarsening_matrix():
+    # the unchanged axis, and a refined one, read the core rules' rows; only
+    # a coarsened axis needs a cross matrix of its own
+    rng = np.random.default_rng(16)
+    u = Expansion2D(LEG(9), LEG(7), rng.standard_normal((10, 8)))
+    basis._cross_matrix_cached.cache_clear()
+    resample_2d(u, LEG(8), LEG(7))
+    assert basis._cross_matrix_cached.cache_info().misses == 1
+    resample_2d(u, LEG(10), LEG(7))
+    resample_2d(u, LEG(9), LEG(8))
+    assert basis._cross_matrix_cached.cache_info().misses == 1
+    resample_2d(u, LEG(9), LEG(6))
+    assert basis._cross_matrix_cached.cache_info().misses == 2
+    xs = np.linspace(-1, 1, 7)
+    v = resample_2d(u, LEG(10), LEG(7))
+    npt.assert_allclose(to_values_2d(v, xs, xs), to_values_2d(u, xs, xs), atol=1e-12)
+
+
 # ------------------------------------------------------------ p-adapt
 
 

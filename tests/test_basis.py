@@ -31,7 +31,12 @@ from adaptspec.basis import (
     _apply_real,
     _basis_rows,
     _core,
+    _core_of,
+    _cross_matrix,
+    _cross_matrix_build,
     _derivative_rows,
+    _endpoint_values,
+    _frame,
     _gauss_nodes,
     _lobatto_nodes,
     _orthonormal_table,
@@ -537,6 +542,31 @@ def newton_ratio_loop(y, alpha, beta, nroot, rescale):
     return v, d
 
 
+def chebyshev_derivative_loop(a):
+    """Coefficients of the derivative, b_k = b_{k+2} + 2(k+1) a_{k+1} run downward."""
+    n = a.size - 1
+    b = np.zeros(n + 1, dtype=a.dtype)
+    if n >= 1:
+        b[n - 1] = 2.0 * n * a[n]
+        for k in range(n - 2, 0, -1):
+            b[k] = b[k + 2] + 2.0 * (k + 1.0) * a[k + 1]
+        b[0] = a[1] + (0.5 * b[2] if n >= 2 else 0.0)
+    return b
+
+
+def legendre_derivative_loop(a):
+    """Coefficients of the derivative, b_k = (2k+1) c_k with c_k = a_{k+1} + c_{k+2}."""
+    n = a.size - 1
+    b = np.zeros(n + 1, dtype=a.dtype)
+    c_kp1 = 0.0
+    c_kp2 = 0.0
+    for k in range(n - 1, -1, -1):
+        c_k = a[k + 1] + c_kp2
+        b[k] = (2.0 * k + 1.0) * c_k
+        c_kp2, c_kp1 = c_kp1, c_k
+    return b
+
+
 def hermite_derivative_loop(d, a):
     b = np.zeros(d.order + 2, dtype=np.result_type(a.dtype, float))
     for m in range(d.order + 1):
@@ -603,6 +633,8 @@ def test_endpoint_values_equal_scalar_loop(n):
         P = _rows(_orthonormal_table(alpha, beta), np.array(points))
         for j, t in enumerate(points):
             assert (P[n - 1, j], P[n, j]) == orthonormal_value_loop(t, alpha, beta, n)
+            # the scalar path the Lobatto and Radau rules take
+            assert _endpoint_values(alpha, beta, t) == orthonormal_value_loop(t, alpha, beta, n)
 
 
 def core_built(family, n, a=0.0, b=0.0):
@@ -647,6 +679,24 @@ def test_derivative_rows_equal_loop_forms(n):
     for a in (0.0, 0.5, 2.0):
         y = np.array(_core(Family.LAGUERRE_FN, n, a, 0.0).y)
         assert np.array_equal(_derivative_rows(Family.LAGUERRE_FN, n, a, 0.0), laguerre_derivative_loop(n, y, a))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_polynomial_derivatives_equal_loop_forms(complex_):
+    rng = np.random.default_rng(14)
+    for n in range(41):
+        c = rng.standard_normal(n + 1)
+        if complex_:
+            c = c + 1j * rng.standard_normal(n + 1)
+        c[rng.integers(0, n + 1, size=n // 3)] = -0.0  # signed zeros pass through unchanged
+        for family, loop in [
+            (Family.CHEBYSHEV, chebyshev_derivative_loop),
+            (Family.LEGENDRE, legendre_derivative_loop),
+        ]:
+            got = differentiate(SpectralExpansion(BasisDescriptor(family, n), c)).coefficients
+            ref = loop(c)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(ref.view(float)))
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -701,3 +751,58 @@ def test_apply_real_passes_real_vectors_through():
     A, c, v = rng.standard_normal((6, 8)), rng.standard_normal(8), rng.standard_normal(12)
     assert np.array_equal(_apply_real(A, c), A @ c)
     assert np.array_equal(_apply_real(A.T, v[::2]), A.T @ v[::2])
+
+
+# ---------------------------------------- cross matrices from the core rules
+
+
+BOUNDED_SPACES = [
+    lambda n: BasisDescriptor(Family.LEGENDRE, n),
+    lambda n: BasisDescriptor(Family.CHEBYSHEV, n),
+    lambda n: BasisDescriptor(Family.JACOBI, n, jacobi_a=0.3, jacobi_b=-0.4),
+]
+
+
+@pytest.mark.parametrize("space", BOUNDED_SPACES)
+def test_bounded_cross_matrix_is_the_core_rows(space):
+    # the basis on its own grid, or on a finer grid of its family, is the top
+    # rows of that grid's V: no matrix is built or cached
+    for n in (0, 1, 2, 30, 36, 64, 130):
+        d = space(n)
+        before = basis._cross_matrix_cached.cache_info()
+        assert _cross_matrix(d, d) is _core_of(d).V
+        for m in (n, n + 1, 2 * n + 2):
+            fine = space(m)
+            built = _cross_matrix_build(_frame(d), _frame(fine), 0.0)
+            assert np.array_equal(_cross_matrix(d, fine), built)
+        assert basis._cross_matrix_cached.cache_info() == before
+
+
+def test_cross_matrix_builds_toward_a_coarser_grid_and_for_other_exponents():
+    basis._cross_matrix_cached.cache_clear()
+    d = BasisDescriptor(Family.LEGENDRE, 12)
+    for d_to in (
+        BasisDescriptor(Family.LEGENDRE, 11),
+        BasisDescriptor(Family.JACOBI, 13, jacobi_a=0.5),
+        BasisDescriptor(Family.CHEBYSHEV, 13),
+    ):
+        B = _cross_matrix(d, d_to)
+        assert np.array_equal(B, evaluate_all(d, nodes_weights(d_to).nodes))
+    assert basis._cross_matrix_cached.cache_info().misses == 3
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        BasisDescriptor(Family.HERMITE_FN, 20, beta=1.3, x_left=0.4),
+        BasisDescriptor(Family.LAGUERRE_FN, 20, beta=0.7, x_left=-1.0),
+    ],
+    ids=str,
+)
+def test_unbounded_cross_matrix_is_built_on_its_own_grid(d):
+    # y/beta + x_left does not map back to the reference nodes exactly
+    basis._cross_matrix_cached.cache_clear()
+    B = _cross_matrix(d, d)
+    assert basis._cross_matrix_cached.cache_info().misses == 1
+    d0 = replace(d, x_left=0.0)
+    assert np.array_equal(B, evaluate_all(d0, nodes_weights(d0).nodes))

@@ -244,6 +244,32 @@ def test_2d_run_actions_pinned(tmp_path):
     ]
 
 
+def test_2d_run_on_open_grids_equals_full_grids(tmp_path, monkeypatch):
+    # example 2's target and yardstick receive open grids; expanding them to
+    # full (nx, ny) arrays, as meshgrid gives without sparse=True, must leave
+    # the CSV unchanged byte for byte (its decisions sit at roundoff)
+    from adaptspec import indicators, solvers
+
+    cfg = example_config(2, T=0.1)
+    experiments.run(cfg, out=str(tmp_path / "open.csv"))
+
+    def on_full_grids(f):
+        return lambda X, Y, *t: f(*(np.ascontiguousarray(a) for a in np.broadcast_arrays(X, Y)), *t)
+
+    monkeypatch.setattr(
+        experiments,
+        "track_function_2d",
+        lambda target, *args, **kw: solvers.track_function_2d(on_full_grids(target), *args, **kw),
+    )
+    monkeypatch.setattr(
+        experiments,
+        "relative_error_2d",
+        lambda u, reference: indicators.relative_error_2d(u, on_full_grids(reference)),
+    )
+    experiments.run(cfg, out=str(tmp_path / "full.csv"))
+    assert (tmp_path / "open.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
 def test_recorded_actions_respect_controller_invariants(tmp_path):
     cfg = example_config(5, T=0.05)
     experiments.run(cfg, out=str(tmp_path / "r.csv"))

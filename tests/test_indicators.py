@@ -21,6 +21,7 @@ from adaptspec import (
 )
 from adaptspec.basis import _CACHE_ENTRY_LIMIT
 from adaptspec.indicators import (
+    _axis_indicators,
     _composite_gauss,
     _exterior_panels,
     _reference_split,
@@ -475,6 +476,46 @@ def test_cached_relative_error_2d_equals_direct():
         u = Expansion2D(dx, dy, rng.standard_normal((dx.size, dy.size)))
         assert relative_error_2d(u, f) == relative_error_2d_direct(u, f)
         assert relative_error_2d(u, f) == relative_error_2d_direct(u, f)
+
+
+OPEN_GRID_TARGETS = [
+    lambda x, y: np.sin(2.0 * x) * np.cos(y) + x * y,  # the full (nx, ny) grid
+    lambda x, y: np.ones_like(x),  # shape (nx, 1)
+    lambda x, y: np.exp(0.5 * y) - y * y,  # y only: shape (1, ny)
+]
+
+
+@pytest.mark.parametrize("f", OPEN_GRID_TARGETS)
+def test_relative_error_2d_takes_open_grids(f):
+    # the reference sees X as (nx, 1) and Y as (1, ny); its broadcast result
+    # gives the same error, bit for bit, as full meshgrid arrays
+    u = Expansion2D(LEG(8), LEG(11), np.random.default_rng(17).standard_normal((9, 12)))
+    shapes = []
+
+    def spy(x, y):
+        shapes.append((x.shape, y.shape))
+        return f(x, y)
+
+    assert relative_error_2d(u, spy) == relative_error_2d_direct(u, f)
+    assert shapes == [((19, 1), (1, 25))]
+
+
+def test_relative_error_2d_refuses_a_reference_of_the_wrong_shape():
+    u = Expansion2D(LEG(8), LEG(11), np.ones((9, 12)))
+    with pytest.raises(ValueError):
+        relative_error_2d(u, lambda x, y: np.ones((x.shape[0] + 1, 1)))
+    with pytest.raises(ValueError):
+        relative_error_2d(u, lambda x, y: np.ones((x.shape[0], 2)))
+
+
+def test_axis_indicators_equal_the_per_axis_calls():
+    rng = np.random.default_rng(18)
+    for U in (rng.standard_normal((9, 13)), np.zeros((9, 13)), np.eye(9, 13)):
+        u = Expansion2D(LEG(8), BasisDescriptor(Family.CHEBYSHEV, 12), U)
+        config = IndicatorConfig(m_rule=lambda n: 2)
+        for cfg in (None, config):
+            both = _axis_indicators(u, cfg)
+            assert both == tuple(frequency_indicator_axis(u, k, cfg) for k in (0, 1))
 
 
 def test_exterior_cache_keeps_no_matrix_above_the_entry_limit():

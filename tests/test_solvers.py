@@ -215,3 +215,44 @@ def test_tracking_2d_constant_target_silent():
     u, records = track_function_2d(target, cfg, LEG(8), LEG(8), dt=0.1, T=0.5)
     assert all(r.actions == () for r in records)
     assert (u.descriptor_x.order, u.descriptor_y.order) == (8, 8)
+
+
+def _on_full_grids(target):
+    """target called with full (nx, ny) grids, as meshgrid gives them without sparse=True."""
+
+    def full(X, Y, t):
+        X, Y = (np.ascontiguousarray(a) for a in np.broadcast_arrays(X, Y))
+        return target(X, Y, t)
+
+    return full
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        lambda X, Y, t: np.sin((2.0 + 6.0 * t) * X) * np.cos(2.0 * Y),  # full (nx, ny)
+        lambda X, Y, t: np.ones_like(X),  # shape (nx, 1)
+        lambda X, Y, t: np.cos((1.0 + 8.0 * t) * Y),  # Y only: shape (1, ny)
+    ],
+)
+def test_tracking_2d_open_grids_equal_full_grids(target):
+    cfg = ControllerConfig(eta=1.2, eta0=1.2, gamma=1.05, n_max=3)
+    shapes = set()
+
+    def spy(X, Y, t):
+        shapes.add((X.shape[1], Y.shape[0]))
+        return target(X, Y, t)
+
+    run = lambda f: track_function_2d(f, cfg, LEG(10), LEG(12), dt=0.05, T=0.5)
+    u, records = run(spy)
+    w, full_records = run(_on_full_grids(target))
+    assert shapes == {(1, 1)}  # open grids: X is (nx, 1), Y is (1, ny)
+    assert records == full_records
+    assert (u.descriptor_x, u.descriptor_y) == (w.descriptor_x, w.descriptor_y)
+    assert np.array_equal(u.coefficients, w.coefficients)
+
+
+def test_tracking_2d_refuses_a_target_of_the_wrong_shape():
+    target = lambda X, Y, t: np.ones((X.shape[0], 2))  # (nx, 2) against ny = 9
+    with pytest.raises(ValueError):
+        track_function_2d(target, ControllerConfig(), LEG(8), LEG(8), dt=0.1, T=0.2)
