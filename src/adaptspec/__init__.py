@@ -64,7 +64,6 @@ from .schrodinger import (
 )
 from .solvers import (
     EvolutionProblem,
-    Record2D,
     advection_rhs,
     rk3_step,
     solve_collocation,
@@ -84,7 +83,6 @@ __all__ = [
     "IndicatorConfig",
     "MAX_ORDER",
     "QuadratureRule",
-    "Record2D",
     "SchrodingerProblem",
     "SpectralExpansion",
     "StepRecord",

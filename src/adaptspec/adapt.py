@@ -11,9 +11,11 @@ growing refine threshold and guarded coarsening; scaling that walks beta
 by a fixed ratio while trials do not increase the indicator; grid
 translation in fixed increments while the exterior indicator exceeds its
 reference.  `orchestrate_step` chains evolve -> move -> scale -> order
-per step and renews the reference indicators after basis changes.  The
-exterior indicator always splits at the default node of the current grid,
-so the split point is not carried in AdaptiveState.
+per step and renews the reference indicators after basis changes; one
+private driver, `_march`, repeats a step to the horizon for every time
+loop in the package.  The exterior indicator always splits at the default
+node of the current grid, so the split point is not carried in
+AdaptiveState.
 
 Cross matrices are cached on the frame of both spaces and the shift
 between them, so repeated moves by a fixed increment reuse one matrix.
@@ -149,16 +151,24 @@ class AdaptiveState:
     refine_factor: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
-    """What one orchestrated step did and saw (time/error added upstream)."""
+    """What one step did and saw; with t and error filled in, one CSV row.
+
+    A 1-D step fills order, beta and x_left; a tensor step fills order_x
+    and order_y, and its freq and ext hold the x- and y-axis indicators.
+    """
 
     actions: tuple[str, ...]
     freq: float
-    ext: float
-    order: int
-    beta: float
-    x_left: float
+    ext: float | None = None
+    order: int | None = None
+    beta: float | None = None
+    x_left: float | None = None
+    order_x: int | None = None
+    order_y: int | None = None
+    t: float | None = None
+    error: float | None = None
 
 
 # ---------------------------------------------------- reconstruction
@@ -418,14 +428,44 @@ def orchestrate_step(
         elif acts:
             state = replace(state, scale_ref=frequency_indicator(u, config.indicator))
 
-    freq = frequency_indicator(u, config.indicator)
-    ext = exterior_error_indicator(u) if unbounded else math.nan
-    record = StepRecord(
+    return u, state, StepRecord(
         actions=tuple(actions),
-        freq=freq,
-        ext=ext,
+        freq=frequency_indicator(u, config.indicator),
+        ext=exterior_error_indicator(u) if unbounded else math.nan,
         order=u.descriptor.order,
         beta=u.descriptor.beta,
         x_left=u.descriptor.x_left,
     )
-    return u, state, record
+
+
+def _step_count(dt, T):
+    n = int(round(T / dt))
+    if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError("T must be a positive integer number of steps")
+    return n
+
+
+def _check_finite(vals, t, what):
+    if not np.isfinite(vals).all():
+        raise RuntimeError(f"non-finite {what} at t={t:.6g}")
+    return vals
+
+
+def _march(u, state, step, dt, T, on_step):
+    """March u from t=0 to t=T in steps of dt; return (u, per-step records).
+
+    step(u, state, t, t_next) returns the next (u, state, record), and
+    on_step(t_next, u, record), when given, sees each step.  T must be a
+    positive whole number of steps; non-finite coefficients stop the march
+    at the time they appear.
+    """
+    _check_finite(u.coefficients, 0.0, "initial coefficients")
+    records = []
+    for n in range(_step_count(dt, T)):
+        t_next = (n + 1) * dt
+        u, state, rec = step(u, state, n * dt, t_next)
+        _check_finite(u.coefficients, t_next, "coefficients")
+        records.append(rec)
+        if on_step is not None:
+            on_step(t_next, u, rec)
+    return u, records

@@ -14,11 +14,12 @@ import math
 import typing
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 from scipy.special import erfc
 
-from .adapt import AdaptiveState, ControllerConfig, scale_step
+from .adapt import AdaptiveState, ControllerConfig, StepRecord, _march, _step_count, scale_step
 from .basis import (
     BasisDescriptor,
     Family,
@@ -36,7 +37,6 @@ from .schrodinger import (
 )
 from .solvers import (
     EvolutionProblem,
-    _step_count,
     advection_rhs,
     solve_collocation,
     track_function,
@@ -57,20 +57,7 @@ __all__ = [
 CSV_COLUMNS = ("t", "error", "freq", "ext", "N", "Nx", "Ny", "beta", "xL", "actions")
 
 
-@dataclass(frozen=True)
-class TimeSeriesRecord:
-    """One CSV row: state of the march after a completed step."""
-
-    t: float
-    error: float
-    freq: float
-    ext: float = None
-    order: int = None
-    order_x: int = None
-    order_y: int = None
-    beta: float = None
-    x_left: float = None
-    actions: tuple = ()
+TimeSeriesRecord = StepRecord
 
 
 @dataclass(frozen=True)
@@ -276,25 +263,34 @@ def example_config(example, **overrides):
 # ---------------------------------------------------------------------------
 # runners
 
-def _log_1d(records, target):
-    """on_step callback appending TimeSeriesRecords for an unbounded run."""
+def _logger(target, bounded=False):
+    """A record list and the on_step callback that appends each step to it,
+    with t and the error against target(x, t), or target(X, Y, t) for a
+    tensor run, filled in.  A bounded 1-D row blanks ext, beta and x_left.
+    """
+    records = []
 
     def log(t, u, rec):
-        err = relative_error(u, lambda x: target(x, t))
+        if rec.order_x is None:
+            error = relative_error(u, lambda x: target(x, t))
+        else:
+            error = relative_error_2d(u, lambda X, Y: target(X, Y, t))
         records.append(
-            TimeSeriesRecord(
-                t=t,
-                error=err,
-                freq=rec.freq,
-                ext=rec.ext,
-                order=rec.order,
-                beta=rec.beta,
-                x_left=rec.x_left,
+            StepRecord(
                 actions=rec.actions,
+                freq=rec.freq,
+                ext=None if bounded else rec.ext,
+                order=rec.order,
+                beta=None if bounded else rec.beta,
+                x_left=None if bounded else rec.x_left,
+                order_x=rec.order_x,
+                order_y=rec.order_y,
+                t=t,
+                error=error,
             )
         )
 
-    return log
+    return records, log
 
 
 def _run_example_1(cfg):
@@ -309,14 +305,7 @@ def _run_example_1(cfg):
         T=cfg.T,
         boundary=(-1, lambda s: np.cos(3.0 * (s + 1.0))),
     )
-    records = []
-
-    def log(t, u, rec):
-        err = relative_error(u, lambda x: analytic(x, t))
-        records.append(
-            TimeSeriesRecord(t=t, error=err, freq=rec.freq, order=rec.order, actions=rec.actions)
-        )
-
+    records, log = _logger(analytic, bounded=True)
     u, _ = solve_collocation(problem, cfg.controller, u0, on_step=log)
     return records, u
 
@@ -329,32 +318,15 @@ def _run_example_2(cfg):
 
     dx0 = BasisDescriptor(cfg.family, cfg.order)
     dy0 = BasisDescriptor(cfg.family, cfg.order_y if cfg.order_y is not None else cfg.order)
-    records = []
-
-    def log(t, u, rec):
-        err = relative_error_2d(u, lambda X, Y: target(X, Y, t))
-        records.append(
-            TimeSeriesRecord(
-                t=t,
-                error=err,
-                freq=rec.freq_x,
-                ext=rec.freq_y,
-                order_x=rec.order_x,
-                order_y=rec.order_y,
-                actions=rec.actions,
-            )
-        )
-
+    records, log = _logger(target)
     u, _ = track_function_2d(target, cfg.controller, dx0, dy0, cfg.dt, cfg.T, on_step=log)
     return records, u
 
 
 def _tracking_runner(cfg, target):
     d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
-    records = []
-    u, _ = track_function(
-        target, cfg.controller, d0, cfg.dt, cfg.T, on_step=_log_1d(records, target)
-    )
+    records, log = _logger(target)
+    u, _ = track_function(target, cfg.controller, d0, cfg.dt, cfg.T, on_step=log)
     return records, u
 
 
@@ -369,16 +341,11 @@ def _run_example_4(cfg):
 
 
 def _run_example_5(cfg):
-    zeta, k = cfg.zeta, cfg.k
-    problem = SchrodingerProblem(
-        psi0=lambda x: gaussian_packet(x, 0.0, zeta, k), dt=cfg.dt, T=cfg.T
-    )
+    target = lambda x, t: gaussian_packet(x, t, cfg.zeta, cfg.k)
+    problem = SchrodingerProblem(psi0=lambda x: target(x, 0.0), dt=cfg.dt, T=cfg.T)
     d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
-    records = []
-    target = lambda x, t: gaussian_packet(x, t, zeta, k)
-    u, _ = adapt_schrodinger_run(
-        problem, cfg.controller, d0, on_step=_log_1d(records, target)
-    )
+    records, log = _logger(target)
+    u, _ = adapt_schrodinger_run(problem, cfg.controller, d0, on_step=log)
     return records, u
 
 
@@ -392,56 +359,8 @@ def _example_6_potentials(depth, sharp, amp, omega):
     return V, V_ex
 
 
-@lru_cache(maxsize=2)
-def _reference_trajectory_6(key):
-    """Example 6 yardstick: scaling-only march at the fixed reference order.
-
-    Each step propagates, then runs the scaling controller, exactly as
-    adapt_schrodinger_run does with only scaling on, but without the
-    per-step indicators nobody reads.  Cached on the scalar knobs it
-    depends on so the three adaptive variants compared against it pay for
-    it once.
-    """
-    (n_ref, dt, T, beta0, x_left0, zeta, k,
-     depth, sharp, amp, omega, q, nu, beta_lo, beta_hi) = key
-    controller = ControllerConfig(
-        p_adaptivity=False,
-        scaling=True,
-        moving=False,
-        q=q,
-        nu=nu,
-        beta_lo=beta_lo,
-        beta_hi=beta_hi,
-    )
-    V, V_ex = _example_6_potentials(depth, sharp, amp, omega)
-    problem = SchrodingerProblem(
-        psi0=lambda x: gaussian_packet(x, 0.0, zeta, k), V=V, V_ex=V_ex, dt=dt, T=T
-    )
-    d0 = BasisDescriptor(Family.HERMITE_FN, n_ref, beta=beta0, x_left=x_left0)
-    u = to_coefficients(np.asarray(problem.psi0(nodes_weights(d0).nodes), dtype=complex), d0)
-    f = frequency_indicator(u, controller.indicator)
-    # exterior_ref is read only by the moving controller, which is off
-    state = AdaptiveState(freq_ref=f, scale_ref=f, exterior_ref=math.nan, refine_factor=controller.eta)
-    trajectory = []
-    for n in range(_step_count(dt, T)):
-        psi = propagate_step(u.coefficients, u.descriptor, problem, n * dt)
-        u, state, _ = scale_step(SpectralExpansion(u.descriptor, psi), state, controller)
-        trajectory.append(u)
-    return tuple(trajectory)
-
-
-def _reference_key_6(cfg):
-    ctrl = cfg.controller
-    return (
-        cfg.n_ref, cfg.dt, cfg.T, cfg.beta0, cfg.x_left0, cfg.zeta, cfg.k,
-        cfg.v_depth, cfg.v_sharp, cfg.drive_amp, cfg.drive_freq,
-        ctrl.q, ctrl.nu, ctrl.beta_lo, ctrl.beta_hi,
-    )
-
-
-def _run_example_6(cfg):
-    _step_count(cfg.dt, cfg.T)  # refuse a fractional horizon before the reference march
-    reference = _reference_trajectory_6(_reference_key_6(cfg))
+def _example_6_start(cfg):
+    """Example 6's problem and its initial space, of order cfg.order."""
     V, V_ex = _example_6_potentials(cfg.v_depth, cfg.v_sharp, cfg.drive_amp, cfg.drive_freq)
     problem = SchrodingerProblem(
         psi0=lambda x: gaussian_packet(x, 0.0, cfg.zeta, cfg.k),
@@ -450,15 +369,56 @@ def _run_example_6(cfg):
         dt=cfg.dt,
         T=cfg.T,
     )
+    d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
+    return problem, d0
+
+
+@lru_cache(maxsize=2)
+def _reference_trajectory_6(ref):
+    """Example 6 yardstick: scaling-only march at the fixed reference order.
+
+    ref is the configuration `_reference_key_6` derives.  Each step
+    propagates, then runs the scaling controller, exactly as
+    adapt_schrodinger_run does with only scaling on, but without the
+    per-step indicators nobody reads.  Cached on ref so the three adaptive
+    variants compared against it pay for it once.
+    """
+    problem, d0 = _example_6_start(ref)
+    u = to_coefficients(np.asarray(problem.psi0(nodes_weights(d0).nodes), dtype=complex), d0)
+    f = frequency_indicator(u, ref.controller.indicator)
+    # exterior_ref is read only by the moving controller, which is off
+    state = AdaptiveState(freq_ref=f, scale_ref=f, exterior_ref=math.nan, refine_factor=ref.controller.eta)
+
+    def step(u, state, t, t_next):
+        psi = propagate_step(u.coefficients, u.descriptor, problem, t)
+        return scale_step(SpectralExpansion(u.descriptor, psi), state, ref.controller)
+
+    trajectory = []
+    _march(u, state, step, ref.dt, ref.T, lambda t, u, rec: trajectory.append(u))
+    return tuple(trajectory)
+
+
+def _reference_key_6(cfg):
+    """cfg with the fields the reference march does not read reset."""
+    c = cfg.controller
+    scaling = ControllerConfig(
+        p_adaptivity=False, moving=False, q=c.q, nu=c.nu, beta_lo=c.beta_lo, beta_hi=c.beta_hi
+    )
+    return dataclasses.replace(
+        cfg, controller=scaling, family=Family.HERMITE_FN, order=cfg.n_ref, order_y=None,
+        out=None, a=0.0, b=0.0,
+    )
+
+
+def _run_example_6(cfg):
+    _step_count(cfg.dt, cfg.T)  # refuse a fractional horizon before the reference march
+    reference = _reference_trajectory_6(_reference_key_6(cfg))
+    problem, d0 = _example_6_start(cfg)
     # Refinement may grow the order, but never past max what the yardstick resolves.
     controller = dataclasses.replace(cfg.controller, n_abs=cfg.n_ref)
-    d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
-    records = []
-    # the step being logged is reference step len(records) (appended after)
-    target = lambda x, t: to_values(reference[len(records)], x)
-    u, _ = adapt_schrodinger_run(
-        problem, controller, d0, on_step=_log_1d(records, target)
-    )
+    # the step ending at t is reference step t/dt - 1
+    records, log = _logger(lambda x, t: to_values(reference[round(t / cfg.dt) - 1], x))
+    u, _ = adapt_schrodinger_run(problem, controller, d0, on_step=log)
     return records, u
 
 
@@ -486,19 +446,12 @@ def _fmt(value):
     return "%.17g" % value
 
 
+# the StepRecord fields behind the CSV columns but the last (the actions)
+_CELLS = attrgetter("t", "error", "freq", "ext", "order", "order_x", "order_y", "beta", "x_left")
+
+
 def _row(rec):
-    return (
-        _fmt(rec.t),
-        _fmt(rec.error),
-        _fmt(rec.freq),
-        _fmt(rec.ext),
-        _fmt(rec.order),
-        _fmt(rec.order_x),
-        _fmt(rec.order_y),
-        _fmt(rec.beta),
-        _fmt(rec.x_left),
-        ";".join(rec.actions),
-    )
+    return (*map(_fmt, _CELLS(rec)), ";".join(rec.actions))
 
 
 def write_csv(path, records):

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .adapt import ControllerConfig, initial_state, orchestrate_step
+from .adapt import ControllerConfig, _march, initial_state, orchestrate_step
 from .basis import (
     BasisDescriptor,
     Family,
@@ -41,7 +41,6 @@ from .basis import (
     to_coefficients,
 )
 from .expm import expm_action
-from .solvers import _step_count
 
 __all__ = [
     "SchrodingerProblem",
@@ -209,22 +208,16 @@ def adapt_schrodinger_run(
     the per-step records.
     """
     _require_hermite(d0)
-    rule = nodes_weights(d0)
-    u = to_coefficients(np.asarray(problem.psi0(rule.nodes), dtype=complex), d0)
-    state = initial_state(u, config)
-    records = []
-    for n in range(_step_count(problem.dt, problem.T)):
-        t_n = n * problem.dt
 
+    def step(u, state, t, t_next):
         def evolve(w):
-            psi = propagate_step(w.coefficients, w.descriptor, problem, t_n)
+            psi = propagate_step(w.coefficients, w.descriptor, problem, t)
             return SpectralExpansion(w.descriptor, psi)
 
-        u, state, rec = orchestrate_step(u, state, config, evolve)
-        records.append(rec)
-        if on_step is not None:
-            on_step((n + 1) * problem.dt, u, rec)
-    return u, records
+        return orchestrate_step(u, state, config, evolve)
+
+    u0 = to_coefficients(np.asarray(problem.psi0(nodes_weights(d0).nodes), dtype=complex), d0)
+    return _march(u0, initial_state(u0, config), step, problem.dt, problem.T, on_step)
 
 
 def gaussian_packet(x, t, zeta=0.3, k=1.0):

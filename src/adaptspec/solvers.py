@@ -3,9 +3,12 @@
 Two ways to produce the per-step evolve for the adaptive loop: an explicit
 third-order Runge-Kutta collocation solver for PDEs posed on grid values
 (with strong Dirichlet imposition), and closed-form target tracking that
-re-interpolates a known u(x, t) each step.  Both feed `orchestrate_step`,
-so every controller sees the same interface regardless of where the new
-time level comes from.
+re-interpolates a known u(x, t) each step.  Each public marcher only builds
+its step: the 1-D ones wrap `orchestrate_step` around their evolve, the
+tensor tracker interpolates and then runs `p_adapt_step_2d`.  The march
+itself, the horizon check and the non-finite guard are `adapt._march`'s,
+so every run logs the same `StepRecord` wherever its new time level comes
+from.
 """
 
 from dataclasses import dataclass
@@ -16,13 +19,15 @@ import numpy as np
 from .adapt import (
     AdaptiveState,
     ControllerConfig,
+    StepRecord,
+    _check_finite,
+    _march,
     initial_state,
     orchestrate_step,
     p_adapt_step_2d,
 )
 from .basis import (
     BasisDescriptor,
-    Expansion2D,
     Family,
     SpectralExpansion,
     differentiate,
@@ -40,7 +45,6 @@ __all__ = [
     "solve_collocation",
     "track_function",
     "track_function_2d",
-    "Record2D",
 ]
 
 
@@ -63,12 +67,6 @@ class EvolutionProblem:
             raise ValueError("dt must be positive")
         if not self.T >= self.dt:
             raise ValueError("T must cover at least one step")
-
-
-def _check_finite(vals, t, what):
-    if not np.isfinite(vals).all():
-        raise RuntimeError(f"non-finite {what} at t={t:.6g}")
-    return vals
 
 
 def rk3_step(rhs, u: SpectralExpansion, t, dt, boundary=None) -> SpectralExpansion:
@@ -105,13 +103,6 @@ def advection_rhs(u: SpectralExpansion, t) -> np.ndarray:
     return (x + 2.0) / (t + 1.0) * node_values(differentiate(u))
 
 
-def _step_count(dt, T):
-    n = int(round(T / dt))
-    if abs(n * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("T must be an integer number of steps")
-    return n
-
-
 def solve_collocation(
     problem: EvolutionProblem,
     config: ControllerConfig,
@@ -119,20 +110,12 @@ def solve_collocation(
     on_step=None,
 ):
     """March a collocation PDE with the adaptive loop around rk3_step."""
-    u = u0
-    state = initial_state(u, config)
-    records = []
-    for n in range(_step_count(problem.dt, problem.T)):
-        t_n = n * problem.dt
 
-        def evolve(w):
-            return rk3_step(problem.rhs, w, t_n, problem.dt, problem.boundary)
+    def step(u, state, t, t_next):
+        evolve = lambda w: rk3_step(problem.rhs, w, t, problem.dt, problem.boundary)
+        return orchestrate_step(u, state, config, evolve)
 
-        u, state, rec = orchestrate_step(u, state, config, evolve)
-        records.append(rec)
-        if on_step is not None:
-            on_step((n + 1) * problem.dt, u, rec)
-    return u, records
+    return _march(u0, initial_state(u0, config), step, problem.dt, problem.T, on_step)
 
 
 def track_function(target, config: ControllerConfig, d0: BasisDescriptor, dt, T, on_step=None):
@@ -142,33 +125,15 @@ def track_function(target, config: ControllerConfig, d0: BasisDescriptor, dt, T,
     space the controllers currently prefer, so the time series isolates
     pure approximation behavior from time-integration error.
     """
-    rule = nodes_weights(d0)
-    u = to_coefficients(np.asarray(target(rule.nodes, 0.0)), d0)
-    state = initial_state(u, config)
-    records = []
-    for n in range(_step_count(dt, T)):
-        t_next = (n + 1) * dt
 
-        def evolve(w):
-            r = nodes_weights(w.descriptor)
-            return to_coefficients(np.asarray(target(r.nodes, t_next)), w.descriptor)
+    def interpolate(d, t):
+        return to_coefficients(np.asarray(target(nodes_weights(d).nodes, t)), d)
 
-        u, state, rec = orchestrate_step(u, state, config, evolve)
-        records.append(rec)
-        if on_step is not None:
-            on_step(t_next, u, rec)
-    return u, records
+    def step(u, state, t, t_next):
+        return orchestrate_step(u, state, config, lambda w: interpolate(w.descriptor, t_next))
 
-
-@dataclass(frozen=True)
-class Record2D:
-    """Per-step log of a tensor-product tracking run."""
-
-    actions: tuple
-    freq_x: float
-    freq_y: float
-    order_x: int
-    order_y: int
+    u0 = interpolate(d0, 0.0)
+    return _march(u0, initial_state(u0, config), step, dt, T, on_step)
 
 
 def track_function_2d(
@@ -186,7 +151,8 @@ def track_function_2d(
     of shape (nx, 1) and Y of shape (1, ny), as meshgrid(..., indexing='ij',
     sparse=True) gives them.  Its result is broadcast to (nx, ny); a shape
     that does not broadcast raises ValueError.  Bounded domains only get
-    order control, so the loop is interpolate -> order step each way.
+    order control, so the loop is interpolate -> order step each way.  The
+    records carry the x- and y-axis indicators in freq and ext.
     """
 
     def interpolate(dx, dy, t):
@@ -194,29 +160,25 @@ def track_function_2d(
         X, Y = np.meshgrid(rx.nodes, ry.nodes, indexing="ij", sparse=True)
         return to_coefficients_2d(np.broadcast_to(target(X, Y, t), (dx.size, dy.size)), dx, dy)
 
-    u = interpolate(dx0, dy0, 0.0)
-    # only the order controller runs: the scale and exterior references stay unread
-    state_x, state_y = (
-        AdaptiveState(freq_ref=f, scale_ref=0.0, exterior_ref=0.0, refine_factor=config.eta)
-        for f in _axis_indicators(u, config.indicator)
-    )
-    records = []
-    for n in range(_step_count(dt, T)):
-        t_next = (n + 1) * dt
+    def step(u, states, t, t_next):
         u = interpolate(u.descriptor_x, u.descriptor_y, t_next)
+        actions = []
         if config.p_adaptivity:
-            u, state_x, state_y, actions = p_adapt_step_2d(u, state_x, state_y, config)
-        else:
-            actions = []
+            u, state_x, state_y, actions = p_adapt_step_2d(u, *states, config)
+            states = (state_x, state_y)
         freq_x, freq_y = _axis_indicators(u, config.indicator)
-        rec = Record2D(
+        return u, states, StepRecord(
             actions=tuple(actions),
-            freq_x=freq_x,
-            freq_y=freq_y,
+            freq=freq_x,
+            ext=freq_y,
             order_x=u.descriptor_x.order,
             order_y=u.descriptor_y.order,
         )
-        records.append(rec)
-        if on_step is not None:
-            on_step(t_next, u, rec)
-    return u, records
+
+    u0 = interpolate(dx0, dy0, 0.0)
+    # only the order controller runs: the scale and exterior references stay unread
+    states = tuple(
+        AdaptiveState(freq_ref=f, scale_ref=0.0, exterior_ref=0.0, refine_factor=config.eta)
+        for f in _axis_indicators(u0, config.indicator)
+    )
+    return _march(u0, states, step, dt, T, on_step)

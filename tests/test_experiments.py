@@ -99,6 +99,21 @@ def test_reference_march_equals_the_scaling_only_adaptive_run():
         assert np.array_equal(a.coefficients, b.coefficients)
 
 
+def test_reference_key_6_groups_the_runs_that_share_a_reference_march():
+    # criterion 9's three variants march against one reference; anything the
+    # reference march reads gives a new key, so a new cache entry
+    key = experiments._reference_key_6(example_config(6, T=0.1))
+    for variant in (dict(scaling=False), dict(p_adaptivity=False), dict(order=150, eta=1.1)):
+        assert experiments._reference_key_6(example_config(6, T=0.1, **variant)) == key
+    changes = (
+        dict(q=0.9), dict(nu=1.1), dict(beta_lo=0.2), dict(beta_hi=3.0), dict(dt=0.005),
+        dict(T=0.2), dict(zeta=0.4), dict(k=2.0), dict(v_depth=5.0), dict(v_sharp=5.0),
+        dict(drive_amp=10.0), dict(drive_freq=5.0), dict(n_ref=500), dict(beta0=1.2),
+    )
+    for change in changes:
+        assert experiments._reference_key_6(example_config(6, **{"T": 0.1, **change})) != key, change
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "overrides.txt"
     path.write_text(
