@@ -43,10 +43,9 @@ from .basis import (
     to_values,
     to_values_2d,
 )
-from .experiments import ExperimentConfig, TimeSeriesRecord, example_config
-from .expm import ExpmConfig, expm_action
+from .experiments import ExperimentConfig, example_config
+from .expm import expm_action
 from .indicators import (
-    IndicatorConfig,
     exterior_error_indicator,
     frequency_indicator,
     frequency_indicator_axis,
@@ -78,15 +77,12 @@ __all__ = [
     "EvolutionProblem",
     "Expansion2D",
     "ExperimentConfig",
-    "ExpmConfig",
     "Family",
-    "IndicatorConfig",
     "MAX_ORDER",
     "QuadratureRule",
     "SchrodingerProblem",
     "SpectralExpansion",
     "StepRecord",
-    "TimeSeriesRecord",
     "adapt_schrodinger_run",
     "advection_rhs",
     "coarsen",

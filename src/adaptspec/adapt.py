@@ -48,7 +48,6 @@ from .basis import (
     to_coefficients_2d,
 )
 from .indicators import (
-    IndicatorConfig,
     _axis_indicators,
     exterior_error_indicator,
     frequency_indicator,
@@ -107,7 +106,6 @@ class ControllerConfig:
     p_adaptivity: bool = True
     scaling: bool = True
     moving: bool = True
-    indicator: IndicatorConfig | None = None
 
     def __post_init__(self):
         if not self.eta > 1.0:
@@ -227,7 +225,7 @@ def translate(u: SpectralExpansion, dist: float) -> SpectralExpansion:
 
 def initial_state(u: SpectralExpansion, config: ControllerConfig) -> AdaptiveState:
     """Reference state from the initial expansion (orchestrator init box)."""
-    f = frequency_indicator(u, config.indicator)
+    f = frequency_indicator(u)
     e = 0.0 if u.descriptor.bounded else exterior_error_indicator(u)
     return AdaptiveState(freq_ref=f, scale_ref=f, exterior_ref=e, refine_factor=config.eta)
 
@@ -285,7 +283,7 @@ def p_adapt_step(
         config,
         order=lambda w: w.descriptor.order,
         trial=lambda w, step: refine(w) if step > 0 else coarsen(w),
-        indicator=lambda w: frequency_indicator(w, config.indicator),
+        indicator=frequency_indicator,
     )
 
 
@@ -304,7 +302,7 @@ def p_adapt_step_2d(
     example 2's tail sits at roundoff, so its decisions would change.
     """
 
-    f = _axis_indicators(u, config.indicator)  # both axes judge the same input
+    f = _axis_indicators(u)  # both axes judge the same input
 
     def axis(k, state):
         def trial(w, step):
@@ -318,7 +316,7 @@ def p_adapt_step_2d(
             config,
             order=lambda w: (w.descriptor_x, w.descriptor_y)[k].order,
             trial=trial,
-            indicator=lambda w: frequency_indicator_axis(w, k, config.indicator),
+            indicator=lambda w: frequency_indicator_axis(w, k),
             suffix=("_x", "_y")[k],
             f=f[k],
         )
@@ -342,7 +340,7 @@ def scale_step(
     if u.descriptor.bounded:
         return u, state, []
     actions: list[str] = []
-    f = frequency_indicator(u, config.indicator)
+    f = frequency_indicator(u)
     if f > config.nu * state.scale_ref:
         direction, token = config.q, "scale_down"
     elif f < state.scale_ref:
@@ -354,7 +352,7 @@ def scale_step(
         if not (config.beta_lo <= beta_trial <= config.beta_hi):
             break
         trial = rescale(u, beta_trial)
-        f_trial = frequency_indicator(trial, config.indicator)
+        f_trial = frequency_indicator(trial)
         if f_trial <= f:
             u = trial
             f = f_trial
@@ -400,9 +398,10 @@ def orchestrate_step(
 ) -> tuple[SpectralExpansion, AdaptiveState, StepRecord]:
     """One full adaptive step: evolve, then move, scale, and order checks.
 
-    The exterior split point always follows the current grid; after any
-    order change, the scale/exterior references are recomputed on the new
-    basis (the order controller has already rebased its own reference).
+    The exterior split point always follows the current grid.  The
+    record's indicators are measured once, after the order step; after an
+    order change the same values renew the scale/exterior references on
+    the new basis (the order controller has already rebased its own).
     """
     u = evolve(u)
     actions: list[str] = []
@@ -416,22 +415,22 @@ def orchestrate_step(
         u, state, acts = scale_step(u, state, config)
         actions += acts
 
+    order_acts = []
     if config.p_adaptivity:
-        u, state, acts = p_adapt_step(u, state, config)
-        actions += acts
-        if acts and unbounded:
-            state = replace(
-                state,
-                scale_ref=frequency_indicator(u, config.indicator),
-                exterior_ref=exterior_error_indicator(u),
-            )
-        elif acts:
-            state = replace(state, scale_ref=frequency_indicator(u, config.indicator))
+        u, state, order_acts = p_adapt_step(u, state, config)
+        actions += order_acts
+
+    freq = frequency_indicator(u)
+    ext = exterior_error_indicator(u) if unbounded else math.nan
+    if order_acts:
+        state = replace(
+            state, scale_ref=freq, exterior_ref=ext if unbounded else state.exterior_ref
+        )
 
     return u, state, StepRecord(
         actions=tuple(actions),
-        freq=frequency_indicator(u, config.indicator),
-        ext=exterior_error_indicator(u) if unbounded else math.nan,
+        freq=freq,
+        ext=ext,
         order=u.descriptor.order,
         beta=u.descriptor.beta,
         x_left=u.descriptor.x_left,

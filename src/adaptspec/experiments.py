@@ -46,7 +46,6 @@ from .solvers import (
 __all__ = [
     "CSV_COLUMNS",
     "ExperimentConfig",
-    "TimeSeriesRecord",
     "example_config",
     "load_config_file",
     "run",
@@ -55,9 +54,6 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("t", "error", "freq", "ext", "N", "Nx", "Ny", "beta", "xL", "actions")
-
-
-TimeSeriesRecord = StepRecord
 
 
 @dataclass(frozen=True)
@@ -119,13 +115,13 @@ def _schema(cls):
     """Config-file parser per plain field of a config dataclass.
 
     The parser is the field's type, with X | None read as X and bool as
-    _parse_bool; fields holding objects (indicator, example, controller,
-    family) are not configurable from a file.
+    _parse_bool; fields holding objects (example, controller, family) are
+    not configurable from a file.
     """
     hints = typing.get_type_hints(cls)
     schema = {}
     for f in dataclasses.fields(cls):
-        if f.name in ("indicator", "example", "controller", "family"):
+        if f.name in ("example", "controller", "family"):
             continue
         kinds = [t for t in typing.get_args(hints[f.name]) if t is not type(None)]
         kind = kinds[0] if kinds else hints[f.name]
@@ -385,7 +381,7 @@ def _reference_trajectory_6(ref):
     """
     problem, d0 = _example_6_start(ref)
     u = to_coefficients(np.asarray(problem.psi0(nodes_weights(d0).nodes), dtype=complex), d0)
-    f = frequency_indicator(u, ref.controller.indicator)
+    f = frequency_indicator(u)
     # exterior_ref is read only by the moving controller, which is off
     state = AdaptiveState(freq_ref=f, scale_ref=f, exterior_ref=math.nan, refine_factor=ref.controller.eta)
 
@@ -414,8 +410,9 @@ def _run_example_6(cfg):
     _step_count(cfg.dt, cfg.T)  # refuse a fractional horizon before the reference march
     reference = _reference_trajectory_6(_reference_key_6(cfg))
     problem, d0 = _example_6_start(cfg)
-    # Refinement may grow the order, but never past max what the yardstick resolves.
-    controller = dataclasses.replace(cfg.controller, n_abs=cfg.n_ref)
+    # Refinement may grow the order, but never past what the yardstick resolves.
+    n_abs = cfg.n_ref if cfg.controller.n_abs is None else min(cfg.controller.n_abs, cfg.n_ref)
+    controller = dataclasses.replace(cfg.controller, n_abs=n_abs)
     # the step ending at t is reference step t/dt - 1
     records, log = _logger(lambda x, t: to_values(reference[round(t / cfg.dt) - 1], x))
     u, _ = adapt_schrodinger_run(problem, controller, d0, on_step=log)

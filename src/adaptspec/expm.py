@@ -1,71 +1,23 @@
 """Matrix-exponential action on a vector, matrix-free.
 
-Two evaluations, both needing only products A*v, so the operator may be a
-matrix, a stencil, or any linear callable:
-
-- With a spectral interval: A = -iH for a Hermitian H whose eigenvalues lie
-  in [lo, hi].  exp(A)x is a Chebyshev series in (H - c)/r, c and r the
-  centre and half-width of the interval, with Bessel coefficients
-  (2 - delta_k0) (-i)^k J_k(r) (Tal-Ezer & Kosloff 1984).  Since every
-  Chebyshev polynomial of the scaled operator has norm at most 1, the
-  series is cut where twice the tail sum of |J_k(r)| drops below 1e-15;
-  the degree follows from the interval alone.
-- Without one: (sum_k (A/m)^k / k!)^m x, the truncated Taylor sum of the
-  scaled operator applied m times in sequence, for operators with no
-  known spectral bound.
+A = -iH for a Hermitian H whose eigenvalues lie in a given interval
+[lo, hi]; only products A*v are needed, so the operator may be a matrix, a
+stencil, or any linear callable.  exp(A)x is a Chebyshev series in
+(H - c)/r, c and r the centre and half-width of the interval, with Bessel
+coefficients (2 - delta_k0) (-i)^k J_k(r) (Tal-Ezer & Kosloff 1984).  Since
+every Chebyshev polynomial of the scaled operator has norm at most 1, the
+series is cut where twice the tail sum of |J_k(r)| drops below 1e-15; the
+degree follows from the interval alone.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jv
 
-__all__ = ["ExpmConfig", "expm_action"]
+__all__ = ["expm_action"]
 
-# Chebyshev path: truncation tolerance and the largest degree attempted.
+# Truncation tolerance and the largest degree attempted.
 _SERIES_TOL = 1e-15
 _MAX_DEGREE = 1000
-
-
-@dataclass(frozen=True)
-class ExpmConfig:
-    """Knobs for the scaled Taylor evaluation.
-
-    m is a fixed splitting of the exponent, not auto-selected from norm
-    estimates; raise it when the operator is stiff enough that the series
-    for A/m converges too slowly.
-    """
-
-    m: int = 6
-    taylor_tol: float = 1e-15
-    max_terms: int = 40
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
-        if not self.taylor_tol > 0:
-            raise ValueError("taylor_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be a positive integer")
-
-
-def _taylor_apply(apply_a, v, inv_m, config):
-    # exp(A/m) v summed term by term in index order; the running term is
-    # term_k = (A/m)^k v / k!, and the stop test is relative to the input
-    # so a near-unitary operator cannot stall the tolerance
-    ref = np.linalg.norm(v)
-    acc = v.copy()
-    term = v
-    for k in range(1, config.max_terms + 1):
-        term = apply_a(term) * (inv_m / k)
-        acc = acc + term
-        if np.linalg.norm(term) <= config.taylor_tol * ref:
-            return acc
-    raise RuntimeError(
-        "Taylor series for the scaled operator did not converge: term %d "
-        "has norm %.3e against input %.3e; increase m or max_terms"
-        % (config.max_terms, np.linalg.norm(term), ref)
-    )
 
 
 def _bessel_coefficients(r):
@@ -107,22 +59,15 @@ def _chebyshev_apply(apply_a, x, lo, hi):
     return np.exp(-1j * c) * acc
 
 
-def expm_action(apply_a, x, config=ExpmConfig(), *, spectrum=None):
+def expm_action(apply_a, x, spectrum):
     """Return exp(A) x where A is given only through apply_a(v) = A v.
 
     x may be any complex or real ndarray; apply_a must be linear and
-    shape-preserving.  With spectrum=(lo, hi), A = -iH is taken to be
-    skew-Hermitian with the eigenvalues of H inside [lo, hi], and the
-    Chebyshev series runs (config is not used); otherwise the split Taylor
-    sum does.  The result is deterministic for fixed inputs.
+    shape-preserving.  A = -iH is taken to be skew-Hermitian with the
+    eigenvalues of H inside spectrum = (lo, hi).  The result is
+    deterministic for fixed inputs.
     """
-    if spectrum is not None:
-        lo, hi = float(spectrum[0]), float(spectrum[1])
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise ValueError("spectrum must be a finite interval (lo, hi), got %r" % (spectrum,))
-        return _chebyshev_apply(apply_a, x, lo, hi)
-    y = np.asarray(x)
-    inv_m = 1.0 / config.m
-    for _ in range(config.m):
-        y = _taylor_apply(apply_a, y, inv_m, config)
-    return y
+    lo, hi = float(spectrum[0]), float(spectrum[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+        raise ValueError("spectrum must be a finite interval (lo, hi), got %r" % (spectrum,))
+    return _chebyshev_apply(apply_a, x, lo, hi)

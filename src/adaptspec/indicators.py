@@ -19,7 +19,7 @@ basis._CACHE_ENTRY_LIMIT entries are rebuilt per call instead of cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -44,7 +44,6 @@ from .basis import (
 )
 
 __all__ = [
-    "IndicatorConfig",
     "default_tail_width",
     "frequency_indicator",
     "frequency_indicator_axis",
@@ -60,22 +59,7 @@ def default_tail_width(n: int) -> int:
     return max(1, n // 3)
 
 
-@dataclass(frozen=True)
-class IndicatorConfig:
-    """How many top modes count as 'tail' when measuring frequency content."""
-
-    m_rule: Callable[[int], int] = field(default=default_tail_width)
-
-
-_DEFAULT = IndicatorConfig()
-
-
-def _tail_width(n: int, config: IndicatorConfig | None) -> int:
-    m = int((config or _DEFAULT).m_rule(n))
-    return max(1, min(m, max(n, 1)))
-
-
-def frequency_indicator(u: SpectralExpansion, config: IndicatorConfig | None = None) -> float:
+def frequency_indicator(u: SpectralExpansion) -> float:
     """sqrt(tail energy / total energy) of the expansion, in [0, 1].
 
     Energy of mode i is gamma_i |u_i|^2 with gamma the continuous squared
@@ -86,21 +70,19 @@ def frequency_indicator(u: SpectralExpansion, config: IndicatorConfig | None = N
     if total == 0.0:
         return 0.0
     n = u.descriptor.order
-    m = _tail_width(n, config)
+    m = default_tail_width(n)
     tail = float(energy[max(n - m + 1, 0):].sum())
     return min(math.sqrt(tail / total), 1.0)
 
 
-def frequency_indicator_axis(
-    u: Expansion2D, axis: int, config: IndicatorConfig | None = None
-) -> float:
+def frequency_indicator_axis(u: Expansion2D, axis: int) -> float:
     """Per-axis frequency indicator of a tensor expansion (axis 0 = x)."""
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis}")
-    return _axis_indicators(u, config)[axis]
+    return _axis_indicators(u)[axis]
 
 
-def _axis_indicators(u: Expansion2D, config: IndicatorConfig | None = None) -> tuple:
+def _axis_indicators(u: Expansion2D) -> tuple:
     """The x and y frequency indicators of u, from one energy array."""
     gx = norms(u.descriptor_x)
     gy = norms(u.descriptor_y)
@@ -110,7 +92,7 @@ def _axis_indicators(u: Expansion2D, config: IndicatorConfig | None = None) -> t
         return 0.0, 0.0
     out = []
     for axis, d in enumerate((u.descriptor_x, u.descriptor_y)):
-        m = _tail_width(d.order, config)
+        m = default_tail_width(d.order)
         lo = max(d.order - m + 1, 0)
         tail = float(energy[lo:, :].sum() if axis == 0 else energy[:, lo:].sum())
         out.append(min(math.sqrt(tail / total), 1.0))

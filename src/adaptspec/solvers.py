@@ -166,7 +166,7 @@ def track_function_2d(
         if config.p_adaptivity:
             u, state_x, state_y, actions = p_adapt_step_2d(u, *states, config)
             states = (state_x, state_y)
-        freq_x, freq_y = _axis_indicators(u, config.indicator)
+        freq_x, freq_y = _axis_indicators(u)
         return u, states, StepRecord(
             actions=tuple(actions),
             freq=freq_x,
@@ -179,6 +179,6 @@ def track_function_2d(
     # only the order controller runs: the scale and exterior references stay unread
     states = tuple(
         AdaptiveState(freq_ref=f, scale_ref=0.0, exterior_ref=0.0, refine_factor=config.eta)
-        for f in _axis_indicators(u0, config.indicator)
+        for f in _axis_indicators(u0)
     )
     return _march(u0, states, step, dt, T, on_step)

@@ -31,7 +31,7 @@ from adaptspec.adapt import (
     refine,
     scale_step,
 )
-from adaptspec.expm import ExpmConfig, expm_action
+from adaptspec.expm import expm_action
 from adaptspec.indicators import relative_error
 from adaptspec.schrodinger import stiffness_matrix
 
@@ -154,7 +154,8 @@ def test_criterion_6_exponential_action_matches_eigendecomposition(report):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w, Q = np.linalg.eigh(1j * A)  # A = -i (iA), iA Hermitian
         exact = Q @ (np.exp(-1j * w) * (Q.conj().T @ x))
-        got = expm_action(lambda v: A @ v, x, ExpmConfig())
+        rho = np.linalg.norm(A, 2)  # eigenvalues of iA lie in [-rho, rho]
+        got = expm_action(lambda v: A @ v, x, (-rho, rho))
         worst = max(worst, float(np.linalg.norm(got - exact) / np.linalg.norm(x)))
 
     n = 24
@@ -162,9 +163,10 @@ def test_criterion_6_exponential_action_matches_eigendecomposition(report):
     A = (B - B.conj().T) / 2.0
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
+    rho = np.linalg.norm(A, 2)
     drift = 0.0
     for _ in range(200):
-        x = expm_action(lambda v: A @ v, x, ExpmConfig())
+        x = expm_action(lambda v: A @ v, x, (-rho, rho))
         drift = max(drift, abs(np.linalg.norm(x) - 1.0))
     report(6, worst < 1e-12 and drift < 1e-9,
            "(vs eigh: %.2e; unitarity drift over 200 steps: %.2e)" % (worst, drift))

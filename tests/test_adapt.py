@@ -515,14 +515,34 @@ def test_orchestrate_dead_zones_change_nothing():
     npt.assert_allclose(v.coefficients, u.coefficients, atol=0)
 
 
-def test_orchestrate_renews_references_after_order_change():
+def test_orchestrate_renews_references_after_order_change(monkeypatch):
+    # the record's indicators renew the references: one exterior
+    # evaluation follows the order step, not two
+    from adaptspec import adapt
+
+    calls = []
+
+    def counted(name):
+        fn = getattr(adapt, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("p_adapt_step", "exterior_error_indicator"):
+        monkeypatch.setattr(adapt, name, counted(name))
     c = 0.9 ** np.arange(13)
     u = SpectralExpansion(HER(12), c)
     cfg = ControllerConfig(n_max=3, moving=False)
     st = replace(initial_state(u, cfg), freq_ref=1e-9)
+    calls.clear()
     v, st2, rec = orchestrate_step(u, st, cfg, evolve=lambda w: w)
     assert "refine" in rec.actions
     assert v.descriptor.order == 15
+    assert st2.scale_ref == rec.freq and st2.exterior_ref == rec.ext
+    assert calls[calls.index("p_adapt_step") + 1:] == ["exterior_error_indicator"]
     npt.assert_allclose(st2.scale_ref, frequency_indicator(v), rtol=1e-12)
     npt.assert_allclose(
         st2.exterior_ref,

@@ -183,6 +183,16 @@ def test_example_6_refuses_a_fractional_horizon_before_the_reference_march(tmp_p
     assert experiments._reference_trajectory_6.cache_info().misses == misses
 
 
+def test_example_6_keeps_a_user_order_cap_below_the_reference_order(tmp_path):
+    # the reference order caps refinement from above; a lower n_abs still holds
+    def orders(**overrides):
+        cfg = example_config(6, T=0.02, n_ref=230, **overrides)
+        return [rec.order for rec in experiments.run(cfg, out=str(tmp_path / "r.csv"))]
+
+    assert orders(n_abs=210) == [210, 210]
+    assert orders() == orders(n_abs=500) == [220, 230]
+
+
 # ---------------------------------------------------------------------------
 # run() and the CSV contract
 

@@ -25,7 +25,6 @@ from adaptspec.indicators import (
     _composite_gauss,
     _exterior_panels,
     _reference_split,
-    IndicatorConfig,
     default_split_point,
     default_tail_width,
     exterior_error_indicator,
@@ -68,10 +67,9 @@ def test_frequency_all_zero_is_zero():
 
 
 def test_frequency_flat_orthonormal():
-    # orthonormal basis, N=5, M=2, all-ones: sqrt(2/6)
-    u = expansion(HER(5), np.ones(6))
-    cfg = IndicatorConfig(m_rule=lambda n: 2)
-    npt.assert_allclose(frequency_indicator(u, cfg), math.sqrt(2.0 / 6.0), rtol=1e-15)
+    # orthonormal basis, N=6, M=floor(6/3)=2, all-ones: sqrt(2/7)
+    u = expansion(HER(6), np.ones(7))
+    npt.assert_allclose(frequency_indicator(u), math.sqrt(2.0 / 7.0), rtol=1e-15)
 
 
 def test_frequency_weighted_by_norms():
@@ -91,18 +89,18 @@ def test_frequency_scale_invariance():
 
 
 def test_frequency_full_tail_is_one():
+    # N=1: M=1 = N leaves only mode 0 out of the tail
     rng = np.random.default_rng(6)
-    u = expansion(LEG(7), rng.standard_normal(8) + 0.1)
-    cfg = IndicatorConfig(m_rule=lambda n: n)  # M = N leaves only mode 0 out
+    u = expansion(LEG(1), rng.standard_normal(2) + 0.1)
     c = u.coefficients.copy()
     c[0] = 0.0
-    assert frequency_indicator(SpectralExpansion(u.descriptor, c), cfg) == 1.0
+    assert frequency_indicator(SpectralExpansion(u.descriptor, c)) == 1.0
 
 
 def test_frequency_complex_modulus():
+    # N=5, M=floor(5/3)=1: only the top mode is tail
     u = SpectralExpansion(HER(5), np.array([1j, 0, 0, 0, 0, 1 + 1j]))
-    cfg = IndicatorConfig(m_rule=lambda n: 1)
-    npt.assert_allclose(frequency_indicator(u, cfg), math.sqrt(2.0 / 3.0), rtol=1e-14)
+    npt.assert_allclose(frequency_indicator(u), math.sqrt(2.0 / 3.0), rtol=1e-14)
 
 
 def test_frequency_bounds_random():
@@ -512,10 +510,8 @@ def test_axis_indicators_equal_the_per_axis_calls():
     rng = np.random.default_rng(18)
     for U in (rng.standard_normal((9, 13)), np.zeros((9, 13)), np.eye(9, 13)):
         u = Expansion2D(LEG(8), BasisDescriptor(Family.CHEBYSHEV, 12), U)
-        config = IndicatorConfig(m_rule=lambda n: 2)
-        for cfg in (None, config):
-            both = _axis_indicators(u, cfg)
-            assert both == tuple(frequency_indicator_axis(u, k, cfg) for k in (0, 1))
+        both = _axis_indicators(u)
+        assert both == tuple(frequency_indicator_axis(u, k) for k in (0, 1))
 
 
 def test_exterior_cache_keeps_no_matrix_above_the_entry_limit():
