@@ -2,8 +2,9 @@
 
 Reconstruction: refine/coarsen (order +-1), rescale (new beta), translate
 (shift x_left).  Refinement pads the coefficients with a zero, which is
-exact because the spaces are nested and builds no grid for the new order.
-The other three evaluate the current expansion at the target space's grid
+exact because the spaces are nested; coarsening drops the top coefficient,
+which is the L2 projection onto the smaller space.  Neither builds a grid.
+The other two evaluate the current expansion at the target space's grid
 and re-interpolate.
 
 Controllers: order adaptivity driven by the frequency indicator with a
@@ -19,8 +20,8 @@ AdaptiveState.
 
 Cross matrices are cached on the frame of both spaces and the shift
 between them, so repeated moves by a fixed increment reuse one matrix.
-On the bounded families only a coarsening needs one: the same or a finer
-grid reads the top rows of its core rule's basis values.
+On the bounded families only a 2-D coarsening trial needs one: the same or
+a finer grid reads the top rows of its core rule's basis values.
 
 The translation trigger/increment loop reconstructs behavior summarized
 from a companion method (the source describes only the thresholds), and
@@ -153,8 +154,9 @@ class AdaptiveState:
 class StepRecord:
     """What one step did and saw; with t and error filled in, one CSV row.
 
-    A 1-D step fills order, beta and x_left; a tensor step fills order_x
-    and order_y, and its freq and ext hold the x- and y-axis indicators.
+    A 1-D step fills order, and ext, beta and x_left on an unbounded
+    family; a tensor step fills order_x and order_y, and its freq and ext
+    hold the x- and y-axis indicators.
     """
 
     actions: tuple[str, ...]
@@ -200,10 +202,16 @@ def refine(u: SpectralExpansion) -> SpectralExpansion:
 
 
 def coarsen(u: SpectralExpansion) -> SpectralExpansion:
-    """Order N -> N-1 by interpolation; generally lossy."""
+    """Order N -> N-1 by dropping the top coefficient; lossy unless it is zero.
+
+    For an orthogonal basis this is the L2 projection onto the smaller
+    space, so, like refine, it builds no grid.  Interpolating at the coarse
+    grid instead would alias the dropped mode onto the kept ones.
+    """
     if u.descriptor.order == 0:
         raise ValueError("cannot coarsen below order 0")
-    return resample(u, _with_order(u.descriptor, u.descriptor.order - 1))
+    d = _with_order(u.descriptor, u.descriptor.order - 1)
+    return SpectralExpansion(d, u.coefficients[:-1].copy())
 
 
 def rescale(u: SpectralExpansion, beta_new: float) -> SpectralExpansion:
@@ -420,8 +428,9 @@ def orchestrate_step(
         u, state, order_acts = p_adapt_step(u, state, config)
         actions += order_acts
 
+    d = u.descriptor
     freq = frequency_indicator(u)
-    ext = exterior_error_indicator(u) if unbounded else math.nan
+    ext = exterior_error_indicator(u) if unbounded else None
     if order_acts:
         state = replace(
             state, scale_ref=freq, exterior_ref=ext if unbounded else state.exterior_ref
@@ -431,13 +440,15 @@ def orchestrate_step(
         actions=tuple(actions),
         freq=freq,
         ext=ext,
-        order=u.descriptor.order,
-        beta=u.descriptor.beta,
-        x_left=u.descriptor.x_left,
+        order=d.order,
+        beta=d.beta if unbounded else None,
+        x_left=d.x_left if unbounded else None,
     )
 
 
 def _step_count(dt, T):
+    if not (0.0 < dt < math.inf and 0.0 < T < math.inf and T / dt < math.inf):
+        raise ValueError("dt and T must be positive and finite")
     n = int(round(T / dt))
     if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must be a positive integer number of steps")

@@ -583,24 +583,22 @@ def _with_order(d: BasisDescriptor, order: int) -> BasisDescriptor:
 
 
 @lru_cache(maxsize=256)
-def _transform_matrix(frame: tuple) -> np.ndarray:
-    """T with u = T @ values: row i is w_s B_i(x_s) / gamma_hat_i.
+def _transform_matrix(family: Family, order: int, a: float, b: float) -> np.ndarray:
+    """T with u = T @ values on the reference rule: row i is w_s phi_i(y_s) / gamma_hat_i.
 
-    T depends on the core rule and beta only, so it is keyed on the frame
-    (through _transform_of) and translated grids share one entry.
+    Keyed like _core.  A scaled and shifted grid has basis values
+    sqrt(beta) V and weights w/beta, so its transform is T / sqrt(beta):
+    to_coefficients applies that factor, and every beta and x_left of one
+    family and order shares this entry.
     """
-    d = _at(frame, 0.0)
-    core = _core_of(d)
+    core = _core(family, order, a, b)
     T = core.V * core.w / core.gamma_hat[:, None]
-    if not d.bounded:
-        # (w/beta) * (sqrt(beta) V) / gamma_hat = V * w / (sqrt(beta) gamma_hat)
-        T = T / math.sqrt(d.beta)
     T.setflags(write=False)
     return T
 
 
 def _transform_of(d: BasisDescriptor) -> np.ndarray:
-    return _transform_matrix(_frame(d))
+    return _transform_matrix(d.family, d.order, *_exponents(d))
 
 
 # Operator caches hold at most this many matrix entries per matrix; larger
@@ -646,14 +644,6 @@ def _cross_matrix(d_from: BasisDescriptor, d_to: BasisDescriptor) -> np.ndarray:
     return _cross_matrix_build(*key)
 
 
-def _values_matrix(d: BasisDescriptor) -> np.ndarray:
-    """B[i, s] = B_i(x_s) on the space's own grid."""
-    core = _core_of(d)
-    if d.bounded:
-        return core.V
-    return math.sqrt(d.beta) * core.V
-
-
 def _apply_real(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     """A @ c for a real matrix A and a real or complex vector c.
 
@@ -672,12 +662,15 @@ def to_coefficients(values, d: BasisDescriptor) -> SpectralExpansion:
     values = np.asarray(values)
     if values.shape != (d.size,):
         raise ValueError(f"expected {d.size} grid values, got shape {values.shape}")
-    return SpectralExpansion(d, _apply_real(_transform_of(d), values))
+    c = _apply_real(_transform_of(d), values)
+    return SpectralExpansion(d, c if d.beta == 1.0 else c / math.sqrt(d.beta))
 
 
 def node_values(u: SpectralExpansion) -> np.ndarray:
-    """Values of the expansion on its own grid (two-matvec path)."""
-    return _apply_real(_values_matrix(u.descriptor).T, u.coefficients)
+    """Values of the expansion on its own grid: sqrt(beta) V^T u."""
+    d = u.descriptor
+    v = _apply_real(_core_of(d).V.T, u.coefficients)
+    return v if d.beta == 1.0 else v * math.sqrt(d.beta)
 
 
 def to_values(u: SpectralExpansion, x) -> np.ndarray:
@@ -690,11 +683,15 @@ def to_coefficients_2d(values, dx: BasisDescriptor, dy: BasisDescriptor) -> Expa
     if values.shape != (dx.size, dy.size):
         raise ValueError(f"expected shape {(dx.size, dy.size)}, got {values.shape}")
     U = _transform_of(dx) @ values @ _transform_of(dy).T
-    return Expansion2D(dx, dy, U)
+    scale = math.sqrt(dx.beta) * math.sqrt(dy.beta)  # sqrt(beta) per unbounded axis
+    return Expansion2D(dx, dy, U if scale == 1.0 else U / scale)
 
 
 def node_values_2d(u: Expansion2D) -> np.ndarray:
-    return _values_matrix(u.descriptor_x).T @ u.coefficients @ _values_matrix(u.descriptor_y)
+    dx, dy = u.descriptor_x, u.descriptor_y
+    v = _core_of(dx).V.T @ u.coefficients @ _core_of(dy).V
+    scale = math.sqrt(dx.beta) * math.sqrt(dy.beta)
+    return v if scale == 1.0 else v * scale
 
 
 def to_values_2d(u: Expansion2D, x, y) -> np.ndarray:

@@ -55,8 +55,6 @@ def _add_common(parser):
                         help="disable order adaptivity")
     parser.add_argument("--no-adapt", action="store_true",
                         help="disable all three controllers")
-    parser.add_argument("--full", action="store_true",
-                        help="example 6: use the long reference (order 2500)")
     parser.add_argument("--out", default=None, help="output CSV path")
 
 
@@ -83,8 +81,6 @@ def _collect_overrides(args):
     overrides = {}
     if args.config:
         overrides.update(experiments.load_config_file(args.config))
-    if args.full:
-        overrides.update(n_ref=2500)
     for dest in [key for _, key, _ in _VALUE_FLAGS] + ["scaling", "moving", "p_adaptivity"]:
         value = getattr(args, dest)
         if value is not None:

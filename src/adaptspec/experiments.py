@@ -19,7 +19,7 @@ from operator import attrgetter
 import numpy as np
 from scipy.special import erfc
 
-from .adapt import AdaptiveState, ControllerConfig, StepRecord, _march, _step_count, scale_step
+from .adapt import AdaptiveState, ControllerConfig, _march, _step_count, scale_step
 from .basis import (
     BasisDescriptor,
     Family,
@@ -91,8 +91,8 @@ class ExperimentConfig:
             raise ValueError("example must be 1..6, got %r" % (self.example,))
         if self.order < 0:
             raise ValueError("order must be >= 0")
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
+            raise ValueError("dt and T must be positive and finite")
         if self.beta0 <= 0:
             raise ValueError("beta0 must be positive")
         if self.n_ref < 1:
@@ -259,10 +259,10 @@ def example_config(example, **overrides):
 # ---------------------------------------------------------------------------
 # runners
 
-def _logger(target, bounded=False):
+def _logger(target):
     """A record list and the on_step callback that appends each step to it,
     with t and the error against target(x, t), or target(X, Y, t) for a
-    tensor run, filled in.  A bounded 1-D row blanks ext, beta and x_left.
+    tensor run, filled in.
     """
     records = []
 
@@ -271,20 +271,7 @@ def _logger(target, bounded=False):
             error = relative_error(u, lambda x: target(x, t))
         else:
             error = relative_error_2d(u, lambda X, Y: target(X, Y, t))
-        records.append(
-            StepRecord(
-                actions=rec.actions,
-                freq=rec.freq,
-                ext=None if bounded else rec.ext,
-                order=rec.order,
-                beta=None if bounded else rec.beta,
-                x_left=None if bounded else rec.x_left,
-                order_x=rec.order_x,
-                order_y=rec.order_y,
-                t=t,
-                error=error,
-            )
-        )
+        records.append(dataclasses.replace(rec, t=t, error=error))
 
     return records, log
 
@@ -301,7 +288,7 @@ def _run_example_1(cfg):
         T=cfg.T,
         boundary=(-1, lambda s: np.cos(3.0 * (s + 1.0))),
     )
-    records, log = _logger(analytic, bounded=True)
+    records, log = _logger(analytic)
     u, _ = solve_collocation(problem, cfg.controller, u0, on_step=log)
     return records, u
 

@@ -15,12 +15,13 @@ its two bands, and the potential term has exactly the node values of the
 time-integrated potential as eigenvalues (the Gauss rule is exact for
 products of two basis functions).  No splitting depth is tuned by hand.
 
-Every operator applied to the complex coefficients (the collocation pair,
-transforms, cross matrices, exterior panels) is real, so each product runs
-in real arithmetic as one two-column real matrix product, never through a
-complex copy of the matrix.  Transforms, cross matrices and exterior
-panels are cached in the reference frame (without x_left), so a moving
-grid reuses them.
+Every operator applied to the complex coefficients (the reference basis
+values, transforms, cross matrices, exterior panels) is real, so each
+product runs in real arithmetic as one two-column real matrix product,
+never through a complex copy of the matrix.  The operators within one
+space come from the reference rule: beta scales the stiffness bands and
+cancels from the potential term, and x_left enters neither, so a moved or
+rescaled grid builds no new matrix for them.
 """
 
 import math
@@ -36,7 +37,7 @@ from .basis import (
     Family,
     SpectralExpansion,
     _apply_real,
-    _values_matrix,
+    _core_of,
     nodes_weights,
     to_coefficients,
 )
@@ -84,12 +85,12 @@ def _require_hermite(d: BasisDescriptor):
 
 
 @lru_cache(maxsize=32)
-def _stiffness_bands(d: BasisDescriptor):
+def _stiffness_bands(size: int, beta: float):
     # d/dx B_n = beta (sqrt(n/2) B_{n-1} - sqrt((n+1)/2) B_{n+1}) gives
-    # (B_l', B_j') nonzero only at |l-j| in {0, 2}
-    n = np.arange(d.size, dtype=float)
-    main = d.beta**2 * (2 * n + 1) / 2
-    upper2 = -(d.beta**2) * np.sqrt((n[:-2] + 1) * (n[:-2] + 2)) / 2
+    # (B_l', B_j') nonzero only at |l-j| in {0, 2}; x_left does not enter
+    n = np.arange(size, dtype=float)
+    main = beta**2 * (2 * n + 1) / 2
+    upper2 = -(beta**2) * np.sqrt((n[:-2] + 1) * (n[:-2] + 2)) / 2
     main.setflags(write=False)
     upper2.setflags(write=False)
     return main, upper2
@@ -97,7 +98,7 @@ def _stiffness_bands(d: BasisDescriptor):
 
 def _stiffness_bound(d: BasisDescriptor) -> float:
     """Gershgorin bound on the top eigenvalue of S: largest absolute row sum."""
-    main, upper2 = _stiffness_bands(d)
+    main, upper2 = _stiffness_bands(d.size, d.beta)
     rows = main.copy()
     rows[:-2] += np.abs(upper2)
     rows[2:] += np.abs(upper2)
@@ -107,7 +108,7 @@ def _stiffness_bound(d: BasisDescriptor) -> float:
 def stiffness_matrix(d: BasisDescriptor) -> np.ndarray:
     """Dense (B_l', B_j') matrix: symmetric, pentadiagonal pattern."""
     _require_hermite(d)
-    main, upper2 = _stiffness_bands(d)
+    main, upper2 = _stiffness_bands(d.size, d.beta)
     s = np.diag(main)
     if len(upper2):
         s += np.diag(upper2, 2) + np.diag(upper2, -2)
@@ -117,7 +118,7 @@ def stiffness_matrix(d: BasisDescriptor) -> np.ndarray:
 def stiffness_apply(d: BasisDescriptor, x: np.ndarray) -> np.ndarray:
     """S @ x through the two bands, O(N)."""
     _require_hermite(d)
-    main, upper2 = _stiffness_bands(d)
+    main, upper2 = _stiffness_bands(d.size, d.beta)
     y = main * x
     if len(x) > 2:
         y[:-2] += upper2 * x[2:]
@@ -125,17 +126,17 @@ def stiffness_apply(d: BasisDescriptor, x: np.ndarray) -> np.ndarray:
     return y
 
 
-@lru_cache(maxsize=6)
-def _collocation_matrices(d: BasisDescriptor):
-    # phi[i, s] = B_i(x_s); proj[i, s] = w_s B_i(x_s).  Together they give
-    # the Galerkin projection of a multiplication operator in two dense
-    # passes (the rule is exact for products of two basis functions, so no
-    # mass-matrix solve appears).
-    phi = _values_matrix(d)
-    proj = phi * nodes_weights(d).weights
-    phi.setflags(write=False)
-    proj.setflags(write=False)
-    return phi, proj
+def _potential_operator(d: BasisDescriptor, g: np.ndarray):
+    """X -> V diag(w g) V^T X: the Galerkin projection of multiplication by g.
+
+    The rule is exact for products of two basis functions, so no
+    mass-matrix solve appears.  The grid's basis values sqrt(beta) V and
+    weights w/beta leave beta out of the product, so the reference rule's
+    V and w serve every scaled and shifted grid.
+    """
+    core = _core_of(d)
+    wg = core.w * g
+    return lambda X: _apply_real(core.V, wg * _apply_real(core.V.T, X))
 
 
 def _integrated_potential(d, V, V_ex, t_n, dt):
@@ -163,9 +164,7 @@ def potential_apply(d: BasisDescriptor, V, V_ex, t_n, dt, X) -> np.ndarray:
         raise ValueError(f"expected {d.size} coefficients, got shape {X.shape}")
     if V is None and V_ex is None:
         return np.zeros_like(X)
-    phi, proj = _collocation_matrices(d)
-    g = _integrated_potential(d, V, V_ex, t_n, dt)
-    return _apply_real(proj, g * _apply_real(phi.T, X))
+    return _potential_operator(d, _integrated_potential(d, V, V_ex, t_n, dt))(X)
 
 
 def propagate_step(psi, d: BasisDescriptor, problem: SchrodingerProblem, t_n):
@@ -184,11 +183,9 @@ def propagate_step(psi, d: BasisDescriptor, problem: SchrodingerProblem, t_n):
         apply_a = lambda X: -1j * dt * stiffness_apply(d, X)
         g_lo = g_hi = 0.0
     else:
-        phi, proj = _collocation_matrices(d)
         g = _integrated_potential(d, problem.V, problem.V_ex, t_n, dt)
-        apply_a = lambda X: -1j * (
-            dt * stiffness_apply(d, X) + _apply_real(proj, g * _apply_real(phi.T, X))
-        )
+        apply_v = _potential_operator(d, g)
+        apply_a = lambda X: -1j * (dt * stiffness_apply(d, X) + apply_v(X))
         g_lo, g_hi = g.min(), g.max()
     return expm_action(apply_a, psi, spectrum=(g_lo, dt * _stiffness_bound(d) + g_hi))
 
@@ -202,8 +199,8 @@ def adapt_schrodinger_run(
     """Evolve psi0 from t=0 to t=T with the full adaptive loop.
 
     Each step propagates, then lets the controllers move/rescale/reorder
-    the space; the operator pieces are rebuilt automatically whenever the
-    descriptor changes (they are cached per descriptor).  on_step(t, u,
+    the space; the operator pieces follow the current descriptor (the
+    stiffness bands are cached per order and beta).  on_step(t, u,
     record) is called after every step.  Returns the final expansion and
     the per-step records.
     """

@@ -112,12 +112,24 @@ def test_coarsen_exact_when_top_mode_zero():
     npt.assert_allclose(v.coefficients, c[:8], atol=1e-12)
 
 
-def test_coarsen_aliases_pure_top_mode():
-    # T_4 sampled on the 4-point Chebyshev-Lobatto grid interpolates to T_2:
-    # values at {±1, ±1/2} are {1, -1/2, -1/2, 1}
+def test_coarsen_truncates_the_top_mode():
+    # the L2 projection drops T_4 entirely; interpolating at the 4-point
+    # Chebyshev-Lobatto grid would alias it onto T_2
     u = SpectralExpansion(CHEB(4), np.array([0.0, 0, 0, 0, 1.0]))
     v = coarsen(u)
-    npt.assert_allclose(v.coefficients, [0.0, 0.0, 1.0, 0.0], atol=1e-13)
+    assert v.descriptor == CHEB(3)
+    npt.assert_array_equal(v.coefficients, np.zeros(4))
+    # any family, complex coefficients: the first N coefficients, bit for bit,
+    # in a fresh array, with no grid built
+    rng = np.random.default_rng(17)
+    c = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+    u = SpectralExpansion(HER(12, beta=1.3, x_left=0.4), c)
+    misses = basis._core.cache_info().misses
+    v = coarsen(u)
+    assert basis._core.cache_info().misses == misses
+    assert v.descriptor == HER(11, beta=1.3, x_left=0.4)
+    npt.assert_array_equal(v.coefficients, c[:12])
+    assert not np.shares_memory(v.coefficients, c)
 
 
 def test_coarsen_linear_to_constant():
@@ -580,8 +592,9 @@ def test_orchestrate_bounded_skips_unbounded_controllers():
     cfg = ControllerConfig()
     st = initial_state(u, cfg)
     v, st2, rec = orchestrate_step(u, st, cfg, evolve=lambda w: w)
-    assert math.isnan(rec.ext)
-    assert rec.beta == 1.0
+    assert rec.ext is None
+    assert rec.beta is None and rec.x_left is None
+    assert rec.order == v.descriptor.order
 
 
 def test_config_validation():

@@ -280,6 +280,20 @@ def test_transform_matrix_ignores_translation():
     assert _transform_of(replace(lag, x_left=-1.0)) is _transform_of(lag)
 
 
+@pytest.mark.parametrize("family", [Family.HERMITE_FN, Family.LAGUERRE_FN])
+def test_transform_matrix_ignores_scaling(family):
+    # one reference matrix per family and order; beta enters as 1/sqrt(beta)
+    d1 = BasisDescriptor(family, 21, x_left=0.4)
+    scaled = [replace(d1, beta=b) for b in (0.7, 1.3, 2.0)]
+    assert all(_transform_of(d) is _transform_of(d1) for d in scaled)
+    rng = np.random.default_rng(6)
+    real = rng.standard_normal(d1.size)
+    for v in (real, real + 1j * rng.standard_normal(d1.size)):
+        ref = to_coefficients(v, d1).coefficients
+        for d in scaled:
+            assert np.array_equal(to_coefficients(v, d).coefficients, ref / math.sqrt(d.beta))
+
+
 def test_transform_recovers_exact_coefficients():
     # interpolating an exact degree-N combination returns its coefficients
     d = BasisDescriptor(Family.LEGENDRE, 9)

@@ -1,6 +1,7 @@
 """Experiment harness: config plumbing, CSV contract, sweep, CLI."""
 
 import csv
+import math
 import subprocess
 import sys
 
@@ -67,6 +68,10 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(example=3, controller=ctrl, family=Family.LAGUERRE_FN,
                          order=50, beta0=0.0)
+    for dt, T in ((0.0, 1.0), (1e-3, math.inf), (1e-3, math.nan), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ExperimentConfig(example=3, controller=ctrl, family=Family.LAGUERRE_FN,
+                             order=50, dt=dt, T=T)
 
 
 def test_reference_march_equals_the_scaling_only_adaptive_run():
@@ -375,6 +380,13 @@ def test_cli_rejects_invalid_configurations(tmp_path):
 
     missing = _cli("run", "--example", "1", "--config", str(tmp_path / "nope.txt"))
     assert missing.returncode != 0 and "usage:" in missing.stderr
+
+
+def test_cli_refuses_an_infinite_horizon(tmp_path):
+    proc = _cli("run", "--example", "3", "--T", "inf", "--out", str(tmp_path / "inf.csv"))
+    assert proc.returncode == 2, proc.stderr
+    assert "usage:" in proc.stderr and "positive and finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_no_adapt_freezes_every_controller(tmp_path):

@@ -11,13 +11,13 @@ from adaptspec import (
     Family,
     SpectralExpansion,
     differentiate,
+    evaluate_all,
     nodes_weights,
     to_coefficients,
     to_values,
 )
 from adaptspec import schrodinger
-from adaptspec.adapt import ControllerConfig, initial_state, orchestrate_step
-from adaptspec.basis import _values_matrix
+from adaptspec.adapt import ControllerConfig, initial_state, orchestrate_step, translate
 from adaptspec.experiments import _example_6_potentials, example_config
 from adaptspec.indicators import relative_error
 from adaptspec.schrodinger import (
@@ -86,6 +86,20 @@ def test_stiffness_rejects_bounded_family():
         stiffness_matrix(BasisDescriptor(Family.LEGENDRE, 4))
 
 
+def test_translated_grid_reuses_the_stiffness_bands():
+    # the bands depend on the order and beta only: a moved grid hits the cache
+    u = SpectralExpansion(HER(30, beta=1.3, x_left=0.2), np.linspace(1.0, 0.0, 31) + 0j)
+    problem = SchrodingerProblem(psi0=lambda s: 0 * s, dt=0.01, T=0.01)
+    step = propagate_step(u.coefficients, u.descriptor, problem, 0.0)
+    before = schrodinger._stiffness_bands.cache_info()
+    moved = translate(u, 0.005)
+    moved_step = propagate_step(u.coefficients, moved.descriptor, problem, 0.0)
+    after = schrodinger._stiffness_bands.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+    npt.assert_array_equal(moved_step, step)
+
+
 # ----------------------------------------------------------- potential
 
 
@@ -103,12 +117,10 @@ def test_potential_constant_is_scaled_identity():
 
 
 def test_potential_matches_dense_assembly():
-    from adaptspec.basis import _values_matrix
-
     d = HER(8, beta=1.1, x_left=-0.3)
     V = lambda s: np.exp(-(s**2))
     rule = nodes_weights(d)
-    phi = _values_matrix(d)
+    phi = evaluate_all(d, rule.nodes)
     dense = (phi * (rule.weights * V(rule.nodes) * 0.05)) @ phi.T
     x = np.random.default_rng(2).standard_normal(9) + 0j
     npt.assert_allclose(potential_apply(d, V, None, 0.0, 0.05, x), dense @ x, atol=1e-11)
@@ -304,7 +316,7 @@ def test_propagate_step_with_potential_matches_dense_exponential():
     t_n = 0.2
     # assemble the generator densely: potential columns from unit vectors
     rule = nodes_weights(d)
-    phi = _values_matrix(d)
+    phi = evaluate_all(d, rule.nodes)
     g = V(rule.nodes) * problem.dt
     for xi, wq in zip((0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)), (5 / 18, 4 / 9, 5 / 18)):
         g = g + wq * problem.dt * V_ex(rule.nodes, t_n + xi * problem.dt)
@@ -331,7 +343,7 @@ def test_potential_operator_eigenvalues_are_the_node_values():
     cfg = example_config(6)
     V, V_ex = _example_6_potentials(cfg.v_depth, cfg.v_sharp, cfg.drive_amp, cfg.drive_freq)
     g = schrodinger._integrated_potential(d, V, V_ex, 0.37, 0.01)
-    phi = _values_matrix(d)
+    phi = evaluate_all(d, nodes_weights(d).nodes)
     vtilde = (phi * (nodes_weights(d).weights * g)) @ phi.T
     eig = np.linalg.eigvalsh((vtilde + vtilde.T) / 2)
     slack = 1e-13 * np.abs(g).max()

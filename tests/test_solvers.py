@@ -163,6 +163,15 @@ def test_tracking_time_independent_target_never_acts():
     assert u.descriptor.beta == 2.0
 
 
+@pytest.mark.parametrize("dt, T", [(0.0, 1.0), (0.01, math.inf), (0.01, math.nan), (1e-310, 1e10)])
+def test_tracking_refuses_a_step_or_horizon_that_is_not_positive_and_finite(dt, T):
+    target = lambda x, t: np.exp(-x)
+    with pytest.raises(ValueError, match="positive and finite"):
+        track_function(target, ControllerConfig(), LAG(10), dt=dt, T=T)
+    with pytest.raises(ValueError, match="positive and finite"):
+        track_function_2d(lambda X, Y, t: X * Y, ControllerConfig(), LEG(4), LEG(4), dt=dt, T=T)
+
+
 def test_tracking_spreading_oscillatory_target():
     # envelope exp(-x/(0.7 t + 2)) relaxes over time: the grid must spread
     # (beta down) and the order must grow to keep the visible cos(x) waves
