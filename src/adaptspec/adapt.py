@@ -129,7 +129,7 @@ class ControllerConfig:
             raise ValueError(f"mu must be > 1, got {self.mu}")
         if not self.delta > 0.0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.d_max < 0.0:
+        if not self.d_max >= 0.0:
             raise ValueError(f"d_max must be >= 0, got {self.d_max}")
 
 

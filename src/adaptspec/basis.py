@@ -12,8 +12,8 @@ The unbounded families carry a scaling factor beta and a translation
 x_left: grid nodes are x = y/beta + x_left where y is the reference grid,
 and the basis functions absorb sqrt(beta) so that discrete orthonormality
 is preserved under rescaling.  Nodes come from the symmetric-tridiagonal
-(Golub-Welsch) eigenproblem with endpoint modifications computed from
-orthonormal polynomial values, followed by one Newton polish; weights for
+(Golub-Welsch) eigenproblem, with the Lobatto endpoint modification computed
+from orthonormal polynomial values, followed by one Newton polish; weights for
 the function families use the Christoffel form 1/sum_k phi_k(y)^2, which
 stays finite for orders in the thousands where the classical closed forms
 overflow.
@@ -28,9 +28,9 @@ the orthonormal polynomials of a monic recurrence, which give the Hermite
 and Laguerre functions under an exponential envelope (the polynomial part
 is divided by 1e130 wherever it exceeds that, and the envelope makes up
 the difference).  A companion recurrence for p_k' serves the
-Newton polish of the nodes and the Jacobi and Laguerre derivatives, and
-the Lobatto and Radau endpoint values come from the same recurrence run
-in scalar arithmetic.
+Newton polish of the nodes and the Jacobi derivative rows (the other
+families differentiate in coefficient space), and the Lobatto endpoint
+values come from the same recurrence run in scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -262,15 +262,6 @@ def _family_table(family: Family, n: int, a: float = 0.0, b: float = 0.0):
     return _orthonormal_table(*_recurrence_laguerre(n + 1, a), orient=-1.0)
 
 
-def _log_envelope(family: Family, y: np.ndarray):
-    """Exponent of the function families' envelope; None for polynomials."""
-    if family is Family.HERMITE_FN:
-        return -0.5 * y * y
-    if family is Family.LAGUERRE_FN:
-        return -0.5 * y
-    return None
-
-
 def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
     """Yield (p_k, d_k, env) for k = 0..n, one row at a time.
 
@@ -343,7 +334,12 @@ def _rows(table, x: np.ndarray, log_env=None) -> np.ndarray:
 
 def _basis_rows(family: Family, n: int, y: np.ndarray, a: float = 0.0, b: float = 0.0):
     """Reference basis values B_k(y), k = 0..n (no sqrt(beta) factor)."""
-    return _rows(_family_table(family, n, a, b), y, _log_envelope(family, y))
+    log_env = None  # the exponent of the function families' envelope
+    if family is Family.HERMITE_FN:
+        log_env = -0.5 * y * y
+    elif family is Family.LAGUERRE_FN:
+        log_env = -0.5 * y
+    return _rows(_family_table(family, n, a, b), y, log_env)
 
 
 def _last_row(table, x: np.ndarray, rescale: bool = False):
@@ -385,19 +381,12 @@ def _lobatto_nodes(alpha: np.ndarray, beta: np.ndarray, lo: float, hi: float):
     return vals, w
 
 
-def _radau_alpha(alpha: np.ndarray, beta: np.ndarray, t: float):
-    """Modified last diagonal entry pinning t as a node (Gauss-Radau)."""
-    m = len(alpha) - 1
-    p1, p = _endpoint_values(alpha, beta, t)
-    return t - math.sqrt(beta[m]) * p1 / p
-
-
 def _endpoint_values(alpha: np.ndarray, beta: np.ndarray, t: float):
     """(p_{m-1}(t), p_m(t)) of the orthonormal rows, m = len(alpha) - 1.
 
-    _recurrence's operations on one point in scalar arithmetic, equal bit
-    for bit: at one or two points its per-row ufunc calls cost about ten
-    times the arithmetic.
+    The Lobatto modification reads these.  _recurrence's operations on one
+    point in scalar arithmetic, equal bit for bit: at one or two points its
+    per-row ufunc calls cost about ten times the arithmetic.
     """
     _, B, C, D, p0 = _orthonormal_table(alpha, beta)
     p_prev, p = 0.0, float(p0)
@@ -476,16 +465,12 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
             del h  # not kept alive while V is built
             y = 0.5 * (y - y[::-1])  # enforce the exact symmetry of the grid
     elif family is Family.LAGUERRE_FN:
-        alpha, beta = _recurrence_laguerre(n + 1, a)
-        alpha[n] = _radau_alpha(alpha, beta, 0.0) if n >= 1 else a + 1.0
-        if n == 0:
-            # single Radau node pinned at the left endpoint
-            y = np.array([0.0])
-        else:
-            y = _gauss_nodes(alpha, beta)
-            y[0] = 0.0
-            # interior nodes: roots of the degree-n Laguerre(a+1) function
-            # p e^{-y/2}, whose Newton ratio is p / (p' - p/2)
+        # Radau: the left endpoint, then the roots of the degree-n Laguerre(a+1)
+        # polynomial, which are the Gauss nodes of its weight (Golub 1973)
+        y = np.zeros(n + 1)
+        if n >= 1:
+            y[1:] = _gauss_nodes(*_recurrence_laguerre(n, a + 1.0))
+            # Newton on the degree-n Laguerre(a+1) function p e^{-y/2}: ratio p / (p' - p/2)
             table = _orthonormal_table(*_recurrence_laguerre(n + 1, a + 1.0))
             p, dp = _last_row(table, y[1:], rescale=True)
             y[1:] = y[1:] - p / (dp - 0.5 * p)
@@ -706,7 +691,7 @@ def to_values_2d(u: Expansion2D, x, y) -> np.ndarray:
 # Differentiation.
 
 
-# 1, 2, 3, ...: the integer factors of the Chebyshev and Legendre derivatives
+# 1, 2, 3, ...: the integer factors of the Chebyshev, Legendre and Laguerre derivatives
 _COUNT = np.arange(1.0, 2.0 * MAX_ORDER + 2.0)
 _COUNT.setflags(write=False)
 
@@ -714,12 +699,11 @@ _COUNT.setflags(write=False)
 def differentiate(u: SpectralExpansion) -> SpectralExpansion:
     """Expansion of du/dx.
 
-    Chebyshev/Legendre/Hermite use exact coefficient recurrences (the
-    Hermite result has order N+1: differentiation couples upward).  Jacobi
-    and Laguerre differentiate the recurrence at the grid nodes and
-    re-interpolate, which is exact because the derivative stays in a space
-    the same grid resolves (degree N polynomials; p(x)e^{-y/2} with
-    deg p <= N).
+    Chebyshev/Legendre/Hermite/Laguerre use exact coefficient recurrences
+    (the Hermite result has order N+1: differentiation couples upward).
+    Jacobi differentiates the recurrence at the grid nodes and
+    re-interpolates, which is exact because degree N polynomials stay in
+    the space the grid resolves.
     """
     d = u.descriptor
     n = d.order
@@ -753,13 +737,11 @@ def differentiate(u: SpectralExpansion) -> SpectralExpansion:
     if d.family is Family.HERMITE_FN:
         return SpectralExpansion(_with_order(d, n + 1), _hermite_derivative(a, d.beta))
 
-    # Jacobi polynomials, Laguerre functions: derivative values at the nodes
-    rows = _derivative_rows_cached if d.size * d.size <= _CACHE_ENTRY_LIMIT else _derivative_rows
-    dphi = rows(d.family, n, *_exponents(d))
-    if d.bounded:
-        return to_coefficients(dphi.T @ a, d)
-    # chain rule of y = beta (x - x_left) and the sqrt(beta) normalisation
-    return to_coefficients((d.beta * math.sqrt(d.beta)) * (dphi.T @ a), d)
+    if d.family is Family.LAGUERRE_FN:
+        return SpectralExpansion(d, _laguerre_derivative(a, d.beta, d.laguerre_a))
+
+    # Jacobi polynomials: derivative values at the nodes
+    return to_coefficients(_derivative_rows(n, *_exponents(d)).T @ a, d)
 
 
 def _hermite_derivative(a: np.ndarray, beta: float) -> np.ndarray:
@@ -775,21 +757,24 @@ def _hermite_derivative(a: np.ndarray, beta: float) -> np.ndarray:
     return b
 
 
-def _derivative_rows(family: Family, order: int, a: float, b: float) -> np.ndarray:
-    """Rows B_k'(y) on the reference grid (Jacobi, Laguerre); beta enters as a factor."""
-    y = _core(family, order, a, b).y
+def _laguerre_derivative(a: np.ndarray, beta: float, alpha: float) -> np.ndarray:
+    """Order-N Laguerre coefficients of the derivative of an order-N expansion.
+
+    (L_n^alpha)' = -sum_{k<n} L_k^alpha (Szego, sec. 5.1) and
+    (p e^{-y/2})' = (p' - p/2) e^{-y/2} give b = beta (a/2 - r S), with
+    r_k = sqrt(h_k/h_0), h_k = Gamma(k+alpha+1)/k!, and the suffix sums
+    S_k = sum_{n>=k} a_n / r_n (one reversed cumulative sum).
+    """
+    k = _COUNT[: a.size - 1]
+    r = np.sqrt(np.cumprod(np.concatenate(([1.0], (k + alpha) / k))))  # h_k/h_{k-1} = (k+alpha)/k
+    return beta * (0.5 * a - r * np.cumsum((a / r)[::-1])[::-1])
+
+
+def _derivative_rows(order: int, a: float, b: float) -> np.ndarray:
+    """Rows P_k'(y) of the Jacobi(a, b) polynomials on the reference grid."""
+    y = _core(Family.JACOBI, order, a, b).y
     out = np.empty((order + 1, y.size))
-    rows = _recurrence(_family_table(family, order, a, b), y, _log_envelope(family, y), deriv=True)
-    for k, (p, dp, env) in enumerate(rows):
-        if env is None:
-            out[k] = dp
-        else:  # (p e^{-y/2})' = (p' - p/2) e^{-y/2}
-            np.multiply(dp - 0.5 * p, env, out=out[k])
+    rows = _recurrence(_family_table(Family.JACOBI, order, a, b), y, deriv=True)
+    for k, (_, dp, _) in enumerate(rows):
+        out[k] = dp
     return out
-
-
-@lru_cache(maxsize=2)
-def _derivative_rows_cached(family: Family, order: int, a: float, b: float) -> np.ndarray:
-    dphi = _derivative_rows(family, order, a, b)
-    dphi.setflags(write=False)
-    return dphi

@@ -93,8 +93,12 @@ class ExperimentConfig:
             raise ValueError("order must be >= 0")
         if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
             raise ValueError("dt and T must be positive and finite")
-        if self.beta0 <= 0:
-            raise ValueError("beta0 must be positive")
+        for name in ("beta0", "x_left0", "a", "b", "zeta", "k", "v_depth", "v_sharp",
+                     "drive_amp", "drive_freq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
+        if self.beta0 <= 0 or self.zeta <= 0:
+            raise ValueError("beta0 and zeta must be positive")
         if self.n_ref < 1:
             raise ValueError("n_ref must be >= 1")
 

@@ -59,20 +59,23 @@ def default_tail_width(n: int) -> int:
     return max(1, n // 3)
 
 
+def _tail_fraction(energy: np.ndarray) -> float:
+    """sqrt(tail / total) over the top default_tail_width(n) of energy[0..n]; 0 if all zero."""
+    total = float(energy.sum())
+    if total == 0.0:
+        return 0.0
+    n = energy.size - 1
+    tail = float(energy[max(n - default_tail_width(n) + 1, 0):].sum())
+    return min(math.sqrt(tail / total), 1.0)
+
+
 def frequency_indicator(u: SpectralExpansion) -> float:
     """sqrt(tail energy / total energy) of the expansion, in [0, 1].
 
     Energy of mode i is gamma_i |u_i|^2 with gamma the continuous squared
     norms.  All-zero coefficients give 0 (nothing to resolve).
     """
-    energy = norms(u.descriptor) * np.abs(u.coefficients) ** 2
-    total = float(energy.sum())
-    if total == 0.0:
-        return 0.0
-    n = u.descriptor.order
-    m = default_tail_width(n)
-    tail = float(energy[max(n - m + 1, 0):].sum())
-    return min(math.sqrt(tail / total), 1.0)
+    return _tail_fraction(norms(u.descriptor) * np.abs(u.coefficients) ** 2)
 
 
 def frequency_indicator_axis(u: Expansion2D, axis: int) -> float:
@@ -83,20 +86,11 @@ def frequency_indicator_axis(u: Expansion2D, axis: int) -> float:
 
 
 def _axis_indicators(u: Expansion2D) -> tuple:
-    """The x and y frequency indicators of u, from one energy array."""
+    """The x and y frequency indicators of u: the tail rule on each axis's energy marginal."""
     gx = norms(u.descriptor_x)
     gy = norms(u.descriptor_y)
-    energy = np.abs(u.coefficients) ** 2 * gx[:, None] * gy[None, :]
-    total = float(energy.sum())
-    if total == 0.0:
-        return 0.0, 0.0
-    out = []
-    for axis, d in enumerate((u.descriptor_x, u.descriptor_y)):
-        m = default_tail_width(d.order)
-        lo = max(d.order - m + 1, 0)
-        tail = float(energy[lo:, :].sum() if axis == 0 else energy[:, lo:].sum())
-        out.append(min(math.sqrt(tail / total), 1.0))
-    return tuple(out)
+    c2 = np.abs(u.coefficients) ** 2
+    return _tail_fraction(gx * (c2 @ gy)), _tail_fraction(gy * (gx @ c2))
 
 
 # ------------------------------------------------------------ exterior

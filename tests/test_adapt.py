@@ -610,6 +610,9 @@ def test_config_validation():
         ControllerConfig(mu=0.9)
     with pytest.raises(ValueError):
         ControllerConfig(n_abs=3, n_min=5)
+    for d_max in (-0.1, math.nan):  # NaN would otherwise switch translation off
+        with pytest.raises(ValueError, match="d_max"):
+            ControllerConfig(d_max=d_max)
 
 
 # ------------------------------------------- reference-frame operator caches

@@ -638,7 +638,7 @@ def test_scaled_recurrence_keeps_nan_columns_apart():
 
 @pytest.mark.parametrize("n", [1, 2, 17, 400])
 def test_endpoint_values_equal_scalar_loop(n):
-    # the Lobatto and Radau modifications read p_{n-1}, p_n at the endpoints
+    # the Lobatto modification reads p_{n-1}, p_n at the endpoints
     for alpha, beta, points in [
         (*_recurrence_jacobi(n + 1, 0.3, -0.4), (-1.0, 1.0)),
         (*_recurrence_jacobi(n + 1, 0.0, 0.0), (-1.0, 1.0)),
@@ -647,7 +647,7 @@ def test_endpoint_values_equal_scalar_loop(n):
         P = _rows(_orthonormal_table(alpha, beta), np.array(points))
         for j, t in enumerate(points):
             assert (P[n - 1, j], P[n, j]) == orthonormal_value_loop(t, alpha, beta, n)
-            # the scalar path the Lobatto and Radau rules take
+            # the scalar path the Lobatto rule takes
             assert _endpoint_values(alpha, beta, t) == orthonormal_value_loop(t, alpha, beta, n)
 
 
@@ -665,14 +665,10 @@ def test_newton_polish_equals_loop_forms(n):
     h = hermite_loop(n + 2, y)
     y = y - h[n + 1] / (math.sqrt((n + 1) / 2.0) * h[n] - math.sqrt((n + 2) / 2.0) * h[n + 2])
     assert np.array_equal(core_built(Family.HERMITE_FN, n).y, 0.5 * (y - y[::-1]))
-    # Laguerre: interior Radau nodes polished on the degree-n Laguerre(a+1)
-    # function, with the overflow rescale (it fires here from n = 200 on)
+    # Laguerre: the left endpoint, then the Gauss nodes of Laguerre(a+1) polished
+    # on its degree-n function, with the overflow rescale (it fires from n = 200 on)
     a = 2.0
-    alpha, beta = _recurrence_laguerre(n + 1, a)
-    p1, p = orthonormal_value_loop(0.0, alpha, beta, n)
-    alpha[n] = 0.0 - math.sqrt(beta[n]) * p1 / p
-    y = _gauss_nodes(alpha, beta)
-    y[0] = 0.0
+    y = np.r_[0.0, _gauss_nodes(*_recurrence_laguerre(n, a + 1.0))]
     v, d = newton_ratio_loop(y[1:], *_recurrence_laguerre(n + 1, a + 1.0), n, rescale=True)
     y[1:] = y[1:] - v / (d - 0.5 * v)
     assert np.array_equal(core_built(Family.LAGUERRE_FN, n, a).y, y)
@@ -689,10 +685,7 @@ def test_newton_polish_equals_loop_forms(n):
 def test_derivative_rows_equal_loop_forms(n):
     for a, b in JACOBI_EXPONENTS:
         y = _core(Family.JACOBI, n, a, b).y
-        assert np.array_equal(_derivative_rows(Family.JACOBI, n, a, b), jacobi_derivative_loop(n, y, a, b))
-    for a in (0.0, 0.5, 2.0):
-        y = np.array(_core(Family.LAGUERRE_FN, n, a, 0.0).y)
-        assert np.array_equal(_derivative_rows(Family.LAGUERRE_FN, n, a, 0.0), laguerre_derivative_loop(n, y, a))
+        assert np.array_equal(_derivative_rows(n, a, b), jacobi_derivative_loop(n, y, a, b))
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -724,17 +717,51 @@ def test_hermite_derivative_matches_loop_form(complex_):
     assert np.array_equal(differentiate(SpectralExpansion(d, c)).coefficients, hermite_derivative_loop(d, c))
 
 
-def test_laguerre_derivative_rows_cached_per_order():
+def test_laguerre_derivative_matches_the_grid_route():
+    # differentiate the functions at the nodes, then interpolate: exact in
+    # exact arithmetic, since the derivative stays in the space
     d = BasisDescriptor(Family.LAGUERRE_FN, 20, beta=1.6, x_left=-0.3, laguerre_a=0.5)
     c = np.random.default_rng(9).standard_normal(d.size)
     y = np.array(nodes_weights(replace(d, beta=1.0, x_left=0.0)).nodes)
     rows = laguerre_derivative_loop(d.order, y, 0.5)
     expect = to_coefficients((d.beta * math.sqrt(d.beta)) * (rows.T @ c), d).coefficients
-    assert np.array_equal(differentiate(SpectralExpansion(d, c)).coefficients, expect)
-    # beta and x_left stay outside the cached rows
-    hits = basis._derivative_rows_cached.cache_info().hits
-    differentiate(SpectralExpansion(replace(d, beta=0.9, x_left=4.0), c))
-    assert basis._derivative_rows_cached.cache_info().hits == hits + 1
+    got = differentiate(SpectralExpansion(d, c)).coefficients
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def laguerre_derivative_fsum(c, beta, a):
+    """b_j = -beta (c_j/2 + sum_{n>j} sqrt(h_j/h_n) c_n), summed by fsum.
+
+    For an integer exponent a, h_k/h_0 = C(k+a, k) is an exact integer, so
+    each ratio is rounded once.
+    """
+    if np.iscomplexobj(c):
+        return laguerre_derivative_fsum(c.real, beta, a) + 1j * laguerre_derivative_fsum(c.imag, beta, a)
+    h = np.array([math.comb(k + a, k) for k in range(c.size)], dtype=float)
+    terms = [[0.5 * c[j], *(np.sqrt(h[j] / h[j + 1 :]) * c[j + 1 :])] for j in range(c.size)]
+    return np.array([-beta * math.fsum(t) for t in terms])
+
+
+@pytest.mark.parametrize("a", [0, 2])
+@pytest.mark.parametrize("n", [0, 1, 40, 400, 1000])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_laguerre_derivative_matches_an_exactly_summed_reference(a, n, complex_):
+    rng = np.random.default_rng(n + 7)
+    c = rng.standard_normal(n + 1)
+    if complex_:
+        c = c + 1j * rng.standard_normal(n + 1)
+    d = BasisDescriptor(Family.LAGUERRE_FN, n, beta=1.3, x_left=0.4, laguerre_a=float(a))
+    got = differentiate(SpectralExpansion(d, c))
+    assert got.descriptor == d and got.coefficients.dtype == c.dtype
+    ref = laguerre_derivative_fsum(c, d.beta, a)
+    assert np.max(np.abs(got.coefficients - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_laguerre_derivative_builds_no_grid():
+    d = BasisDescriptor(Family.LAGUERRE_FN, 731, beta=2.0, laguerre_a=0.5)
+    misses = _core.cache_info().misses
+    differentiate(SpectralExpansion(d, np.ones(d.size)))
+    assert _core.cache_info().misses == misses
 
 
 # ------------------------------------------------- real-matrix products

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from adaptspec import experiments
+from adaptspec import cli, experiments
 from adaptspec.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -387,6 +387,17 @@ def test_cli_refuses_an_infinite_horizon(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "usage:" in proc.stderr and "positive and finite" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_refuses_bad_physical_parameters(tmp_path, capsys):
+    # caught as usage errors before the march, not as a traceback at t=0
+    path = tmp_path / "bad.txt"
+    for line in ("zeta=nan", "zeta=0", "zeta=-0.3", "k=inf", "x_left0=nan", "drive_amp=inf"):
+        path.write_text(line + "\n")
+        assert cli.main(["run", "--example", "5", "--config", str(path)]) == 2, line
+        assert line.split("=")[0] in capsys.readouterr().err
+    assert cli.main(["run", "--example", "5", "--dmax", "nan"]) == 2
+    assert "d_max" in capsys.readouterr().err
 
 
 def test_cli_no_adapt_freezes_every_controller(tmp_path):

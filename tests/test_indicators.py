@@ -143,6 +143,10 @@ def test_frequency_axis_rank_one_factorizes():
         frequency_indicator(SpectralExpansion(dy, b)),
         rtol=1e-13,
     )
+    # one Legendre mode in y: the x marginal is the column's energy times
+    # gamma_0 = 2, an exact scaling, so the indicator is the 1-D one exactly
+    u2 = Expansion2D(LEG(6), LEG(0), a[:, None])
+    assert frequency_indicator_axis(u2, 0) == frequency_indicator(SpectralExpansion(LEG(6), a))
 
 
 def test_frequency_axis_validates_axis():
