@@ -450,12 +450,15 @@ def write_csv(path, records):
             writer.writerow(_row(rec))
 
 
-def _summary(cfg, last):
+def _size_text(last):
     if last.order_x is not None:
-        size = "Nx=%d Ny=%d" % (last.order_x, last.order_y)
-    else:
-        size = "N=%d" % last.order
+        return "Nx=%d Ny=%d" % (last.order_x, last.order_y)
+    return "N=%d" % last.order
+
+
+def _summary(cfg, last):
     tail = "" if last.beta is None else " beta=%.6g" % last.beta
+    size = _size_text(last)
     return "example %d: t=%.6g error=%.6e %s%s" % (cfg.example, last.t, last.error, size, tail)
 
 
@@ -471,21 +474,26 @@ def run(config, out=None):
 # ---------------------------------------------------------------------------
 # sweeps
 
-def _cell_text(row):
-    error, beta, order, status = row
-    if status != "ok":
-        return status
-    if beta is None:
-        return "%.3e / N=%d" % (error, order)
-    return "%.3e / %.4g / %d" % (error, beta, order)
+def _cell_text(last):
+    """The endpoint of one sweep cell: its last StepRecord, or the failure text."""
+    if isinstance(last, str):
+        return last
+    if last.beta is None:
+        return "%.3e / %s" % (last.error, _size_text(last))
+    return "%.3e / %.4g / %s" % (last.error, last.beta, _size_text(last))
+
+
+# the StepRecord fields behind the sweep CSV's endpoint columns
+_SWEEP_CELLS = attrgetter("error", "beta", "order", "order_x", "order_y")
 
 
 def sweep(config, grid, out=None):
     """Re-run `config` across a 1- or 2-axis parameter grid.
 
     grid maps field names (e.g. eta, gamma, eta0) to value lists; every
-    combination becomes one cell holding (error, beta, N) at the horizon.
-    A cell that raises is recorded as failed and the sweep moves on.
+    combination becomes one cell holding (error, beta, N or Nx and Ny) at
+    the horizon.  A cell that raises is recorded as failed and the sweep
+    moves on.
     """
     axes = [(name, tuple(values)) for name, values in grid.items()]
     if not axes or any(len(values) == 0 for _, values in axes):
@@ -507,21 +515,20 @@ def sweep(config, grid, out=None):
                 **exp_over,
             )
             records, u = _RUNNERS[cell_cfg.example](cell_cfg)
-            last = records[-1]
-            results.append((combo, (last.error, last.beta, last.order, "ok")))
+            results.append((combo, records[-1]))
         except Exception as exc:  # keep sweeping; the table records the loss
-            results.append((combo, (None, None, None, "failed: %s" % exc)))
+            results.append((combo, "failed: %s" % exc))
 
     path = out or config.out or ("sweep%d.csv" % config.example)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names + ("error", "beta", "N", "status"))
-        for combo, row in results:
-            error, beta, order, status = row
-            writer.writerow(
-                tuple(_fmt(v) for v in combo)
-                + (_fmt(error), _fmt(beta), _fmt(order), status)
-            )
+        writer.writerow(names + ("error", "beta", "N", "Nx", "Ny", "status"))
+        for combo, last in results:
+            if isinstance(last, str):
+                cells = ("",) * 5 + (last,)
+            else:
+                cells = (*map(_fmt, _SWEEP_CELLS(last)), "ok")
+            writer.writerow(tuple(_fmt(v) for v in combo) + cells)
 
     if len(axes) == 2:
         cols = axes[1][1]
@@ -532,6 +539,6 @@ def sweep(config, grid, out=None):
             cells = [_cell_text(by_combo[(r, c)]) for c in cols]
             print("  ".join("%-24s" % c for c in ["%g" % r] + cells))
     else:
-        for combo, row in results:
-            print("%s=%g  %s" % (names[0], combo[0], _cell_text(row)))
+        for combo, last in results:
+            print("%s=%g  %s" % (names[0], combo[0], _cell_text(last)))
     return path

@@ -2,31 +2,29 @@
 
 Three quantities: the frequency indicator (fraction of weighted energy in
 the top modes, 1D and per-axis 2D), the exterior-error indicator (fraction
-of the derivative's weighted norm beyond a split point, for unbounded
-families), and the relative weighted-L2 error against a reference
-function on an oversampled grid.
+of the derivative's weighted norm beyond the grid's split node, for
+unbounded families), and the relative weighted-L2 error against a
+reference function on an oversampled grid.
 
 The exterior indicator and the relative error evaluate the expansion
 through cached matrices keyed in the reference frame: the exterior panels
-per (family, order, exponent, reference split point), the fine-grid matrix
-per descriptor without its translation (on the bounded families, the top
-rows of the fine rule's own basis values).  Moving or rescaling the grid thus
-reuses them, and each call is a matrix-vector product, run in real
-arithmetic for complex coefficients.  Matrices above
-basis._CACHE_ENTRY_LIMIT entries are rebuilt per call instead of cached.
+of the current space only (family, order, exponent; the split is a
+reference node), the fine-grid matrix per descriptor without its
+translation (on the bounded families, the top rows of the fine rule's own
+basis values).  Moving or rescaling the grid thus reuses them, and each
+call is a matrix-vector product, run in real arithmetic for complex
+coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .basis import (
-    _CACHE_ENTRY_LIMIT,
     MAX_ORDER,
     BasisDescriptor,
     Expansion2D,
@@ -37,8 +35,8 @@ from .basis import (
     _core_of,
     _cross_matrix,
     _hermite_derivative,
+    _laguerre_derivative,
     _with_order,
-    differentiate,
     nodes_weights,
     norms,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "frequency_indicator",
     "frequency_indicator_axis",
     "exterior_error_indicator",
-    "default_split_point",
     "relative_error",
     "relative_error_2d",
 ]
@@ -108,19 +105,21 @@ def _composite_gauss(edges: np.ndarray):
     return pts, wts
 
 
-def exterior_error_indicator(u: SpectralExpansion, x_split: float | None = None) -> float:
-    """Fraction of the derivative's weighted norm living beyond x_split.
+def exterior_error_indicator(u: SpectralExpansion) -> float:
+    """Fraction of the derivative's weighted norm living beyond the split node.
 
-    || dU/dx restricted to (x_split, inf) ||_w / || dU/dx ||_w for the
-    half-line and whole-line families.  The total norm is exact (the
-    derivative expansion lives in an orthonormal family); the exterior
-    piece uses composite Gauss panels out to where the basis envelope is
-    below ~1e-18 of its peak, one panel per local oscillation wavelength.
+    || dU/dx restricted to (x_s, inf) ||_w / || dU/dx ||_w for the
+    half-line and whole-line families, with x_s the grid node at roughly
+    the 2/3 quantile: index (2N+2)//3 of the Hermite Gauss nodes, (N+2)//3
+    of the Laguerre Radau nodes (0-based, ascending).  The total norm is
+    exact (the derivative expansion lives in an orthonormal family); the
+    exterior piece uses composite Gauss panels out to where the basis
+    envelope is below ~1e-18 of its peak, one panel per local oscillation
+    wavelength.
 
-    The panels live in the reference coordinate y = beta (x - x_left), where
-    the ratio does not depend on beta or x_left beyond the split point, so
-    the rule is cached per (family, order, exponent, reference split).
-    x_split=None splits at the reference node of default_split_point.
+    The split is a node of the reference grid in y = beta (x - x_left), where
+    the ratio does not depend on beta or x_left, so the panels depend on the
+    family, order and exponent only.
     """
     d = u.descriptor
     if d.bounded:
@@ -128,98 +127,47 @@ def exterior_error_indicator(u: SpectralExpansion, x_split: float | None = None)
     if d.family is Family.HERMITE_FN:
         # the derivative has order N+1, beyond any descriptor at MAX_ORDER
         b = _hermite_derivative(u.coefficients, d.beta)
+        split = (2 * d.order + 2) // 3
     else:
-        b = differentiate(u).coefficients
+        b = _laguerre_derivative(u.coefficients, d.beta, d.laguerre_a)
+        split = (d.order + 2) // 3
     den2 = float(np.real(np.vdot(b, b)))
     if den2 == 0.0:
         return 0.0
-    if x_split is None:
-        y_split = _reference_split(d)
-    else:
-        y_split = d.beta * (float(x_split) - d.x_left)
-    n = b.size - 1
-    p = _exterior_panels(d.family, n, float(d.laguerre_a), y_split)
-    if p is None:
-        return 0.0
-    E = p.E if p.E is not None else _basis_rows(d.family, n, p.y, d.laguerre_a)
-    v2 = np.abs(_apply_real(E.T, b)) ** 2
-    if d.family is Family.HERMITE_FN:
-        num2 = float(p.w @ v2)
-    else:
-        num2 = 2.0 * float(p.w @ (v2 * p.weight * p.s))
+    y_split = float(_core_of(d).y[split])
+    E, w = _exterior_panels(d.family, b.size - 1, float(d.laguerre_a), y_split)
+    num2 = float(w @ np.abs(_apply_real(E.T, b)) ** 2)
     return min(math.sqrt(max(num2, 0.0) / den2), 1.0)
 
 
-@dataclass(frozen=True)
-class _Panels:
-    """Exterior quadrature beyond one reference split point.
+@lru_cache(maxsize=1)
+def _exterior_panels(family: Family, n: int, a: float, y_split: float) -> tuple:
+    """(E, w): order-n basis values E at the panel points beyond y_split, weights w.
 
-    y: reference points; w: panel weights (in y for Hermite, in s = sqrt(y)
-    for Laguerre); s, weight: Laguerre's s and y^a (None for Hermite); E:
-    reference basis values at y, or None when the matrix is above the
-    entry limit.
+    w holds the Jacobian of the panel variable, so that w @ |E^T b|^2 is the
+    squared exterior norm of the expansion b.  A split at or beyond the cut
+    gives zero-width panels and zero weights.
     """
-
-    y: np.ndarray
-    w: np.ndarray
-    s: np.ndarray | None
-    weight: np.ndarray | float | None
-    E: np.ndarray | None
-
-
-@lru_cache(maxsize=2)
-def _exterior_panels(family: Family, n: int, a: float, y_split: float) -> _Panels | None:
-    """Panel rule beyond y_split for the order-n derivative space; None if empty."""
     if family is Family.HERMITE_FN:
         turn = math.sqrt(2.0 * n + 1.0)
         y_cut = turn + 9.3  # envelope below ~1e-18 of peak past the turning point
-        y_lo = max(y_split, -y_cut)
-        if y_lo >= y_cut:
-            return None
+        y_lo = min(max(y_split, -y_cut), y_cut)
         panels = int(math.ceil((y_cut - y_lo) * max(turn, 1.0) / (2.0 * math.pi))) + 1
         y, w = _composite_gauss(np.linspace(y_lo, y_cut, panels + 1))
-        s = weight = None
     else:
         y_cut = 4.0 * (n + a) + 2.0 + 90.0  # exp(-y/2) tail below 1e-18 relative
         y_lo = min(max(y_split, 0.0), y_cut)
-        if y_lo >= y_cut:
-            return None
-        # integrate in s = sqrt(y): the oscillation wavelength is uniform there
+        # integrate in s = sqrt(y): the oscillation wavelength is uniform there;
+        # dy = 2 s ds, and the Laguerre weight y^a is not in the basis values
         s_lo, s_hi = math.sqrt(y_lo), math.sqrt(y_cut)
         panels = int(math.ceil((s_hi - s_lo) * math.sqrt(n + 1.0) / math.pi)) + 1
         s, w = _composite_gauss(np.linspace(s_lo, s_hi, panels + 1))
         y = s * s
-        weight = y**a if a != 0.0 else 1.0
-    E = _basis_rows(family, n, y, a) if (n + 1) * y.size <= _CACHE_ENTRY_LIMIT else None
-    for arr in (y, w, s, weight, E):
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)
-    return _Panels(y=y, w=w, s=s, weight=weight, E=E)
-
-
-def _split_index(d: BasisDescriptor) -> int:
-    """Grid index of the default split: Hermite (2N+2)//3, Laguerre (N+2)//3."""
-    if d.bounded:
-        raise ValueError("split point is defined for unbounded families only")
-    if d.family is Family.HERMITE_FN:
-        idx = (2 * d.order + 2) // 3
-    else:
-        idx = (d.order + 2) // 3
-    return min(idx, d.order)
-
-
-def _reference_split(d: BasisDescriptor) -> float:
-    """The default split point in reference coordinates: a reference node."""
-    return float(_core_of(d).y[_split_index(d)])
-
-
-def default_split_point(d: BasisDescriptor) -> float:
-    """Default exterior split: the grid node at roughly the 2/3 quantile.
-
-    Hermite: node index (2N+2)//3 of the N+1 Gauss nodes; Laguerre: index
-    (N+2)//3 of the Radau nodes (0-based, ascending).
-    """
-    return float(nodes_weights(d).nodes[_split_index(d)])
+        w = 2.0 * s * y**a * w
+    E = _basis_rows(family, n, y, a)
+    E.setflags(write=False)
+    w.setflags(write=False)
+    return E, w
 
 
 # ------------------------------------------------------------ errors

@@ -36,7 +36,6 @@ from adaptspec.adapt import (
     translate,
 )
 from adaptspec.indicators import (
-    default_split_point,
     exterior_error_indicator,
     frequency_indicator,
     frequency_indicator_axis,
@@ -483,11 +482,7 @@ def test_move_caps_at_d_max():
     assert actions == ["move"] * 20
     npt.assert_allclose(v.descriptor.x_left, 0.1, atol=1e-12)
     # reference renewed on the moved basis, split at its default node
-    npt.assert_allclose(
-        st2.exterior_ref,
-        exterior_error_indicator(v, default_split_point(v.descriptor)),
-        rtol=1e-12,
-    )
+    npt.assert_allclose(st2.exterior_ref, exterior_error_indicator(v), rtol=1e-12)
 
 
 def test_move_displacement_integer_multiple_of_delta():
@@ -556,11 +551,7 @@ def test_orchestrate_renews_references_after_order_change(monkeypatch):
     assert st2.scale_ref == rec.freq and st2.exterior_ref == rec.ext
     assert calls[calls.index("p_adapt_step") + 1:] == ["exterior_error_indicator"]
     npt.assert_allclose(st2.scale_ref, frequency_indicator(v), rtol=1e-12)
-    npt.assert_allclose(
-        st2.exterior_ref,
-        exterior_error_indicator(v, default_split_point(v.descriptor)),
-        rtol=1e-10,
-    )
+    npt.assert_allclose(st2.exterior_ref, exterior_error_indicator(v), rtol=1e-10)
 
 
 def test_orchestrate_moving_tracks_travelling_packet():

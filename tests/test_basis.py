@@ -847,3 +847,18 @@ def test_unbounded_cross_matrix_is_built_on_its_own_grid(d):
     assert basis._cross_matrix_cached.cache_info().misses == 1
     d0 = replace(d, x_left=0.0)
     assert np.array_equal(B, evaluate_all(d0, nodes_weights(d0).nodes))
+
+
+@pytest.mark.parametrize("a, n", [(150, 50), (100, 300), (100, 1000)])
+def test_laguerre_rule_with_non_finite_weights_is_refused(a, n):
+    # sum V^2 underflows at the outer nodes; the rule is refused, with no warning
+    d = BasisDescriptor(Family.LAGUERRE_FN, n, laguerre_a=a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"laguerre_function rule of order {n} with exponent {a}"):
+            nodes_weights(d)
+
+
+def test_laguerre_rule_at_a_moderate_exponent_stays_finite():
+    r = nodes_weights(BasisDescriptor(Family.LAGUERRE_FN, 200, laguerre_a=20))
+    assert np.isfinite(r.nodes).all() and np.isfinite(r.weights).all()

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
 
@@ -353,11 +354,15 @@ def test_sweep_grid_layout_and_failure_isolation(tmp_path):
 # CLI
 
 def _cli(*argv):
+    # the child imports the package this suite imported, installed or not
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "adaptspec", *argv],
         capture_output=True,
         text=True,
         timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -420,6 +425,17 @@ def test_cli_config_file_layered_under_flags(tmp_path):
     rows = _read(out)
     assert len(rows) == 20          # T came from the file
     assert rows[0]["N"] == "30"     # flag beat the file
+
+
+def test_cli_sweep_on_a_tensor_example_reports_both_orders(tmp_path):
+    out = tmp_path / "sweep2.csv"
+    proc = _cli("sweep", "--example", "2", "--T", "0.02", "--etas", "1.1,1.2", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    last = experiments.run(example_config(2, T=0.02, eta=1.2), out=str(tmp_path / "r.csv"))[-1]
+    rows = _read(out)
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert (rows[1]["N"], rows[1]["Nx"], rows[1]["Ny"]) == ("", str(last.order_x), str(last.order_y))
+    assert "Nx=%d Ny=%d" % (last.order_x, last.order_y) in proc.stdout
 
 
 def test_cli_sweep_writes_table(tmp_path):

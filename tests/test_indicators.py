@@ -24,8 +24,6 @@ from adaptspec.indicators import (
     _axis_indicators,
     _composite_gauss,
     _exterior_panels,
-    _reference_split,
-    default_split_point,
     default_tail_width,
     exterior_error_indicator,
     frequency_indicator,
@@ -158,79 +156,102 @@ def test_frequency_axis_validates_axis():
 # ------------------------------------------------------- exterior
 
 
+def split_node(d):
+    """The default split: grid node (2N+2)//3 (Hermite) or (N+2)//3 (Laguerre)."""
+    idx = (2 * d.order + 2) // 3 if d.family is Family.HERMITE_FN else (d.order + 2) // 3
+    return float(nodes_weights(d).nodes[idx])
+
+
+def exterior_beyond(u, y_split):
+    """The panel quadrature beyond any reference point y_split, read from _exterior_panels."""
+    du = differentiate(u)
+    b = du.coefficients
+    E, w = _exterior_panels(du.descriptor.family, du.descriptor.order, du.descriptor.laguerre_a, y_split)
+    return min(math.sqrt(float(w @ np.abs(E.T @ b) ** 2) / float(np.vdot(b, b).real)), 1.0)
+
+
+def gaussian_tail(y):
+    """Closed form for U = B_0 (beta = 1): E^2 = y e^{-y^2}/sqrt(pi) + erfc(y)/2."""
+    from scipy.special import erfc
+
+    return math.sqrt(y * math.exp(-y * y) / math.sqrt(math.pi) + erfc(y) / 2.0)
+
+
 def test_exterior_constant_is_zero():
-    u = expansion(HER(4), [1.0, 0, 0, 0, 0])
     # B_0 is not constant, but a zero expansion's derivative is
     z = expansion(HER(4), np.zeros(5))
-    assert exterior_error_indicator(z, 0.0) == 0.0
+    assert exterior_error_indicator(z) == 0.0
 
 
 def test_exterior_whole_line_is_one():
     rng = np.random.default_rng(9)
     u = expansion(HER(10), rng.standard_normal(11))
-    npt.assert_allclose(exterior_error_indicator(u, -1e6), 1.0, atol=1e-12)
+    npt.assert_allclose(exterior_beyond(u, -1e6), 1.0, atol=1e-12)
 
 
 def test_exterior_far_right_is_zero():
+    # a split beyond the cut leaves zero-width panels with zero weights
     rng = np.random.default_rng(10)
     u = expansion(HER(10), rng.standard_normal(11))
-    assert exterior_error_indicator(u, 1e6) == 0.0
+    assert exterior_beyond(u, 1e6) == 0.0
 
 
 def test_exterior_gaussian_against_quad_oracle():
-    # U = B_0 (beta = 1): dU/dx = -x pi^{-1/4} exp(-x^2/2)
+    # U = B_0: dU/dy = -y pi^{-1/4} exp(-y^2/2), in the reference coordinate
+    du = lambda y: -y * np.pi**-0.25 * np.exp(-0.5 * y * y)
+    total, _ = quad(lambda y: du(y) ** 2, -np.inf, np.inf)
+    for n, beta, x_left in ((0, 1.0, 0.0), (2, 1.3, 0.4), (5, 0.7, -1.1), (9, 2.0, 0.0)):
+        d = HER(n, beta=beta, x_left=x_left)
+        u = expansion(d, np.eye(n + 1)[0])
+        tail, _ = quad(lambda y: du(y) ** 2, beta * (split_node(d) - x_left), np.inf)
+        npt.assert_allclose(exterior_error_indicator(u), math.sqrt(tail / total), rtol=1e-10)
+    # the panels at splits that are not grid nodes
     u = expansion(HER(0), [1.0])
-    du = lambda x: -x * np.pi**-0.25 * np.exp(-0.5 * x * x)
-    total, _ = quad(lambda x: du(x) ** 2, -np.inf, np.inf)
-    for xr in (-1.0, 0.0, 0.5, 1.0, 2.5):
-        tail, _ = quad(lambda x: du(x) ** 2, xr, np.inf)
-        npt.assert_allclose(
-            exterior_error_indicator(u, xr), math.sqrt(tail / total), rtol=1e-10
-        )
+    for yr in (-1.0, 0.5, 1.0, 2.5):
+        tail, _ = quad(lambda y: du(y) ** 2, yr, np.inf)
+        npt.assert_allclose(exterior_beyond(u, yr), math.sqrt(tail / total), rtol=1e-10)
 
 
 def test_exterior_gaussian_closed_form():
-    # at x_R = 1: E^2 = e^{-1}/sqrt(pi) + erfc(1)/2
-    from scipy.special import erfc
-
-    u = expansion(HER(0), [1.0])
-    expect = math.sqrt(math.exp(-1.0) / math.sqrt(math.pi) + erfc(1.0) / 2.0)
-    npt.assert_allclose(exterior_error_indicator(u, 1.0), expect, rtol=1e-12)
+    for n in (1, 2, 5, 12):
+        d = HER(n, beta=1.6, x_left=-0.3)
+        u = expansion(d, np.eye(n + 1)[0])
+        y = d.beta * (split_node(d) - d.x_left)
+        npt.assert_allclose(exterior_error_indicator(u), gaussian_tail(y), rtol=1e-12)
+    npt.assert_allclose(exterior_beyond(expansion(HER(0), [1.0]), 1.0), gaussian_tail(1.0), rtol=1e-12)
 
 
 def test_exterior_laguerre_against_quad_oracle():
     # U = l_1 (a=0, beta=1): U(x) = (x-1)e^{-x/2}, U' = (3/2 - x/2)e^{-x/2}
-    u = expansion(BasisDescriptor(Family.LAGUERRE_FN, 1), [0.0, 1.0])
     du = lambda x: (1.5 - 0.5 * x) * np.exp(-0.5 * x)
     total, _ = quad(lambda x: du(x) ** 2, 0, np.inf)
-    for xr in (0.0, 1.0, 3.0, 10.0):
-        tail, _ = quad(lambda x: du(x) ** 2, xr, np.inf)
-        npt.assert_allclose(
-            exterior_error_indicator(u, xr), math.sqrt(tail / total), rtol=1e-9
-        )
+    for n in (1, 2, 4, 7):
+        d = BasisDescriptor(Family.LAGUERRE_FN, n)
+        u = expansion(d, np.eye(n + 1)[1])
+        tail, _ = quad(lambda x: du(x) ** 2, split_node(d), np.inf)
+        npt.assert_allclose(exterior_error_indicator(u), math.sqrt(tail / total), rtol=1e-9)
 
 
 def test_exterior_monotone_in_split():
     rng = np.random.default_rng(11)
-    u = expansion(HER(24, beta=1.4, x_left=0.3), rng.standard_normal(25))
-    xs = np.linspace(-6, 6, 25)
-    es = [exterior_error_indicator(u, xr) for xr in xs]
+    u = expansion(HER(24), rng.standard_normal(25))
+    es = [exterior_beyond(u, yr) for yr in np.linspace(-6, 6, 25)]
     assert all(a >= b - 1e-12 for a, b in zip(es, es[1:]))
     assert all(0.0 <= e <= 1.0 for e in es)
 
 
 def test_exterior_scaling_covariance():
-    # rescaling x and the split point together leaves E unchanged
+    # the split is a grid node: rescaling or moving the grid leaves E unchanged
     rng = np.random.default_rng(12)
     c = rng.standard_normal(13)
-    e1 = exterior_error_indicator(expansion(HER(12, beta=1.0), c), 0.8)
-    e2 = exterior_error_indicator(expansion(HER(12, beta=2.0), c), 0.4)
-    npt.assert_allclose(e1, e2, rtol=1e-12)
+    e1 = exterior_error_indicator(expansion(HER(12, beta=1.0), c))
+    e2 = exterior_error_indicator(expansion(HER(12, beta=1.7, x_left=0.4), c))
+    npt.assert_allclose(e1, e2, rtol=1e-14)
 
 
 def test_exterior_rejects_bounded():
     with pytest.raises(ValueError):
-        exterior_error_indicator(expansion(LEG(3), np.ones(4)), 0.0)
+        exterior_error_indicator(expansion(LEG(3), np.ones(4)))
 
 
 # ------------------------------------------------- default split point
@@ -238,22 +259,30 @@ def test_exterior_rejects_bounded():
 
 def test_default_split_hermite_small():
     # N=1: index (2+2)//3 = 1 -> node +1/sqrt(2)
-    npt.assert_allclose(default_split_point(HER(1)), 1 / math.sqrt(2), rtol=1e-14)
+    assert split_node(HER(1)) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
+    u = expansion(HER(1), [1.0, 0.0])
+    npt.assert_allclose(exterior_error_indicator(u), gaussian_tail(1 / math.sqrt(2)), rtol=1e-12)
 
 
 def test_default_split_laguerre_small():
+    # N=1: the second Radau node, x=2; N=0: the left endpoint, so the whole half-line
     d = BasisDescriptor(Family.LAGUERRE_FN, 1)
-    npt.assert_allclose(default_split_point(d), 2.0, rtol=1e-14)  # second Radau node
+    npt.assert_allclose(split_node(d), 2.0, rtol=1e-14)
+    u = expansion(d, [0.0, 1.0])
+    npt.assert_allclose(exterior_error_indicator(u), exterior_beyond(u, 2.0), rtol=1e-14)
     d0 = BasisDescriptor(Family.LAGUERRE_FN, 0)
-    npt.assert_allclose(default_split_point(d0), 0.0, atol=1e-15)
+    npt.assert_allclose(split_node(d0), 0.0, atol=1e-15)
+    npt.assert_allclose(exterior_error_indicator(expansion(d0, [1.0])), 1.0, atol=1e-12)
 
 
 def test_default_split_tracks_grid():
+    rng = np.random.default_rng(13)
     d = HER(30, beta=2.0, x_left=-1.0)
+    u = expansion(d, rng.standard_normal(31) * 0.8 ** np.arange(31))
     nodes = nodes_weights(d).nodes
-    assert default_split_point(d) == nodes[(2 * 30 + 2) // 3]
-    with pytest.raises(ValueError):
-        default_split_point(LEG(5))
+    e = exterior_error_indicator(u)
+    npt.assert_allclose(e, exterior_physical(u, nodes[(2 * 30 + 2) // 3]), rtol=1e-13)
+    assert exterior_physical(u, nodes[19]) > e > exterior_physical(u, nodes[21])
 
 
 # ------------------------------------------------------ relative error
@@ -353,65 +382,47 @@ def relative_error_2d_direct(u, reference):
 
 
 def _exterior_rule(d, y_split):
-    """Panels beyond y_split for the derivative space d: y, w, s, weight."""
+    """Panels beyond y_split for the derivative space d: points y, weights w with the Jacobian."""
     n = d.order
     if d.family is Family.HERMITE_FN:
         turn = math.sqrt(2.0 * n + 1.0)
         y_cut = turn + 9.3
-        y_lo = max(y_split, -y_cut)
-        if y_lo >= y_cut:
-            return None
+        y_lo = min(max(y_split, -y_cut), y_cut)
         panels = int(math.ceil((y_cut - y_lo) * max(turn, 1.0) / (2.0 * math.pi))) + 1
-        y, w = _composite_gauss(np.linspace(y_lo, y_cut, panels + 1))
-        return y, w, None, None
+        return _composite_gauss(np.linspace(y_lo, y_cut, panels + 1))
     a = d.laguerre_a
     y_cut = 4.0 * (n + a) + 2.0 + 90.0
     y_lo = min(max(y_split, 0.0), y_cut)
-    if y_lo >= y_cut:
-        return None
     s_lo, s_hi = math.sqrt(y_lo), math.sqrt(y_cut)
     panels = int(math.ceil((s_hi - s_lo) * math.sqrt(n + 1.0) / math.pi)) + 1
     s, w = _composite_gauss(np.linspace(s_lo, s_hi, panels + 1))
     y = s * s
-    return y, w, s, (y**a if a != 0.0 else 1.0)
+    return y, 2.0 * s * y**a * w
 
 
-def _exterior_from_values(du, rule, vals, scale):
+def _exterior_from_values(du, w, vals, scale):
     b = du.coefficients
     den2 = float(np.real(np.vdot(b, b)))
     if den2 == 0.0:
         return 0.0
-    y, w, s, weight = rule
-    if du.descriptor.family is Family.HERMITE_FN:
-        num2 = float(w @ np.abs(vals) ** 2) / scale
-    else:
-        num2 = 2.0 * float(w @ (np.abs(vals) ** 2 * weight * s)) / scale
+    num2 = float(w @ np.abs(vals) ** 2) / scale
     return min(math.sqrt(max(num2, 0.0) / den2), 1.0)
 
 
-def exterior_direct(u, x_split=None):
-    d = u.descriptor
+def exterior_direct(u):
+    """The indicator from a fresh panel rule at the reference grid's default split node."""
     du = differentiate(u)
-    if x_split is None:
-        # the default split node of the reference grid (beta = 1, x_left = 0)
-        idx = (2 * d.order + 2) // 3 if d.family is Family.HERMITE_FN else (d.order + 2) // 3
-        y_split = float(nodes_weights(replace(d, beta=1.0, x_left=0.0)).nodes[min(idx, d.order)])
-    else:
-        y_split = d.beta * (x_split - d.x_left)
-    rule = _exterior_rule(du.descriptor, y_split)
-    if rule is None:
-        return 0.0
+    y, w = _exterior_rule(du.descriptor, split_node(replace(u.descriptor, beta=1.0, x_left=0.0)))
     reference = SpectralExpansion(replace(du.descriptor, beta=1.0, x_left=0.0), du.coefficients)
-    return _exterior_from_values(du, rule, to_values(reference, rule[0]), 1.0)
+    return _exterior_from_values(du, w, to_values(reference, y), 1.0)
 
 
 def exterior_physical(u, x_split):
+    """The exterior fraction beyond x_split, from the physical grid and values."""
     du = differentiate(u)
     d = du.descriptor
-    rule = _exterior_rule(d, d.beta * (x_split - d.x_left))
-    if rule is None:
-        return 0.0
-    return _exterior_from_values(du, rule, to_values(du, rule[0] / d.beta + d.x_left), d.beta)
+    y, w = _exterior_rule(d, d.beta * (x_split - d.x_left))
+    return _exterior_from_values(du, w, to_values(du, y / d.beta + d.x_left), d.beta)
 
 
 CACHED_CASES = [
@@ -437,21 +448,16 @@ def test_cached_exterior_equals_direct_across_descriptor_changes():
     # each space twice in a row and again after the others: hits and misses
     for d, complex_ in CACHED_CASES + CACHED_CASES[::-1] + CACHED_CASES:
         u = SpectralExpansion(d, _coefficients(d, complex_, d.order))
-        for x_split in (None, default_split_point(d), d.x_left + 1.0):
-            assert exterior_error_indicator(u, x_split) == exterior_direct(u, x_split)
-            assert exterior_error_indicator(u, x_split) == exterior_direct(u, x_split)
+        assert exterior_error_indicator(u) == exterior_direct(u)
+        assert exterior_error_indicator(u) == exterior_direct(u)
 
 
 def test_exterior_reference_frame_matches_physical_frame():
     for d, complex_ in CACHED_CASES:
         u = SpectralExpansion(d, _coefficients(d, complex_, d.order))
-        xs = default_split_point(d)
-        for x_split in (None, xs, d.x_left + 1.0):
-            npt.assert_allclose(
-                exterior_error_indicator(u, x_split),
-                exterior_physical(u, xs if x_split is None else x_split),
-                rtol=1e-13,
-            )
+        npt.assert_allclose(
+            exterior_error_indicator(u), exterior_physical(u, split_node(d)), rtol=1e-13
+        )
 
 
 def test_cached_relative_error_equals_direct():
@@ -518,18 +524,16 @@ def test_axis_indicators_equal_the_per_axis_calls():
         assert both == tuple(frequency_indicator_axis(u, k) for k in (0, 1))
 
 
-def test_exterior_cache_keeps_no_matrix_above_the_entry_limit():
-    # order 600: the derivative's panel matrix is 602 x 3880 entries
+def test_exterior_panels_stay_resident_at_the_order_cap():
+    # order 600: the derivative's 602 x 3880 panel matrix is built once, and
+    # repeated, moved and rescaled calls at that order all read it
+    _exterior_panels.cache_clear()
     d = HER(600, beta=1.3)
-    u = SpectralExpansion(d, _coefficients(d, False, 3))
-    e = exterior_error_indicator(u)
-    panels = _exterior_panels(Family.HERMITE_FN, 601, 0.0, _reference_split(d))
-    assert _exterior_panels.cache_info().hits > 0  # the indicator's entry
-    assert panels.y.size * 602 > _CACHE_ENTRY_LIMIT
-    assert panels.E is None
-    assert e == exterior_direct(u)
-    small = SpectralExpansion(HER(40), _coefficients(HER(40), False, 4))
-    exterior_error_indicator(small, 0.5)
-    misses = _exterior_panels.cache_info().misses
-    assert _exterior_panels(Family.HERMITE_FN, 41, 0.0, 0.5).E is not None
-    assert _exterior_panels.cache_info().misses == misses
+    c = _coefficients(d, False, 3)
+    for dk in (d, d, replace(d, x_left=0.05), replace(d, beta=1.1)):
+        u = SpectralExpansion(dk, c)
+        assert exterior_error_indicator(u) == exterior_direct(u)
+    assert _exterior_panels.cache_info().misses == 1
+    E, w = _exterior_panels(Family.HERMITE_FN, 601, 0.0, split_node(replace(d, beta=1.0)))
+    assert _exterior_panels.cache_info().misses == 1
+    assert E.size > _CACHE_ENTRY_LIMIT and E.shape == (602, w.size)
