@@ -27,10 +27,11 @@ per family: the classical Chebyshev, Legendre and Jacobi polynomials, and
 the orthonormal polynomials of a monic recurrence, which give the Hermite
 and Laguerre functions under an exponential envelope (the polynomial part
 is divided by 1e130 wherever it exceeds that, and the envelope makes up
-the difference).  A companion recurrence for p_k' serves the
-Newton polish of the nodes and the Jacobi derivative rows (the other
-families differentiate in coefficient space), and the Lobatto endpoint
-values come from the same recurrence run in scalar arithmetic.
+the difference; a running bound skips tests that cannot fire).  A
+companion recurrence for p_k' serves the Newton polish of the nodes and
+the Jacobi derivative rows (the other families differentiate in
+coefficient space), and the Lobatto endpoint values come from the same
+recurrence run in scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import islice, repeat
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -274,6 +276,11 @@ def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
     that value is O(1) never pass through a denormal intermediate; env is
     None without log_env.  The yielded arrays are working buffers, valid
     until the generator advances.
+
+    max|p_k| is measured for that test only once a running bound on it,
+    M_{k+1} = ((|A_k| max|x| + |B_k|) M_k + |C_k| M_{k-1}) / |D_k|, reaches
+    half the threshold (the half absorbs rounding): a skipped test could not
+    fire, so the rows are bit for bit those of a test on every row.
     """
     A, B, C, D, p0 = table
     p_prev, p = np.zeros_like(x), np.full_like(x, p0)
@@ -283,12 +290,17 @@ def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
         d_prev, d = np.zeros_like(x), np.zeros_like(x)
         d_next, ap = np.empty_like(x), np.empty_like(x)
     env = None
+    grow = carry = repeat(None)  # per-row factors of the running bound, with log_env
     if log_env is not None:
         s = log_env.copy()
         env = np.exp(s)  # refreshed only in the columns a rescale touched
         mag = np.empty_like(x)
+        xmax = float(np.abs(x).max(initial=0.0))
+        grow = ((np.abs(A) * xmax + np.abs(B)) / np.abs(D)).tolist()
+        carry = (np.abs(C) / np.abs(D)).tolist()
+        bound, bound_prev = float(np.abs(p).max(initial=0.0)), 0.0
     yield p, d, env
-    for a, b, c, dk in zip(A.tolist(), B.tolist(), C.tolist(), D.tolist()):
+    for a, b, c, dk, g, h in zip(A.tolist(), B.tolist(), C.tolist(), D.tolist(), grow, carry):
         # in this operation order, in preallocated buffers (ufunc calls with
         # out=: in-place operators with a float operand cost more per call);
         # factors of one and terms of zero are skipped (exact either way)
@@ -312,13 +324,19 @@ def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
         if dk != 1.0:
             np.divide(p_next, dk, out=p_next)
         p_prev, p, p_next = p, p_next, p_prev
-        # "not <=" also lets a NaN column through to the mask, as ">" per column would
-        if env is not None and not np.abs(p, out=mag).max() <= _RESCALE:
-            big = mag > _RESCALE
-            for arr in (p, p_prev, d, d_prev) if deriv else (p, p_prev):
-                np.divide(arr, _RESCALE, out=arr, where=big)
-            np.add(s, _LOG_RESCALE, out=s, where=big)
-            np.exp(s, out=env, where=big)
+        if env is not None:
+            bound, bound_prev = g * bound + h * bound_prev, bound
+            # "not <" and "not <=" let a NaN through to the test and the mask
+            if not bound < 0.5 * _RESCALE:
+                bound = float(np.abs(p, out=mag).max())
+                if not bound <= _RESCALE:
+                    big = mag > _RESCALE
+                    for arr in (p, p_prev, d, d_prev) if deriv else (p, p_prev):
+                        np.divide(arr, _RESCALE, out=arr, where=big)
+                    np.add(s, _LOG_RESCALE, out=s, where=big)
+                    np.exp(s, out=env, where=big)
+                    bound = float(np.abs(p, out=mag).max())
+                    bound_prev = float(np.abs(p_prev, out=mag).max())
         yield p, d, env
 
 
@@ -460,10 +478,10 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
         if n >= 1:
             # Newton on h_{n+1}, h' = sqrt(m/2) h_{m-1} - sqrt((m+1)/2) h_{m+1} at m = n+1:
             # ratios of rows at a common column share the column's envelope
-            h = _basis_rows(family, n + 2, y)
-            dh = math.sqrt((n + 1) / 2.0) * h[n] - math.sqrt((n + 2) / 2.0) * h[n + 2]
-            y = y - h[n + 1] / dh
-            del h  # not kept alive while V is built
+            # only rows n..n+2 are read: stream the recurrence past the others
+            rows = _recurrence(_family_table(family, n + 2), y, -0.5 * y * y)
+            h0, h1, h2 = (p * env for p, _, env in islice(rows, n, None))
+            y = y - h1 / (math.sqrt((n + 1) / 2.0) * h0 - math.sqrt((n + 2) / 2.0) * h2)
             y = 0.5 * (y - y[::-1])  # enforce the exact symmetry of the grid
     elif family is Family.LAGUERRE_FN:
         # Radau: the left endpoint, then the roots of the degree-n Laguerre(a+1)
@@ -479,16 +497,17 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
         raise ValueError(f"unknown family {family!r}")
 
     V = _basis_rows(family, n, y, a, b)
+    V2 = V * V
     if family not in _BOUNDED:
         with np.errstate(divide="ignore", over="ignore"):
-            w = 1.0 / np.sum(V * V, axis=0)
+            w = 1.0 / np.sum(V2, axis=0)
         if not np.isfinite(w).all():
             # sum V^2 underflows at the outer nodes (Laguerre with a large exponent)
             raise ValueError(
                 f"{family.value} rule of order {n} with exponent {a:g} has non-finite weights"
             )
         gamma = np.ones(n + 1)
-    gamma_hat = (V * V) @ w
+    gamma_hat = V2 @ w
     for arr in (y, w, V, gamma, gamma_hat):
         arr.setflags(write=False)
     return _CoreRule(y=y, w=w, V=V, gamma=gamma, gamma_hat=gamma_hat)
@@ -529,8 +548,11 @@ def nodes_weights(d: BasisDescriptor) -> QuadratureRule:
 
 
 def evaluate_all(d: BasisDescriptor, x) -> np.ndarray:
-    """Values B_i(x), shape (order+1, len(x)).  Scalar x is promoted."""
+    """Values B_i(x), shape (order+1, len(x)).  Scalar x is promoted; NaN or inf is refused."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        i = int(np.argmin(np.isfinite(x)))
+        raise ValueError(f"evaluation point {i} is not finite: {float(x.flat[i])!r}")
     if d.bounded:
         _check_bounded_domain(x)
         return _basis_rows(d.family, d.order, x, *_exponents(d))

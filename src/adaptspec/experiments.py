@@ -528,7 +528,9 @@ def sweep(config, grid, out=None):
                 cells = ("",) * 5 + (last,)
             else:
                 cells = (*map(_fmt, _SWEEP_CELLS(last)), "ok")
-            writer.writerow(tuple(_fmt(v) for v in combo) + cells)
+            # axis values as typed: a float's shortest round-trip text
+            axis = (repr(float(v)) if isinstance(v, float) else _fmt(v) for v in combo)
+            writer.writerow((*axis, *cells))
 
     if len(axes) == 2:
         cols = axes[1][1]

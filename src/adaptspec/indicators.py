@@ -79,15 +79,15 @@ def frequency_indicator_axis(u: Expansion2D, axis: int) -> float:
     """Per-axis frequency indicator of a tensor expansion (axis 0 = x)."""
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis}")
-    return _axis_indicators(u)[axis]
+    return _axis_indicators(u, (axis,))[0]
 
 
-def _axis_indicators(u: Expansion2D) -> tuple:
-    """The x and y frequency indicators of u: the tail rule on each axis's energy marginal."""
+def _axis_indicators(u: Expansion2D, axes: tuple = (0, 1)) -> tuple:
+    """u's frequency indicators on the given axes: the tail rule on each axis's energy marginal."""
     gx = norms(u.descriptor_x)
     gy = norms(u.descriptor_y)
     c2 = np.abs(u.coefficients) ** 2
-    return _tail_fraction(gx * (c2 @ gy)), _tail_fraction(gy * (gx @ c2))
+    return tuple(_tail_fraction(gx * (c2 @ gy) if axis == 0 else gy * (gx @ c2)) for axis in axes)
 
 
 # ------------------------------------------------------------ exterior

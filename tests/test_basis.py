@@ -40,6 +40,7 @@ from adaptspec.basis import (
     _gauss_nodes,
     _lobatto_nodes,
     _orthonormal_table,
+    _recurrence,
     _recurrence_hermite,
     _recurrence_jacobi,
     _recurrence_laguerre,
@@ -167,6 +168,40 @@ def test_domain_validation():
         evaluate_all(BasisDescriptor(Family.CHEBYSHEV, 3), 1.01)
     with pytest.raises(ValueError):
         evaluate_all(BasisDescriptor(Family.LAGUERRE_FN, 3, x_left=1.0), 0.5)
+
+
+ALL_SPACES = [
+    BasisDescriptor(Family.CHEBYSHEV, 6),
+    BasisDescriptor(Family.LEGENDRE, 6),
+    BasisDescriptor(Family.JACOBI, 6, jacobi_a=0.3, jacobi_b=-0.4),
+    BasisDescriptor(Family.LAGUERRE_FN, 6, beta=2.0, x_left=-1.0, laguerre_a=0.5),
+    BasisDescriptor(Family.HERMITE_FN, 6, beta=0.7, x_left=0.3),
+]
+
+
+@pytest.mark.parametrize("d", ALL_SPACES, ids=lambda d: d.family.value)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_refused_naming_the_first(d, bad):
+    x = np.array([0.5, bad, 0.25, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        with pytest.raises(ValueError, match=r"point 1 is not finite: %s" % bad):
+            evaluate_all(d, x)
+        with pytest.raises(ValueError, match="point 0 is not finite"):
+            evaluate_all(d, bad)
+        u = SpectralExpansion(d, np.ones(d.size))
+        with pytest.raises(ValueError, match="point 1 is not finite"):
+            to_values(u, x)
+        U = to_coefficients_2d(np.ones((d.size, 4)), d, BasisDescriptor(Family.LEGENDRE, 3))
+        with pytest.raises(ValueError, match="point 1 is not finite"):
+            to_values_2d(U, x, np.zeros(2))
+        with pytest.raises(ValueError, match="point 3 is not finite"):
+            to_values_2d(U, np.zeros(2), [0.0, 0.5, -0.5, bad])
+
+
+@pytest.mark.parametrize("d", ALL_SPACES, ids=lambda d: d.family.value)
+def test_no_points_give_no_columns(d):
+    assert evaluate_all(d, np.array([])).shape == (d.size, 0)
 
 
 def test_descriptor_validation():
@@ -613,10 +648,14 @@ def test_scaled_recurrence_matches_loop_form():
 
 
 @pytest.mark.parametrize("family", ["hermite", "laguerre"])
-@pytest.mark.parametrize("nmax,npts", [(600, 3880), (600, 487), (60, 200), (0, 5)])
+@pytest.mark.parametrize(
+    "nmax,npts",
+    [(600, 3880), (600, 487), (60, 200), (0, 5), (85, 86), (85, 173), (242, 487), (600, 1203), (56, 115)],
+)
 def test_scaled_recurrence_in_place_equals_loop_form(family, nmax, npts):
     # the shapes of the order-600 exterior panels, the per-step yardstick
-    # and a small expansion, plus the single-row case; rescaling fires far out
+    # and a small expansion, plus the single-row case, and the benchmark's
+    # grids and fine grids; rescaling fires far out
     if family == "hermite":
         y = np.linspace(-70.0, 70.0, npts)
         assert np.array_equal(_basis_rows(Family.HERMITE_FN, nmax, y), hermite_loop(nmax, y))
@@ -686,6 +725,112 @@ def test_derivative_rows_equal_loop_forms(n):
     for a, b in JACOBI_EXPONENTS:
         y = _core(Family.JACOBI, n, a, b).y
         assert np.array_equal(_derivative_rows(n, a, b), jacobi_derivative_loop(n, y, a, b))
+
+
+# ------------------------------------- the rescale test under a running bound
+#
+# _recurrence measures max|p_k| only where a running bound says the rescale
+# might fire; the rows must equal the loop forms, which test every row.
+
+
+def table_loop(table, x, log_env):
+    """Rows of a coefficient table times exp(log_env), rescale tested on every row."""
+    A, B, C, D, p0 = table
+    out = np.empty((len(A) + 1, x.size))
+    s = log_env.copy()
+    v_prev, v = np.zeros_like(x), np.full_like(x, p0)
+    out[0] = v * np.exp(s)
+    for k in range(len(A)):
+        v_prev, v = v, ((A[k] * x + B[k]) * v - C[k] * v_prev) / D[k]
+        big = np.abs(v) > _RESCALE
+        v[big] /= _RESCALE
+        v_prev[big] /= _RESCALE
+        s[big] += _LOG_RESCALE
+        out[k + 1] = v * np.exp(s)
+    return out
+
+
+def test_rows_at_max_order_equal_the_loop_forms():
+    y = np.linspace(-90.0, 90.0, 41)
+    assert np.array_equal(_basis_rows(Family.HERMITE_FN, MAX_ORDER, y), hermite_loop(MAX_ORDER, y))
+    y = np.linspace(0.0, 12100.0, 41)
+    fast = _basis_rows(Family.LAGUERRE_FN, MAX_ORDER, y, 0.5)
+    assert np.array_equal(fast, laguerre_loop(MAX_ORDER, y, 0.5))
+
+
+def test_rows_at_far_points_equal_the_loop_forms():
+    # every column rescales again and again; the envelope underflows to zero
+    y = np.array([1e3, -1e3])
+    assert np.array_equal(_basis_rows(Family.HERMITE_FN, 400, y), hermite_loop(400, y))
+    y = np.array([1e5, 1e5 + 1.0])
+    assert np.array_equal(_basis_rows(Family.LAGUERRE_FN, 400, y, 0.5), laguerre_loop(400, y, 0.5))
+
+
+def test_a_column_just_below_the_threshold_is_tested_on_every_row():
+    # row 1 puts column 0 just below _RESCALE; it stays there for 300 rows,
+    # then grows by 1e-4 per row and crosses; the other columns stay small
+    n = 400
+    A = np.r_[1.0, np.zeros(n - 1)]
+    B = np.r_[0.0, np.ones(300), np.full(n - 301, 1.0001)]
+    table = (A, B, np.zeros(n), np.ones(n), 1.0)
+    x = np.array([0.999 * _RESCALE, 1.0, -5.0])
+    log_env = np.array([-3.0, 0.0, -1.0])
+    assert np.array_equal(_rows(table, x, log_env), table_loop(table, x, log_env))
+    for k, (_, _, env) in enumerate(_recurrence(table, x, log_env)):
+        if k == 301:  # held just below: not rescaled
+            assert np.array_equal(env, np.exp(log_env))
+    # crossed: column 0 alone was rescaled, once
+    assert np.array_equal(env, np.exp(log_env + [_LOG_RESCALE, 0.0, 0.0]))
+
+
+def test_after_a_rescale_the_bound_counts_the_previous_row():
+    # row 2 rescales column 0 and leaves p_2 = (2, 0) with p_1 = (~0, 0.9R);
+    # row 3 adds 2 p_1, so column 1 crosses from the previous row alone
+    a1 = 0.9 * _RESCALE
+    A1 = -2.0 * _RESCALE / (a1 - 1.0)
+    A = np.array([1.0, A1, 0.0, 0.0, 0.0])
+    B = np.array([0.0, -(A1 * a1), 1.0, 1.0, 1.0])
+    C = np.array([0.0, 0.0, -2.0, 0.0, 0.0])
+    table = (A, B, C, np.ones(5), 1.0)
+    x = np.array([1.0, a1])
+    log_env = np.zeros(2)
+    assert np.array_equal(_rows(table, x, log_env), table_loop(table, x, log_env))
+    for k, (p, _, env) in enumerate(_recurrence(table, x, log_env)):
+        if k == 3:
+            assert np.array_equal(env, np.exp([_LOG_RESCALE, _LOG_RESCALE]))
+            assert (np.abs(p) <= _RESCALE).all()
+
+
+@pytest.mark.parametrize("family", [Family.HERMITE_FN, Family.LAGUERRE_FN])
+def test_a_column_alone_equals_the_same_column_among_others(family):
+    # far columns raise the running bound of the whole block; a near column
+    # must come out the same with or without them
+    if family is Family.HERMITE_FN:
+        y = np.array([0.3, 45.0, -2.0, -80.0, 7.5])
+    else:
+        y = np.array([0.3, 900.0, 2.0, 4000.0, 75.0])
+    block = _basis_rows(family, 500, y, 0.5)
+    for j in range(y.size):
+        assert np.array_equal(_basis_rows(family, 500, y[j : j + 1], 0.5)[:, 0], block[:, j])
+
+
+def hermite_core_loop(n):
+    """(y, w, V, gamma_hat) of the Hermite rule built with two full passes of rows."""
+    y = _gauss_nodes(*_recurrence_hermite(n + 1))
+    if n >= 1:
+        h = hermite_loop(n + 2, y)
+        y = y - h[n + 1] / (math.sqrt((n + 1) / 2.0) * h[n] - math.sqrt((n + 2) / 2.0) * h[n + 2])
+        y = 0.5 * (y - y[::-1])
+    V = hermite_loop(n, y)
+    w = 1.0 / np.sum(V * V, axis=0)
+    return y, w, V, (V * V) @ w
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 85, 242, 600])
+def test_hermite_core_equals_the_two_pass_loop_form(n):
+    core = core_built(Family.HERMITE_FN, n)
+    for fast, slow in zip((core.y, core.w, core.V, core.gamma_hat), hermite_core_loop(n)):
+        assert np.array_equal(fast, slow)
 
 
 @pytest.mark.parametrize("complex_", [False, True])

@@ -434,6 +434,7 @@ def test_cli_sweep_on_a_tensor_example_reports_both_orders(tmp_path):
     last = experiments.run(example_config(2, T=0.02, eta=1.2), out=str(tmp_path / "r.csv"))[-1]
     rows = _read(out)
     assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert [r["eta"] for r in rows] == ["1.1", "1.2"]  # as typed, not 1.1000000000000001
     assert (rows[1]["N"], rows[1]["Nx"], rows[1]["Ny"]) == ("", str(last.order_x), str(last.order_y))
     assert "Nx=%d Ny=%d" % (last.order_x, last.order_y) in proc.stdout
 
