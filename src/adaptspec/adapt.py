@@ -11,12 +11,13 @@ Controllers: order adaptivity driven by the frequency indicator with a
 growing refine threshold and guarded coarsening; scaling that walks beta
 by a fixed ratio while trials do not increase the indicator; grid
 translation in fixed increments while the exterior indicator exceeds its
-reference.  `orchestrate_step` chains evolve -> move -> scale -> order
-per step and renews the reference indicators after basis changes; one
-private driver, `_march`, repeats a step to the horizon for every time
-loop in the package.  The exterior indicator always splits at the default
-node of the current grid, so the split point is not carried in
-AdaptiveState.
+reference; each also returns its last reading of its indicator.
+`orchestrate_step` chains evolve -> move -> scale -> order per step,
+passing those readings on, and renews the reference indicators after
+basis changes; one private driver, `_march`, repeats a step to the
+horizon for every time loop in the package.  The exterior indicator
+always splits at the default node of the current grid, so the split point
+is not carried in AdaptiveState.
 
 Cross matrices are cached on the frame of both spaces and the shift
 between them, so repeated moves by a fixed increment reuse one matrix.
@@ -42,8 +43,10 @@ from .basis import (
     Expansion2D,
     SpectralExpansion,
     _apply_real,
+    _at,
     _cross_matrix,
     _cross_matrix_cached,  # noqa: F401  (its cache counters are read from this module too)
+    _frame,
     _with_order,
     to_coefficients,
     to_coefficients_2d,
@@ -218,14 +221,16 @@ def rescale(u: SpectralExpansion, beta_new: float) -> SpectralExpansion:
     """Same order, new scaling factor; values at the new grid preserved."""
     if u.descriptor.bounded:
         raise ValueError("rescale applies to unbounded families only")
-    return resample(u, replace(u.descriptor, beta=float(beta_new)))
+    family, order, _, *exponents = _frame(u.descriptor)  # no dataclasses.replace: half the cost
+    return resample(u, _at((family, order, float(beta_new), *exponents), u.descriptor.x_left))
 
 
 def translate(u: SpectralExpansion, dist: float) -> SpectralExpansion:
     """Same order, grid shifted by dist (positive = rightward)."""
     if u.descriptor.bounded:
         raise ValueError("translate applies to unbounded families only")
-    return resample(u, replace(u.descriptor, x_left=u.descriptor.x_left + float(dist)))
+    d = u.descriptor
+    return resample(u, _at(_frame(d), d.x_left + float(dist)))
 
 
 # ------------------------------------------------------- controllers
@@ -244,7 +249,7 @@ def _order_rule(u, state, config, order, trial, indicator, suffix="", f=None):
     order(w) is the controlled order of w, trial(w, step) the expansion one
     order up (step = 1) or down (step = -1), indicator(w) the frequency
     indicator the rule reads; suffix tags the actions.  f, when given, is
-    indicator(u), already computed.
+    indicator(u), already computed; the f returned is that of the result.
     """
     actions: list[str] = []
     if f is None:
@@ -267,23 +272,23 @@ def _order_rule(u, state, config, order, trial, indicator, suffix="", f=None):
         candidate = trial(u, -1)
         f_trial = indicator(candidate)
         if f_trial < state.freq_ref:
-            u = candidate
+            u, f = candidate, f_trial
             state = replace(state, freq_ref=f_trial)
             actions.append("coarsen" + suffix)
-    return u, state, actions
+    return u, state, actions, f
 
 
 def p_adapt_step(
-    u: SpectralExpansion, state: AdaptiveState, config: ControllerConfig
-) -> tuple[SpectralExpansion, AdaptiveState, list[str]]:
-    """One order-adaptivity decision.
+    u: SpectralExpansion, state: AdaptiveState, config: ControllerConfig, f: float | None = None
+) -> tuple[SpectralExpansion, AdaptiveState, list[str], float]:
+    """One order-adaptivity decision: (u, state, actions, frequency reading).
 
     Refine while the indicator exceeds refine_factor * freq_ref, at most
     n_max increments (and never past n_abs or MAX_ORDER); afterwards the
     reference is rebased to the current indicator and the refine
     multiplier grows by gamma.  Otherwise, if the indicator sits below freq_ref/eta0 and the
     order exceeds n_min, try a single coarsening and keep it only if it
-    strictly lowers the indicator below freq_ref.
+    strictly lowers the indicator below freq_ref.  f is u's reading, if known.
     """
     return _order_rule(
         u,
@@ -292,6 +297,7 @@ def p_adapt_step(
         order=lambda w: w.descriptor.order,
         trial=lambda w, step: refine(w) if step > 0 else coarsen(w),
         indicator=frequency_indicator,
+        f=f,
     )
 
 
@@ -329,24 +335,25 @@ def p_adapt_step_2d(
             f=f[k],
         )
 
-    wx, state_x, ax = axis(0, state_x)
-    wy, state_y, ay = axis(1, state_y)
+    wx, state_x, ax, _ = axis(0, state_x)
+    wy, state_y, ay, _ = axis(1, state_y)
     out = resample_2d(u, wx.descriptor_x, wy.descriptor_y)
     return out, state_x, state_y, ax + ay
 
 
 def scale_step(
     u: SpectralExpansion, state: AdaptiveState, config: ControllerConfig
-) -> tuple[SpectralExpansion, AdaptiveState, list[str]]:
+) -> tuple[SpectralExpansion, AdaptiveState, list[str], float | None]:
     """One scaling decision: walk beta by the ratio q while trials help.
 
     A trial is kept only if its indicator does not exceed the current one
     and the proposed beta stays inside [beta_lo, beta_hi]; the reference
     indicator follows each accepted trial.  Rejected trials leave the
-    expansion untouched.
+    expansion untouched.  Also returns the frequency reading of the result
+    (None on a bounded family).
     """
     if u.descriptor.bounded:
-        return u, state, []
+        return u, state, [], None
     actions: list[str] = []
     f = frequency_indicator(u)
     if f > config.nu * state.scale_ref:
@@ -354,7 +361,7 @@ def scale_step(
     elif f < state.scale_ref:
         direction, token = 1.0 / config.q, "scale_up"
     else:
-        return u, state, []
+        return u, state, [], f
     while True:
         beta_trial = direction * u.descriptor.beta
         if not (config.beta_lo <= beta_trial <= config.beta_hi):
@@ -368,25 +375,26 @@ def scale_step(
             actions.append(token)
         else:
             break
-    return u, state, actions
+    return u, state, actions, f
 
 
 def move_step(
     u: SpectralExpansion, state: AdaptiveState, config: ControllerConfig
-) -> tuple[SpectralExpansion, AdaptiveState, list[str]]:
+) -> tuple[SpectralExpansion, AdaptiveState, list[str], float | None]:
     """One translation decision (reconstructed companion-method loop).
 
     While the exterior indicator exceeds mu * exterior_ref, shift the grid
     rightward by delta (at most d_max in total, so an integer number of
     increments), splitting at the shifted grid's default node; after any
-    move the exterior reference is renewed.
+    move the exterior reference is renewed.  Also returns the exterior
+    reading of the result (None on a bounded family).
     """
     if u.descriptor.bounded:
-        return u, state, []
+        return u, state, [], None
     actions: list[str] = []
     e = exterior_error_indicator(u)
     if e <= config.mu * state.exterior_ref:
-        return u, state, []
+        return u, state, [], e
     moved = 0.0
     while e > config.mu * state.exterior_ref and moved + config.delta <= config.d_max * (1 + 1e-12):
         u = translate(u, config.delta)
@@ -395,7 +403,7 @@ def move_step(
         e = exterior_error_indicator(u)
     if actions:
         state = replace(state, exterior_ref=e)
-    return u, state, actions
+    return u, state, actions, e
 
 
 def orchestrate_step(
@@ -406,31 +414,33 @@ def orchestrate_step(
 ) -> tuple[SpectralExpansion, AdaptiveState, StepRecord]:
     """One full adaptive step: evolve, then move, scale, and order checks.
 
-    The exterior split point always follows the current grid.  The
-    record's indicators are measured once, after the order step; after an
-    order change the same values renew the scale/exterior references on
-    the new basis (the order controller has already rebased its own).
+    The exterior split point follows the current grid.  Each indicator is
+    read once per expansion: scale's reading opens the order step, and the
+    record keeps the controllers' last readings and measures the rest; after
+    an order change they renew the scale/exterior references on the new basis.
     """
     u = evolve(u)
     actions: list[str] = []
     unbounded = not u.descriptor.bounded
+    freq = ext = None  # readings on the current u
 
     if config.moving and unbounded:
-        u, state, acts = move_step(u, state, config)
+        u, state, acts, ext = move_step(u, state, config)
         actions += acts
 
     if config.scaling and unbounded:
-        u, state, acts = scale_step(u, state, config)
+        u, state, acts, freq = scale_step(u, state, config)
         actions += acts
 
     order_acts = []
     if config.p_adaptivity:
-        u, state, order_acts = p_adapt_step(u, state, config)
+        u, state, order_acts, freq = p_adapt_step(u, state, config, freq)
         actions += order_acts
+    ext = ext if set(actions) <= {"move"} else None  # move's, unless a later controller acted
 
     d = u.descriptor
-    freq = frequency_indicator(u)
-    ext = exterior_error_indicator(u) if unbounded else None
+    freq = frequency_indicator(u) if freq is None else freq
+    ext = exterior_error_indicator(u) if ext is None and unbounded else ext
     if order_acts:
         state = replace(
             state, scale_ref=freq, exterior_ref=ext if unbounded else state.exterior_ref

@@ -721,7 +721,9 @@ def to_values_2d(u: Expansion2D, x, y) -> np.ndarray:
 
 # 1, 2, 3, ...: the integer factors of the Chebyshev, Legendre and Laguerre derivatives
 _COUNT = np.arange(1.0, 2.0 * MAX_ORDER + 2.0)
+_HALF_ROOT = np.sqrt(_COUNT / 2.0)  # sqrt(m/2): the factors of the Hermite derivative
 _COUNT.setflags(write=False)
+_HALF_ROOT.setflags(write=False)
 
 
 def differentiate(u: SpectralExpansion) -> SpectralExpansion:
@@ -780,8 +782,8 @@ def _hermite_derivative(a: np.ndarray, beta: float) -> np.ndarray:
     """
     n = a.size - 1
     b = np.zeros(n + 2, dtype=np.result_type(a.dtype, float))
-    b[1:] -= beta * np.sqrt(np.arange(1, n + 2) / 2.0) * a
-    b[:n] += beta * np.sqrt(np.arange(1, n + 1) / 2.0) * a[1:]
+    b[1:] -= beta * _HALF_ROOT[: n + 1] * a
+    b[:n] += beta * _HALF_ROOT[:n] * a[1:]
     return b
 
 
@@ -793,9 +795,16 @@ def _laguerre_derivative(a: np.ndarray, beta: float, alpha: float) -> np.ndarray
     r_k = sqrt(h_k/h_0), h_k = Gamma(k+alpha+1)/k!, and the suffix sums
     S_k = sum_{n>=k} a_n / r_n (one reversed cumulative sum).
     """
-    k = _COUNT[: a.size - 1]
-    r = np.sqrt(np.cumprod(np.concatenate(([1.0], (k + alpha) / k))))  # h_k/h_{k-1} = (k+alpha)/k
+    r = _laguerre_ratios(a.size - 1, alpha)
     return beta * (0.5 * a - r * np.cumsum((a / r)[::-1])[::-1])
+
+
+@lru_cache(maxsize=64)
+def _laguerre_ratios(n: int, alpha: float) -> np.ndarray:
+    """r_k = sqrt(h_k/h_0) for k = 0..n, read-only; h_k/h_{k-1} = (k+alpha)/k."""
+    r = np.sqrt(np.cumprod(np.concatenate(([1.0], (_COUNT[:n] + alpha) / _COUNT[:n]))))
+    r.setflags(write=False)
+    return r
 
 
 def _derivative_rows(order: int, a: float, b: float) -> np.ndarray:

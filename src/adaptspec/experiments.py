@@ -2,7 +2,8 @@
 
 Each example_config() factory pins one study's operating point (basis,
 controller thresholds, step size, horizon).  run() marches it and writes
-one CSV row per step; sweep() re-runs a config over a parameter grid and
+one CSV row per step (a 1-D run's errors in one pass per stretch of steps
+in one space); sweep() re-runs a config over a parameter grid and
 tabulates the endpoint of every cell.  Nothing draws randomness, so
 reruns are bit-identical and the CSVs double as regression artifacts.
 """
@@ -24,11 +25,12 @@ from .basis import (
     BasisDescriptor,
     Family,
     SpectralExpansion,
+    _apply_real,
+    evaluate_all,
     nodes_weights,
     to_coefficients,
-    to_values,
 )
-from .indicators import frequency_indicator, relative_error, relative_error_2d
+from .indicators import _relative_errors, frequency_indicator, relative_error_2d
 from .schrodinger import (
     SchrodingerProblem,
     adapt_schrodinger_run,
@@ -159,6 +161,11 @@ def load_config_file(path):
 # Published operating points.  Values not named by a study stay at the
 # ControllerConfig defaults; eta0 mirrors eta where only one threshold
 # was quoted (the coarsening side is inactive or symmetric there).
+# Examples 3 and 4 share one controller operating point.
+_TRACKING = dict(
+    eta=1.2, eta0=1.2, gamma=1.05, n_max=3, q=0.95, nu=1.0 / 0.95, beta_lo=0.3, beta_hi=10.0,
+    moving=False,
+)
 _FACTORY_DEFAULTS = {
     1: (
         dict(eta=1.5, gamma=1.1, n_max=3, scaling=False, moving=False),
@@ -169,31 +176,11 @@ _FACTORY_DEFAULTS = {
         dict(family=Family.LEGENDRE, order=36, order_y=36, dt=0.01, T=5.0),
     ),
     3: (
-        dict(
-            eta=1.2,
-            eta0=1.2,
-            gamma=1.05,
-            n_max=3,
-            q=0.95,
-            nu=1.0 / 0.95,
-            beta_lo=0.3,
-            beta_hi=10.0,
-            moving=False,
-        ),
+        _TRACKING,
         dict(family=Family.LAGUERRE_FN, order=50, beta0=4.0, dt=1e-3, T=5.0, a=2.0, b=0.7),
     ),
     4: (
-        dict(
-            eta=1.2,
-            eta0=1.2,
-            gamma=1.05,
-            n_max=3,
-            q=0.95,
-            nu=1.0 / 0.95,
-            beta_lo=0.3,
-            beta_hi=10.0,
-            moving=False,
-        ),
+        _TRACKING,
         dict(family=Family.LAGUERRE_FN, order=50, beta0=4.0, dt=1e-3, T=5.0, a=0.5, b=0.5),
     ),
     5: (
@@ -263,21 +250,33 @@ def example_config(example, **overrides):
 # ---------------------------------------------------------------------------
 # runners
 
-def _logger(target):
-    """A record list and the on_step callback that appends each step to it,
-    with t and the error against target(x, t), or target(X, Y, t) for a
-    tensor run, filled in.
+def _logger(target, rows=None):
+    """The on_step callback, and a function returning the records with t and
+    the error against target(x, t), or target(X, Y, t) in 2-D, filled in.
+    1-D errors take one pass per stretch of steps in one space, against
+    rows(x, ts): the target's values at x for the stretch's times ts.
     """
-    records = []
+    rows = rows or (lambda x, ts: np.stack([target(x, t) for t in ts]))
+    records, run = [], []  # run: (t, u, rec) of the steps since the space last changed
+
+    def flush():
+        if run:
+            ts, us, recs = zip(*run)
+            for r, t, e in zip(recs, ts, _relative_errors(us, lambda x: rows(x, ts))):
+                records.append(dataclasses.replace(r, t=t, error=e))
+            run.clear()
+        return records
 
     def log(t, u, rec):
-        if rec.order_x is None:
-            error = relative_error(u, lambda x: target(x, t))
-        else:
+        if rec.order_x is not None:
             error = relative_error_2d(u, lambda X, Y: target(X, Y, t))
-        records.append(dataclasses.replace(rec, t=t, error=error))
+            records.append(dataclasses.replace(rec, t=t, error=error))
+            return
+        if run and run[-1][1].descriptor != u.descriptor:
+            flush()
+        run.append((t, u, rec))
 
-    return records, log
+    return log, flush
 
 
 def _run_example_1(cfg):
@@ -292,9 +291,9 @@ def _run_example_1(cfg):
         T=cfg.T,
         boundary=(-1, lambda s: np.cos(3.0 * (s + 1.0))),
     )
-    records, log = _logger(analytic)
+    log, logged = _logger(analytic)
     u, _ = solve_collocation(problem, cfg.controller, u0, on_step=log)
-    return records, u
+    return logged(), u
 
 
 def _run_example_2(cfg):
@@ -305,16 +304,16 @@ def _run_example_2(cfg):
 
     dx0 = BasisDescriptor(cfg.family, cfg.order)
     dy0 = BasisDescriptor(cfg.family, cfg.order_y if cfg.order_y is not None else cfg.order)
-    records, log = _logger(target)
+    log, logged = _logger(target)
     u, _ = track_function_2d(target, cfg.controller, dx0, dy0, cfg.dt, cfg.T, on_step=log)
-    return records, u
+    return logged(), u
 
 
 def _tracking_runner(cfg, target):
     d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
-    records, log = _logger(target)
+    log, logged = _logger(target)
     u, _ = track_function(target, cfg.controller, d0, cfg.dt, cfg.T, on_step=log)
-    return records, u
+    return logged(), u
 
 
 def _run_example_3(cfg):
@@ -331,9 +330,9 @@ def _run_example_5(cfg):
     target = lambda x, t: gaussian_packet(x, t, cfg.zeta, cfg.k)
     problem = SchrodingerProblem(psi0=lambda x: target(x, 0.0), dt=cfg.dt, T=cfg.T)
     d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
-    records, log = _logger(target)
+    log, logged = _logger(target)
     u, _ = adapt_schrodinger_run(problem, cfg.controller, d0, on_step=log)
-    return records, u
+    return logged(), u
 
 
 def _example_6_potentials(depth, sharp, amp, omega):
@@ -378,7 +377,7 @@ def _reference_trajectory_6(ref):
 
     def step(u, state, t, t_next):
         psi = propagate_step(u.coefficients, u.descriptor, problem, t)
-        return scale_step(SpectralExpansion(u.descriptor, psi), state, ref.controller)
+        return scale_step(SpectralExpansion(u.descriptor, psi), state, ref.controller)[:3]
 
     trajectory = []
     _march(u, state, step, ref.dt, ref.T, lambda t, u, rec: trajectory.append(u))
@@ -404,10 +403,16 @@ def _run_example_6(cfg):
     # Refinement may grow the order, but never past what the yardstick resolves.
     n_abs = cfg.n_ref if cfg.controller.n_abs is None else min(cfg.controller.n_abs, cfg.n_ref)
     controller = dataclasses.replace(cfg.controller, n_abs=n_abs)
-    # the step ending at t is reference step t/dt - 1
-    records, log = _logger(lambda x, t: to_values(reference[round(t / cfg.dt) - 1], x))
+
+    def rows(x, ts):
+        # the step ending at t is reference step t/dt - 1; one evaluation per space
+        refs = [reference[round(t / cfg.dt) - 1] for t in ts]
+        E = {d: evaluate_all(d, x).T for d in {ref.descriptor for ref in refs}}
+        return np.stack([_apply_real(E[ref.descriptor], ref.coefficients) for ref in refs])
+
+    log, logged = _logger(None, rows)
     u, _ = adapt_schrodinger_run(problem, controller, d0, on_step=log)
-    return records, u
+    return logged(), u
 
 
 _RUNNERS = {

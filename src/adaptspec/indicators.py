@@ -13,7 +13,9 @@ reference node), the fine-grid matrix per descriptor without its
 translation (on the bounded families, the top rows of the fine rule's own
 basis values).  Moving or rescaling the grid thus reuses them, and each
 call is a matrix-vector product, run in real arithmetic for complex
-coefficients.
+coefficients.  The errors of a run of expansions in one space take one
+pass over stacked reference rows, each row with a single call's
+arithmetic; a NaN or infinite reference value is refused.
 """
 
 from __future__ import annotations
@@ -181,18 +183,40 @@ def relative_error(u: SpectralExpansion, reference: Callable) -> float:
     """Weighted-L2 relative error against a callable, oversampled grid.
 
     The rule of order 2N+2 (>= 2(N+1) points) prevents the difference from
-    aliasing to zero.  reference must accept a vector of points.
+    aliasing to zero.  reference must accept a vector of points; its
+    result is broadcast to the rule's shape, and a NaN or infinite value
+    raises ValueError.
     """
-    d = u.descriptor
+    return _relative_errors([u], reference)[0]
+
+
+def _relative_errors(us, rows: Callable) -> list:
+    """relative_error of each expansion in us (one descriptor), against the
+    rows of rows(x), one per expansion.  The rule and the cross matrix are
+    looked up once; each row takes relative_error's product and sums.
+    """
+    d = us[0].descriptor
     fine = _fine_descriptor(d)
     r = nodes_weights(fine)
-    fv = np.asarray(reference(r.nodes))
-    uv = _apply_real(_cross_matrix(d, fine).T, u.coefficients)
-    den2 = float(r.weights @ np.abs(fv) ** 2)
+    F = np.broadcast_to(rows(r.nodes), (len(us), r.nodes.size))
+    B = _cross_matrix(d, fine).T  # after rows: their temporaries are freed before a build
+    errors = []
+    for u, fv in zip(us, F):
+        uv = _apply_real(B, u.coefficients)
+        den2 = float(r.weights @ np.abs(fv) ** 2)
+        errors.append(_ratio(r.weights @ np.abs(uv - fv) ** 2, den2, F))
+    return errors
+
+
+def _ratio(num2, den2: float, values: np.ndarray) -> float:
+    """sqrt(num2/den2), refusing a zero norm or a non-finite reference value
+    (which makes den2 non-finite: only then are the values searched)."""
+    if not math.isfinite(den2) and not np.isfinite(values).all():
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+        raise ValueError(f"reference value {index} is not finite: {values[index].item()!r}")
     if den2 == 0.0:
         raise ValueError("reference has zero weighted norm")
-    num2 = float(r.weights @ np.abs(uv - fv) ** 2)
-    return math.sqrt(num2 / den2)
+    return math.sqrt(float(num2) / den2)
 
 
 def relative_error_2d(u: Expansion2D, reference: Callable) -> float:
@@ -201,7 +225,7 @@ def relative_error_2d(u: Expansion2D, reference: Callable) -> float:
     reference(X, Y) receives the open grids of the fine rule: X of shape
     (nx, 1) and Y of shape (1, ny), as meshgrid(..., indexing='ij',
     sparse=True) gives them.  Its result is broadcast to (nx, ny); a shape
-    that does not broadcast raises ValueError.
+    that does not broadcast, or a NaN or infinite value, raises ValueError.
     """
     fx = _fine_descriptor(u.descriptor_x)
     fy = _fine_descriptor(u.descriptor_y)
@@ -211,7 +235,4 @@ def relative_error_2d(u: Expansion2D, reference: Callable) -> float:
     uv = _cross_matrix(u.descriptor_x, fx).T @ u.coefficients @ _cross_matrix(u.descriptor_y, fy)
     W = rx.weights[:, None] * ry.weights[None, :]
     den2 = float((W * np.abs(fv) ** 2).sum())
-    if den2 == 0.0:
-        raise ValueError("reference has zero weighted norm")
-    num2 = float((W * np.abs(uv - fv) ** 2).sum())
-    return math.sqrt(num2 / den2)
+    return _ratio((W * np.abs(uv - fv) ** 2).sum(), den2, fv)

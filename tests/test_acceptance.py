@@ -240,7 +240,7 @@ def test_criterion_10_controller_property_suite(report):
     # tail window populated, so only the cap can end the loop)
     u3 = SpectralExpansion(BasisDescriptor(HER, 30), 0.9 ** np.arange(31))
     s3 = dataclasses.replace(initial_state(u3, cfg), freq_ref=1e-9)
-    u3b, _, acts3 = p_adapt_step(u3, s3, cfg)
+    u3b, _, acts3, _ = p_adapt_step(u3, s3, cfg)
     checks.append(("n_max cap", acts3.count("refine") == cfg.n_max
                    and u3b.descriptor.order == 30 + cfg.n_max))
 
@@ -251,7 +251,7 @@ def test_criterion_10_controller_property_suite(report):
         uw = to_coefficients(np.exp(-(nodes_weights(dw).nodes / width) ** 2), dw)
         sw = initial_state(uw, cfg)
         for ref in (1e-12, 1e12):  # force both branches
-            uw2, _, _ = scale_step(uw, dataclasses.replace(sw, scale_ref=ref), cfg)
+            uw2, _, _, _ = scale_step(uw, dataclasses.replace(sw, scale_ref=ref), cfg)
             ok_beta = ok_beta and cfg.beta_lo <= uw2.descriptor.beta <= cfg.beta_hi
     checks.append(("beta bounds", ok_beta))
 
@@ -259,7 +259,7 @@ def test_criterion_10_controller_property_suite(report):
     d5 = BasisDescriptor(HER, 16)
     u5 = to_coefficients(np.exp(-(nodes_weights(d5).nodes - 4.0) ** 2), d5)
     s5 = dataclasses.replace(initial_state(u5, cfg), exterior_ref=1e-15)
-    u5b, _, acts5 = move_step(u5, s5, cfg)
+    u5b, _, acts5, _ = move_step(u5, s5, cfg)
     moved = u5b.descriptor.x_left - 0.0
     checks.append(("d_max cap", acts5.count("move") == round(cfg.d_max / cfg.delta)
                    and moved <= cfg.d_max + 1e-12))

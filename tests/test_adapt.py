@@ -1,6 +1,7 @@
 """Reconstruction primitives and the three adaptivity controllers."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -226,7 +227,7 @@ def test_p_adapt_dead_zone_no_change():
     f = frequency_indicator(u)
     st = state_with(freq_ref=f, refine_factor=1.2)
     cfg = ControllerConfig(eta0=1.2)
-    v, st2, actions = p_adapt_step(u, st, cfg)
+    v, st2, actions, _ = p_adapt_step(u, st, cfg)
     assert actions == []
     assert v is u
     assert st2 == st
@@ -238,7 +239,7 @@ def test_p_adapt_exactly_n_max_refinements():
     u = SpectralExpansion(HER(12), c)
     st = state_with(freq_ref=1e-9, refine_factor=1.2)
     cfg = ControllerConfig(eta0=1.2, gamma=1.05, n_max=4)
-    v, st2, actions = p_adapt_step(u, st, cfg)
+    v, st2, actions, _ = p_adapt_step(u, st, cfg)
     assert actions == ["refine"] * 4
     assert v.descriptor.order == 16
     # reference rebased to the post-loop indicator, multiplier grew once
@@ -251,7 +252,7 @@ def test_p_adapt_refine_stops_at_absolute_cap():
     u = SpectralExpansion(HER(12), c)
     st = state_with(freq_ref=1e-9)
     cfg = ControllerConfig(n_max=6, n_abs=14)
-    v, st2, actions = p_adapt_step(u, st, cfg)
+    v, st2, actions, _ = p_adapt_step(u, st, cfg)
     assert v.descriptor.order == 14
     assert actions == ["refine"] * 2
     # the branch still rebases the reference
@@ -261,11 +262,11 @@ def test_p_adapt_refine_stops_at_absolute_cap():
 def test_p_adapt_refine_stops_at_max_order(monkeypatch):
     monkeypatch.setattr(basis, "MAX_ORDER", 12)
     u = SpectralExpansion(LEG(12), np.ones(13))
-    v, st2, actions = p_adapt_step(u, state_with(freq_ref=1e-9), ControllerConfig(n_max=6))
+    v, st2, actions, _ = p_adapt_step(u, state_with(freq_ref=1e-9), ControllerConfig(n_max=6))
     assert actions == [] and v is u
     npt.assert_allclose(st2.freq_ref, frequency_indicator(u), rtol=1e-15)
     # n_abs above the limit does not lift it
-    v, _, actions = p_adapt_step(
+    v, _, actions, _ = p_adapt_step(
         SpectralExpansion(LEG(10), np.ones(11)),
         state_with(freq_ref=1e-9),
         ControllerConfig(n_max=6, n_abs=20),
@@ -286,7 +287,7 @@ def test_p_adapt_accepted_coarsen():
     st = state_with(freq_ref=0.1)
     cfg = ControllerConfig(eta0=1.2)
     assert f < 0.1 / 1.2  # scenario precondition
-    v, st2, actions = p_adapt_step(u, st, cfg)
+    v, st2, actions, _ = p_adapt_step(u, st, cfg)
     assert actions == ["coarsen"]
     assert v.descriptor.order == 3
     assert st2.freq_ref == pytest.approx(frequency_indicator(v))
@@ -302,7 +303,7 @@ def test_p_adapt_coarsen_rejected_when_trial_not_better():
     ft = frequency_indicator(coarsen(u))
     assert ft > 1.2 * f  # scenario precondition
     st = state_with(freq_ref=ft)  # trial must be strictly below freq_ref
-    v, st2, actions = p_adapt_step(u, st, ControllerConfig(eta0=1.2))
+    v, st2, actions, _ = p_adapt_step(u, st, ControllerConfig(eta0=1.2))
     assert actions == []
     assert v is u
     assert st2 == st
@@ -312,7 +313,7 @@ def test_p_adapt_at_most_one_coarsen_per_call():
     c = np.array([1.0] + [1e-12] * 10)
     u = SpectralExpansion(HER(10), c)
     st = state_with(freq_ref=0.5)
-    v, st2, actions = p_adapt_step(u, st, ControllerConfig(eta0=1.2))
+    v, st2, actions, _ = p_adapt_step(u, st, ControllerConfig(eta0=1.2))
     assert actions.count("coarsen") <= 1
     assert v.descriptor.order >= 9
 
@@ -322,7 +323,7 @@ def test_p_adapt_respects_n_min():
     u = SpectralExpansion(HER(2), c)
     st = state_with(freq_ref=0.5)
     cfg = ControllerConfig(eta0=1.2, n_min=2)
-    v, _, actions = p_adapt_step(u, st, cfg)
+    v, _, actions, _ = p_adapt_step(u, st, cfg)
     assert actions == []
     assert v.descriptor.order == 2
 
@@ -333,11 +334,11 @@ def test_p_adapt_threshold_boundaries_are_dead():
     f = frequency_indicator(u)
     # f == refine_factor * freq_ref exactly: no refine (strict >)
     st = state_with(freq_ref=f / 1.2, refine_factor=1.2)
-    _, _, actions = p_adapt_step(u, st, ControllerConfig(eta0=1.2))
+    _, _, actions, _ = p_adapt_step(u, st, ControllerConfig(eta0=1.2))
     assert actions == []
     # f == freq_ref / eta0 exactly: no coarsen (strict <)
     st = state_with(freq_ref=f * 1.2)
-    _, _, actions = p_adapt_step(u, st, ControllerConfig(eta0=1.2))
+    _, _, actions, _ = p_adapt_step(u, st, ControllerConfig(eta0=1.2))
     assert actions == []
 
 
@@ -397,7 +398,7 @@ def test_scale_dead_zone():
     u = make_gaussian_expansion(1.5)
     f = frequency_indicator(u)
     st = state_with(scale_ref=f / 1.02)  # f in [f1, nu f1) for nu = 1/0.95
-    v, st2, actions = scale_step(u, st, ControllerConfig())
+    v, st2, actions, _ = scale_step(u, st, ControllerConfig())
     assert actions == []
     assert v is u and st2 == st
 
@@ -408,7 +409,7 @@ def test_scale_down_for_wide_data():
     f = frequency_indicator(u)
     st = state_with(scale_ref=f / 2)
     cfg = ControllerConfig(q=0.95, nu=1 / 0.95, beta_lo=0.1, beta_hi=10.0)
-    v, st2, actions = scale_step(u, st, cfg)
+    v, st2, actions, _ = scale_step(u, st, cfg)
     assert actions and set(actions) == {"scale_down"}
     assert v.descriptor.beta < 1.0
     assert v.descriptor.beta >= cfg.beta_lo
@@ -421,7 +422,7 @@ def test_scale_up_for_narrow_data():
     f = frequency_indicator(u)
     st = state_with(scale_ref=f * 2)  # f < scale_ref triggers up-scaling
     cfg = ControllerConfig(q=0.95, nu=1 / 0.95)
-    v, st2, actions = scale_step(u, st, cfg)
+    v, st2, actions, _ = scale_step(u, st, cfg)
     assert actions and set(actions) == {"scale_up"}
     assert v.descriptor.beta > 1.0
     assert frequency_indicator(v) <= f
@@ -432,7 +433,7 @@ def test_scale_rejected_trial_changes_nothing():
     u = make_gaussian_expansion(1.0)
     f = frequency_indicator(u)
     st = state_with(scale_ref=f / 10)  # force the down-branch
-    v, st2, actions = scale_step(u, st, ControllerConfig())
+    v, st2, actions, _ = scale_step(u, st, ControllerConfig())
     assert actions == []
     assert v.descriptor.beta == 1.0
     assert st2.scale_ref == st.scale_ref
@@ -444,13 +445,13 @@ def test_scale_respects_beta_bounds():
     f = frequency_indicator(u)
     st = state_with(scale_ref=f / 2)
     cfg = ControllerConfig(beta_lo=0.9, beta_hi=1.5)
-    v, _, _ = scale_step(u, st, cfg)
+    v, _, _, _ = scale_step(u, st, cfg)
     assert cfg.beta_lo <= v.descriptor.beta <= cfg.beta_hi
 
 
 def test_scale_bounded_noop():
     u = SpectralExpansion(LEG(4), np.ones(5))
-    v, _, actions = scale_step(u, state_with(), ControllerConfig())
+    v, _, actions, _ = scale_step(u, state_with(), ControllerConfig())
     assert v is u and actions == []
 
 
@@ -467,7 +468,7 @@ def test_move_noop_below_threshold():
     u = packet_expansion(0.0)
     e = exterior_error_indicator(u)
     st = state_with(exterior_ref=e)
-    v, st2, actions = move_step(u, st, ControllerConfig())
+    v, st2, actions, _ = move_step(u, st, ControllerConfig())
     assert actions == []
     assert v is u and st2 == st
 
@@ -478,7 +479,7 @@ def test_move_caps_at_d_max():
     u = packet_expansion(1.0)
     st = state_with(exterior_ref=1e-12)
     cfg = ControllerConfig(mu=1.0002, delta=0.005, d_max=0.1)
-    v, st2, actions = move_step(u, st, cfg)
+    v, st2, actions, _ = move_step(u, st, cfg)
     assert actions == ["move"] * 20
     npt.assert_allclose(v.descriptor.x_left, 0.1, atol=1e-12)
     # reference renewed on the moved basis, split at its default node
@@ -490,7 +491,7 @@ def test_move_displacement_integer_multiple_of_delta():
     e = exterior_error_indicator(u)
     st = state_with(exterior_ref=e / 4)
     cfg = ControllerConfig(mu=1.05, delta=0.03, d_max=0.3)
-    v, _, actions = move_step(u, st, cfg)
+    v, _, actions, _ = move_step(u, st, cfg)
     k = len(actions)
     npt.assert_allclose(v.descriptor.x_left, k * 0.03, atol=1e-12)
     assert 0 < k * 0.03 <= 0.3 + 1e-12
@@ -501,7 +502,7 @@ def test_move_stops_once_indicator_recovers():
     e = exterior_error_indicator(u)
     st = state_with(exterior_ref=e / 1.5)
     cfg = ControllerConfig(mu=1.1, delta=0.02, d_max=1.0)
-    v, st2, actions = move_step(u, st, cfg)
+    v, st2, actions, _ = move_step(u, st, cfg)
     assert actions  # moved at least once
     assert len(actions) * 0.02 < 1.0  # stopped before the cap
     assert st2.exterior_ref <= cfg.mu * (e / 1.5)
@@ -552,6 +553,38 @@ def test_orchestrate_renews_references_after_order_change(monkeypatch):
     assert calls[calls.index("p_adapt_step") + 1:] == ["exterior_error_indicator"]
     npt.assert_allclose(st2.scale_ref, frequency_indicator(v), rtol=1e-12)
     npt.assert_allclose(st2.exterior_ref, exterior_error_indicator(v), rtol=1e-10)
+
+
+def test_orchestrate_reads_each_indicator_once_per_expansion(monkeypatch):
+    from adaptspec import adapt
+
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(adapt, name)
+
+        def wrapper(w):
+            calls[name, w.descriptor] += 1
+            return fn(w)
+
+        return wrapper
+
+    for name in ("frequency_indicator", "exterior_error_indicator"):
+        monkeypatch.setattr(adapt, name, counted(name))
+    d = HER(16)
+    u = to_coefficients(np.exp(-((nodes_weights(d).nodes - 0.5) ** 2)), d)
+    cfg = ControllerConfig(d_max=0.05)
+    st = initial_state(u, cfg)
+    # all three controllers on, every reference at the current readings: no action
+    calls.clear()
+    _, _, rec = orchestrate_step(u, st, cfg, evolve=lambda w: w)
+    assert rec.actions == () and list(calls.values()) == [1, 1]
+    # ten moves to the d_max budget, then scaling trials: still one reading
+    # of each indicator per expansion
+    calls.clear()
+    _, _, rec = orchestrate_step(u, replace(st, exterior_ref=1e-15), cfg, evolve=lambda w: w)
+    assert rec.actions[:11] == ("move",) * 10 + ("scale_up",)
+    assert max(calls.values()) == 1
 
 
 def test_orchestrate_moving_tracks_travelling_packet():
@@ -634,7 +667,7 @@ def test_repeated_moves_reuse_cross_matrices_and_panels():
     indicators._exterior_panels.cache_clear()
     u = packet_expansion(1.0, n=36, beta=1.1, x_left=0.21)
     cfg = ControllerConfig(mu=1.0002, delta=0.005, d_max=0.1)
-    v, _, actions = move_step(u, state_with(exterior_ref=1e-12), cfg)
+    v, _, actions, _ = move_step(u, state_with(exterior_ref=1e-12), cfg)
     assert actions == ["move"] * 20
     assert basis._cross_matrix_cached.cache_info().misses <= 2
     assert indicators._exterior_panels.cache_info().misses == 1

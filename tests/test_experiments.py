@@ -317,6 +317,86 @@ def test_recorded_actions_respect_controller_invariants(tmp_path):
     assert saw_any
 
 
+def _logged_run(monkeypatch, example, march_name, **overrides):
+    """Run an example with its march's on_step spied on: (cfg, [(t, u)], records)."""
+    seen = []
+    march = getattr(experiments, march_name)
+
+    def spy(*args, on_step, **kwargs):
+        def both(t, u, rec):
+            seen.append((t, u))
+            on_step(t, u, rec)
+
+        return march(*args, on_step=both, **kwargs)
+
+    monkeypatch.setattr(experiments, march_name, spy)
+    cfg = example_config(example, **overrides)
+    records, _ = experiments._RUNNERS[example](cfg)
+    return cfg, seen, records
+
+
+def _runs(seen):
+    """Lengths of the runs of consecutive steps in one space."""
+    lengths = [1]
+    for (_, a), (_, b) in zip(seen, seen[1:]):
+        if a.descriptor == b.descriptor:
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+    return lengths
+
+
+@pytest.mark.parametrize(
+    "example, march_name, T, target",
+    [
+        # the space changes at nearly every step
+        (5, "adapt_schrodinger_run", 0.5,
+         lambda cfg: lambda x, t: experiments.gaussian_packet(x, t, cfg.zeta, cfg.k)),
+        # long runs of one space
+        (1, "solve_collocation", 0.5, lambda cfg: lambda x, t: np.cos((t + 1.0) * (x + 2.0))),
+    ],
+)
+def test_logger_fills_every_step_from_one_error_pass_per_run(monkeypatch, example, march_name,
+                                                             T, target):
+    from adaptspec.indicators import relative_error
+
+    cfg, seen, records = _logged_run(monkeypatch, example, march_name, T=T)
+    f = target(cfg)
+    runs = _runs(seen)
+    assert len(records) == len(seen) == round(T / cfg.dt)
+    assert (len(runs) > 0.8 * len(seen)) if example == 5 else (max(runs) >= 300), runs
+    for rec, (t, u) in zip(records, seen):
+        assert rec.t == t and rec.order == u.descriptor.order
+        assert rec.error == relative_error(u, lambda x: f(x, t))
+
+
+def test_example_6_error_evaluates_each_reference_space_once_per_run(monkeypatch):
+    from adaptspec import to_values
+    from adaptspec.indicators import relative_error
+
+    evaluated = []
+    evaluate_all = experiments.evaluate_all
+    monkeypatch.setattr(
+        experiments, "evaluate_all", lambda d, x: evaluated.append(d) or evaluate_all(d, x)
+    )
+    cfg, seen, records = _logged_run(
+        monkeypatch, 6, "adapt_schrodinger_run", order=40, n_ref=100, T=0.6
+    )
+    reference = experiments._reference_trajectory_6(experiments._reference_key_6(cfg))
+    refs = [reference[round(t / cfg.dt) - 1] for t, _ in seen]
+    assert len(records) == len(seen) == 60
+    for rec, (t, u), ref in zip(records, seen, refs):
+        assert rec.t == t
+        assert rec.error == relative_error(u, lambda x: to_values(ref, x))
+    # one evaluation per (run, reference space) pair; some run spans two
+    per_run, start = [], 0
+    for n in _runs(seen):
+        per_run.append(len({r.descriptor for r in refs[start:start + n]}))
+        start += n
+    assert max(per_run) == 2
+    assert len(evaluated) == sum(per_run) < len(seen)
+
+
 # ---------------------------------------------------------------------------
 # sweep()
 

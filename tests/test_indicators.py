@@ -1,6 +1,7 @@
 """Frequency/exterior indicators and relative error."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from adaptspec import (
 from adaptspec.basis import _CACHE_ENTRY_LIMIT
 from adaptspec.indicators import (
     _axis_indicators,
+    _relative_errors,
     _composite_gauss,
     _exterior_panels,
     default_tail_width,
@@ -315,6 +317,63 @@ def test_relative_error_zero_reference_raises():
     u = expansion(LEG(4), np.ones(5))
     with pytest.raises(ValueError):
         relative_error(u, lambda x: np.zeros_like(x))
+
+
+def test_relative_error_broadcasts_a_constant_reference():
+    u = expansion(LEG(6), 0.5 ** np.arange(7))
+    assert relative_error(u, lambda x: 1.0) == relative_error(u, np.ones_like)
+
+
+def test_relative_error_refuses_a_reference_of_the_wrong_shape():
+    u = expansion(LEG(6), 0.5 ** np.arange(7))
+    with pytest.raises(ValueError):
+        relative_error(u, lambda x: np.ones((x.size, 1)))
+    with pytest.raises(ValueError):
+        relative_error(u, lambda x: np.ones(x.size + 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_relative_error_names_the_first_non_finite_reference_value(bad):
+    # before, a NaN reference gave a NaN error, which the CSV writes as an empty cell
+    def poisoned(shape):
+        f = np.ones(shape, dtype=complex if isinstance(bad, complex) else float)
+        f.flat[3], f.flat[5] = bad, math.nan
+        return f
+
+    u = expansion(LEG(6), 0.5 ** np.arange(7))
+    with pytest.raises(ValueError, match=re.escape(f"reference value (0, 3) is not finite: {bad!r}")):
+        relative_error(u, lambda x: poisoned(x.shape))
+    U = Expansion2D(LEG(3), LEG(4), np.ones((4, 5)))
+    with pytest.raises(ValueError, match=r"reference value \(0, 3\) is not finite"):
+        relative_error_2d(U, lambda x, y: poisoned((x.size, y.size)))
+
+
+RUN_SPACES = [
+    (HER(14, beta=1.3, x_left=-0.4), True),
+    (HER(14, beta=0.8, x_left=0.3), False),
+    (BasisDescriptor(Family.LAGUERRE_FN, 12, beta=0.7, x_left=0.5, laguerre_a=0.5), True),
+    (BasisDescriptor(Family.LAGUERRE_FN, 12, beta=1.4), False),
+    (BasisDescriptor(Family.CHEBYSHEV, 11), True),
+    (BasisDescriptor(Family.CHEBYSHEV, 11), False),
+    (LEG(9), True),
+    (LEG(9), False),
+    (BasisDescriptor(Family.JACOBI, 8, jacobi_a=0.5, jacobi_b=-0.25), True),
+    (BasisDescriptor(Family.JACOBI, 8, jacobi_a=0.5, jacobi_b=-0.25), False),
+]
+
+
+@pytest.mark.parametrize("d, complex_", RUN_SPACES)
+def test_batched_relative_errors_equal_the_one_row_calls(d, complex_):
+    # one pass over a run of one space gives each step's error bit for bit
+    scale = 1 + 0.5j if complex_ else 1.0
+    targets = [
+        (lambda x, k=k: np.exp(-0.3 * (x - 0.1 * k) ** 2) * np.cos(x + k) * scale) for k in range(5)
+    ]
+    us = [SpectralExpansion(d, _coefficients(d, complex_, seed)) for seed in range(5)]
+    batched = _relative_errors(us, lambda x: np.stack([f(x) for f in targets]))
+    assert batched == [relative_error(u, f) for u, f in zip(us, targets)]
+    assert batched == [relative_error_direct(u, f) for u, f in zip(us, targets)]
+    assert _relative_errors(us[:1], targets[0]) == [relative_error(us[0], targets[0])]
 
 
 def test_relative_error_unbounded_weighted():
