@@ -1,33 +1,17 @@
 """Command-line front end: march one example (`run`) or a grid (`sweep`).
 
-Precedence per option: packaged example default < --config file < flag.
+Every plain field of ControllerConfig and ExperimentConfig is a flag named
+"--" + the field name without underscores (d_max -> --dmax, n_ref -> --nref),
+parsed as its config-file key is; a boolean field is a --no-<flag> switch
+(p_adaptivity also answers to --no-padapt).  The field's docstring holds its
+meaning.  Precedence per option: packaged example default < --config file <
+flag.
 """
 
 import argparse
 import sys
 
 from . import experiments
-
-# flag, example_config override key (the argparse dest) and help text of
-# the plain value flags; each value is parsed as its config-file key is.
-_VALUE_FLAGS = (
-    ("--eta", "eta", "refinement threshold multiplier"),
-    ("--eta0", "eta0", "coarsening threshold divisor"),
-    ("--gamma", "gamma", "growth factor applied to eta after refining"),
-    ("--q", "q", "scale-contraction ratio (trial beta -> q*beta)"),
-    ("--nu", "nu", "scaling trigger multiplier"),
-    ("--mu", "mu", "moving trigger multiplier"),
-    ("--delta", "delta", "translation increment"),
-    ("--dmax", "d_max", "max translation per step"),
-    ("--nmax", "n_max", "max order increments per step"),
-    ("--nmin", "n_min", "order floor"),
-    ("--nabs", "n_abs", "hard order ceiling"),
-    ("--order", "order", "initial expansion order"),
-    ("--beta0", "beta0", "initial scaling factor"),
-    ("--dt", "dt", "time step"),
-    ("--T", "T", "final time"),
-    ("--nref", "n_ref", "example 6 reference order"),
-)
 
 
 def _float_list(text):
@@ -44,18 +28,17 @@ def _add_common(parser):
     parser.add_argument("--example", type=int, required=True, choices=range(1, 7),
                         help="which packaged study to run (1-6)")
     parser.add_argument("--config", help="key=value file applied before other flags")
-    for flag, dest, help_text in _VALUE_FLAGS:
-        parser.add_argument(flag, dest=dest, type=experiments._SCHEMA[dest], default=None,
-                            help=help_text)
-    parser.add_argument("--no-scaling", dest="scaling", action="store_false", default=None,
-                        help="disable the scaling controller")
-    parser.add_argument("--no-moving", dest="moving", action="store_false", default=None,
-                        help="disable the translation controller")
-    parser.add_argument("--no-padapt", dest="p_adaptivity", action="store_false", default=None,
-                        help="disable order adaptivity")
+    for key, parse in experiments._SCHEMA.items():
+        owner = "ControllerConfig" if key in experiments._CONTROLLER_FIELDS else "ExperimentConfig"
+        flag, field = key.replace("_", ""), "%s.%s" % (owner, key)
+        if parse is experiments._parse_bool:
+            names = ["--no-" + flag] + (["--no-padapt"] if key == "p_adaptivity" else [])
+            parser.add_argument(*names, dest=key, action="store_false", default=None,
+                                help="turn off " + field)
+        else:
+            parser.add_argument("--" + flag, dest=key, type=parse, default=None, help=field)
     parser.add_argument("--no-adapt", action="store_true",
                         help="disable all three controllers")
-    parser.add_argument("--out", default=None, help="output CSV path")
 
 
 def build_parser():
@@ -78,13 +61,10 @@ def build_parser():
 
 
 def _collect_overrides(args):
-    overrides = {}
-    if args.config:
-        overrides.update(experiments.load_config_file(args.config))
-    for dest in [key for _, key, _ in _VALUE_FLAGS] + ["scaling", "moving", "p_adaptivity"]:
-        value = getattr(args, dest)
-        if value is not None:
-            overrides[dest] = value
+    overrides = experiments.load_config_file(args.config) if args.config else {}
+    for key in experiments._SCHEMA:
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     if args.no_adapt:
         overrides.update(scaling=False, moving=False, p_adaptivity=False)
     return overrides
@@ -111,9 +91,9 @@ def main(argv=None):
     try:
         config = experiments.example_config(args.example, **_collect_overrides(args))
         if args.command == "run":
-            experiments.run(config, out=args.out)
+            experiments.run(config)
         else:
-            experiments.sweep(config, _sweep_grid(args), out=args.out)
+            experiments.sweep(config, _sweep_grid(args))
     except (ValueError, OSError) as exc:
         parser.print_usage(sys.stderr)
         print("adaptspec: error: %s" % exc, file=sys.stderr)

@@ -95,14 +95,21 @@ class ExperimentConfig:
             raise ValueError("order must be >= 0")
         if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
             raise ValueError("dt and T must be positive and finite")
-        for name in ("beta0", "x_left0", "a", "b", "zeta", "k", "v_depth", "v_sharp",
-                     "drive_amp", "drive_freq"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
+        for f in dataclasses.fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError("%s must be finite, got %r" % (f.name, getattr(self, f.name)))
         if self.beta0 <= 0 or self.zeta <= 0:
             raise ValueError("beta0 and zeta must be positive")
         if self.n_ref < 1:
             raise ValueError("n_ref must be >= 1")
+        # a run starts at or below every order ceiling: n_abs, and in example 6 the reference order
+        ceilings = {"n_abs": self.controller.n_abs, "n_ref": self.n_ref if self.example == 6 else None}
+        for name, order in (("order", self.order), ("order_y", self.order_y)):
+            for cap, ceiling in ceilings.items():
+                if order is not None and ceiling is not None and order > ceiling:
+                    raise ValueError(
+                        "%s=%d exceeds the order ceiling %s=%d" % (name, order, cap, ceiling)
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +143,6 @@ def _schema(cls):
 
 
 _CONTROLLER_FIELDS = frozenset(_schema(ControllerConfig))
-_EXPERIMENT_FIELDS = frozenset(_schema(ExperimentConfig))
 _SCHEMA = {**_schema(ControllerConfig), **_schema(ExperimentConfig)}
 
 
@@ -225,6 +231,20 @@ _FACTORY_DEFAULTS = {
 }
 
 
+def _override(config, overrides):
+    """config with overrides applied, each to the controller or the experiment
+    that owns its field.  None values are skipped; an unknown key is refused.
+    """
+    ctrl, exp = {}, {}
+    for name, value in overrides.items():
+        if name not in _SCHEMA:
+            raise ValueError("unknown configuration key %r" % (name,))
+        if value is not None:
+            (ctrl if name in _CONTROLLER_FIELDS else exp)[name] = value
+    controller = dataclasses.replace(config.controller, **ctrl)
+    return dataclasses.replace(config, controller=controller, **exp)
+
+
 def example_config(example, **overrides):
     """Build the pinned configuration for one example, with overrides.
 
@@ -234,17 +254,8 @@ def example_config(example, **overrides):
     """
     if example not in _FACTORY_DEFAULTS:
         raise ValueError("example must be 1..6, got %r" % (example,))
-    ctrl, exp = (dict(d) for d in _FACTORY_DEFAULTS[example])
-    for name, value in overrides.items():
-        if value is None:
-            continue
-        if name in _CONTROLLER_FIELDS:
-            ctrl[name] = value
-        elif name in _EXPERIMENT_FIELDS:
-            exp[name] = value
-        else:
-            raise ValueError("unknown configuration key %r" % (name,))
-    return ExperimentConfig(example=example, controller=ControllerConfig(**ctrl), **exp)
+    ctrl, exp = _FACTORY_DEFAULTS[example]
+    return _override(ExperimentConfig(example, ControllerConfig(**ctrl), **exp), overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +303,8 @@ def _run_example_1(cfg):
         boundary=(-1, lambda s: np.cos(3.0 * (s + 1.0))),
     )
     log, logged = _logger(analytic)
-    u, _ = solve_collocation(problem, cfg.controller, u0, on_step=log)
-    return logged(), u
+    solve_collocation(problem, cfg.controller, u0, on_step=log)
+    return logged()
 
 
 def _run_example_2(cfg):
@@ -305,15 +316,15 @@ def _run_example_2(cfg):
     dx0 = BasisDescriptor(cfg.family, cfg.order)
     dy0 = BasisDescriptor(cfg.family, cfg.order_y if cfg.order_y is not None else cfg.order)
     log, logged = _logger(target)
-    u, _ = track_function_2d(target, cfg.controller, dx0, dy0, cfg.dt, cfg.T, on_step=log)
-    return logged(), u
+    track_function_2d(target, cfg.controller, dx0, dy0, cfg.dt, cfg.T, on_step=log)
+    return logged()
 
 
 def _tracking_runner(cfg, target):
     d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
     log, logged = _logger(target)
-    u, _ = track_function(target, cfg.controller, d0, cfg.dt, cfg.T, on_step=log)
-    return logged(), u
+    track_function(target, cfg.controller, d0, cfg.dt, cfg.T, on_step=log)
+    return logged()
 
 
 def _run_example_3(cfg):
@@ -331,8 +342,8 @@ def _run_example_5(cfg):
     problem = SchrodingerProblem(psi0=lambda x: target(x, 0.0), dt=cfg.dt, T=cfg.T)
     d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
     log, logged = _logger(target)
-    u, _ = adapt_schrodinger_run(problem, cfg.controller, d0, on_step=log)
-    return logged(), u
+    adapt_schrodinger_run(problem, cfg.controller, d0, on_step=log)
+    return logged()
 
 
 def _example_6_potentials(depth, sharp, amp, omega):
@@ -411,8 +422,8 @@ def _run_example_6(cfg):
         return np.stack([_apply_real(E[ref.descriptor], ref.coefficients) for ref in refs])
 
     log, logged = _logger(None, rows)
-    u, _ = adapt_schrodinger_run(problem, controller, d0, on_step=log)
-    return logged(), u
+    adapt_schrodinger_run(problem, controller, d0, on_step=log)
+    return logged()
 
 
 _RUNNERS = {
@@ -469,7 +480,7 @@ def _summary(cfg, last):
 
 def run(config, out=None):
     """March one configured example; write its CSV; print the endpoint."""
-    records, u = _RUNNERS[config.example](config)
+    records = _RUNNERS[config.example](config)
     path = out or config.out or ("example%d.csv" % config.example)
     write_csv(path, records)
     print(_summary(config, records[-1]))
@@ -504,23 +515,13 @@ def sweep(config, grid, out=None):
     if not axes or any(len(values) == 0 for _, values in axes):
         raise ValueError("sweep grid must be nonempty")
     names = tuple(name for name, _ in axes)
-    for name in names:
-        if name not in _CONTROLLER_FIELDS and name not in _EXPERIMENT_FIELDS:
-            raise ValueError("unknown configuration key %r" % (name,))
+    _override(config, dict.fromkeys(names))  # refuse an unknown axis before any cell runs
 
     results = []
     for combo in itertools.product(*(values for _, values in axes)):
-        overrides = dict(zip(names, combo))
-        ctrl_over = {k: v for k, v in overrides.items() if k in _CONTROLLER_FIELDS}
-        exp_over = {k: v for k, v in overrides.items() if k in _EXPERIMENT_FIELDS}
         try:
-            cell_cfg = dataclasses.replace(
-                config,
-                controller=dataclasses.replace(config.controller, **ctrl_over),
-                **exp_over,
-            )
-            records, u = _RUNNERS[cell_cfg.example](cell_cfg)
-            results.append((combo, records[-1]))
+            cell = _override(config, dict(zip(names, combo)))
+            results.append((combo, _RUNNERS[config.example](cell)[-1]))
         except Exception as exc:  # keep sweeping; the table records the loss
             results.append((combo, "failed: %s" % exc))
 

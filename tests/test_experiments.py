@@ -3,6 +3,8 @@
 import csv
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -75,13 +77,32 @@ def test_experiment_config_validation():
                              order=50, dt=dt, T=T)
 
 
+def test_experiment_config_refuses_a_start_above_the_order_ceiling(capsys):
+    # n_abs is a hard ceiling, and example 6 never passes its yardstick's order
+    with pytest.raises(ValueError, match="order=50 exceeds the order ceiling n_abs=20"):
+        example_config(3, T=0.05, n_abs=20)
+    with pytest.raises(ValueError, match="order=200 exceeds the order ceiling n_ref=100"):
+        example_config(6, T=0.02, n_ref=100)
+    with pytest.raises(ValueError, match="order_y=36 exceeds the order ceiling n_abs=35"):
+        example_config(2, order=30, n_abs=35)
+    with pytest.raises(ValueError, match="order=200 exceeds the order ceiling n_ref=199"):
+        example_config(6, n_ref=199)
+    assert cli.main(["run", "--example", "3", "--nabs", "20"]) == 2
+    assert "n_abs=20" in capsys.readouterr().err
+    # a start at the ceiling is accepted; only example 6 reads n_ref
+    assert example_config(3, n_abs=50).controller.n_abs == 50
+    assert example_config(6, n_ref=200).order == 200
+    assert example_config(6, order=100, n_abs=100, n_ref=100).order == 100
+    assert example_config(5, n_ref=10).order == 50
+
+
 def test_reference_march_equals_the_scaling_only_adaptive_run():
     # the direct propagate-then-scale march must reproduce what the full
     # orchestrated run with only scaling on produces, bit for bit
     from adaptspec.basis import BasisDescriptor
     from adaptspec.schrodinger import SchrodingerProblem, adapt_schrodinger_run, gaussian_packet
 
-    cfg = example_config(6, n_ref=60, T=0.5)
+    cfg = example_config(6, n_ref=60, order=60, T=0.5)
     key = experiments._reference_key_6(cfg)
     march = experiments._reference_trajectory_6(key)
     V, V_ex = experiments._example_6_potentials(
@@ -171,7 +192,7 @@ def test_config_file_refuses_unknown_and_object_keys(tmp_path):
             load_config_file(path)
 
 
-def test_cli_value_flags_parse_as_their_config_keys():
+def test_cli_value_flags_parse_as_their_config_keys(tmp_path):
     from adaptspec import cli
 
     args = cli.build_parser().parse_args(
@@ -179,7 +200,42 @@ def test_cli_value_flags_parse_as_their_config_keys():
     )
     assert (args.n_max, args.n_abs, args.eta, args.T) == (4, 90, 1.5, 0.5)
     assert type(args.n_max) is int and type(args.eta) is float
-    assert {dest for _, dest, _ in cli._VALUE_FLAGS} <= set(experiments._SCHEMA)
+    # every config key is a flag on both subcommands, read as its file line reads
+    texts = {int: "7", float: "0.25", str: "r.csv", experiments._parse_bool: "false"}
+    for command in ("run", "sweep"):
+        for key, parse in experiments._SCHEMA.items():
+            flag = "--" + ("no-" if parse is experiments._parse_bool else "") + key.replace("_", "")
+            argv = [command, "--example", "3", flag]
+            if parse is not experiments._parse_bool:
+                argv.append(texts[parse])
+            value = getattr(cli.build_parser().parse_args(argv), key)
+            path = tmp_path / "c.txt"
+            path.write_text("%s=%s\n" % (key, texts[parse]))
+            expected = load_config_file(path)[key]
+            assert value == expected and type(value) is type(expected), (command, key)
+
+
+def test_cli_flag_spellings_keep_their_fields(capsys):
+    # the full spellings the command line has always taken, and the field each sets
+    spellings = {
+        "--eta": "eta", "--eta0": "eta0", "--gamma": "gamma", "--q": "q", "--nu": "nu",
+        "--mu": "mu", "--delta": "delta", "--dmax": "d_max", "--nmax": "n_max",
+        "--nmin": "n_min", "--nabs": "n_abs", "--order": "order", "--beta0": "beta0",
+        "--dt": "dt", "--T": "T", "--nref": "n_ref", "--out": "out",
+    }
+    for flag, dest in spellings.items():
+        args = cli.build_parser().parse_args(["run", "--example", "3", flag, "2"])
+        assert getattr(args, dest) == experiments._SCHEMA[dest]("2"), flag
+    switches = {"--no-scaling": "scaling", "--no-moving": "moving", "--no-padapt": "p_adaptivity"}
+    for flag, dest in switches.items():
+        args = cli.build_parser().parse_args(["sweep", "--example", "3", flag])
+        assert getattr(args, dest) is False, flag
+    # each is an option of its own, not an abbreviation of a longer one
+    for command in ("run", "sweep"):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert set(spellings) | set(switches) <= listed
 
 
 def test_example_6_refuses_a_fractional_horizon_before_the_reference_march(tmp_path):
@@ -331,7 +387,7 @@ def _logged_run(monkeypatch, example, march_name, **overrides):
 
     monkeypatch.setattr(experiments, march_name, spy)
     cfg = example_config(example, **overrides)
-    records, _ = experiments._RUNNERS[example](cfg)
+    records = experiments._RUNNERS[example](cfg)
     return cfg, seen, records
 
 
@@ -444,6 +500,19 @@ def _cli(*argv):
         timeout=300,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_readme_cli_commands_parse():
+    # a documented flag cannot disappear unnoticed; parsing marches nothing
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("adaptspec ")]
+    assert len(commands) >= 5
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]
 
 
 def test_cli_run_roundtrip(tmp_path):
