@@ -306,9 +306,10 @@ def p_adapt_step_2d(
     state_x: AdaptiveState,
     state_y: AdaptiveState,
     config: ControllerConfig,
-) -> tuple[Expansion2D, AdaptiveState, AdaptiveState, list[str]]:
+) -> tuple[Expansion2D, AdaptiveState, AdaptiveState, list[str], tuple]:
     """Axis-wise order adaptivity: decisions made independently from the
     same input (each axis judged with the other frozen), then applied.
+    Returns (u, state_x, state_y, actions, the two axis readings of u).
 
     Each axis trial resamples the tensor expansion from the previous trial
     (resample_2d), in both directions.  Zero-padding the refine trials, as
@@ -337,8 +338,8 @@ def p_adapt_step_2d(
 
     wx, state_x, ax, _ = axis(0, state_x)
     wy, state_y, ay, _ = axis(1, state_y)
-    out = resample_2d(u, wx.descriptor_x, wy.descriptor_y)
-    return out, state_x, state_y, ax + ay
+    out = resample_2d(u, wx.descriptor_x, wy.descriptor_y)  # u itself when no axis acted
+    return out, state_x, state_y, ax + ay, _axis_indicators(out) if ax or ay else f
 
 
 def scale_step(

@@ -181,6 +181,12 @@ class Expansion2D:
         object.__setattr__(self, "coefficients", c)
 
 
+def _on_grid(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """f(X, Y) on the open grids of node vectors x and y, broadcast to (x.size, y.size)."""
+    X, Y = np.meshgrid(x, y, indexing="ij", sparse=True)
+    return np.broadcast_to(f(X, Y), (x.size, y.size))
+
+
 # --------------------------------------------------------------------------
 # Monic three-term recurrences (alpha_k, beta_k with beta_0 = integral of the
 # weight), after Gautschi.
@@ -340,14 +346,15 @@ def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
         yield p, d, env
 
 
-def _rows(table, x: np.ndarray, log_env=None) -> np.ndarray:
-    """All rows of a table at x, times the envelope when one is given."""
+def _rows(table, x: np.ndarray, log_env=None, deriv: bool = False) -> np.ndarray:
+    """All rows of a table at x (p_k' with deriv), times the envelope when one is given."""
     out = np.empty((len(table[0]) + 1, x.size))
-    for k, (p, _, env) in enumerate(_recurrence(table, x, log_env)):
+    for k, (p, d, env) in enumerate(_recurrence(table, x, log_env, deriv)):
+        row = d if deriv else p
         if env is None:
-            out[k] = p
+            out[k] = row
         else:
-            np.multiply(p, env, out=out[k])
+            np.multiply(row, env, out=out[k])
     return out
 
 
@@ -771,7 +778,8 @@ def differentiate(u: SpectralExpansion) -> SpectralExpansion:
         return SpectralExpansion(d, _laguerre_derivative(a, d.beta, d.laguerre_a))
 
     # Jacobi polynomials: derivative values at the nodes
-    return to_coefficients(_derivative_rows(n, *_exponents(d)).T @ a, d)
+    table = _family_table(d.family, n, *_exponents(d))
+    return to_coefficients(_rows(table, _core_of(d).y, deriv=True).T @ a, d)
 
 
 def _hermite_derivative(a: np.ndarray, beta: float) -> np.ndarray:
@@ -805,13 +813,3 @@ def _laguerre_ratios(n: int, alpha: float) -> np.ndarray:
     r = np.sqrt(np.cumprod(np.concatenate(([1.0], (_COUNT[:n] + alpha) / _COUNT[:n]))))
     r.setflags(write=False)
     return r
-
-
-def _derivative_rows(order: int, a: float, b: float) -> np.ndarray:
-    """Rows P_k'(y) of the Jacobi(a, b) polynomials on the reference grid."""
-    y = _core(Family.JACOBI, order, a, b).y
-    out = np.empty((order + 1, y.size))
-    rows = _recurrence(_family_table(Family.JACOBI, order, a, b), y, deriv=True)
-    for k, (_, dp, _) in enumerate(rows):
-        out[k] = dp
-    return out

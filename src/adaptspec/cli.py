@@ -25,7 +25,7 @@ def _float_list(text):
 
 
 def _add_common(parser):
-    parser.add_argument("--example", type=int, required=True, choices=range(1, 7),
+    parser.add_argument("--example", type=int, required=True, choices=experiments._STUDIES,
                         help="which packaged study to run (1-6)")
     parser.add_argument("--config", help="key=value file applied before other flags")
     for key, parse in experiments._SCHEMA.items():
@@ -42,14 +42,15 @@ def _add_common(parser):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="adaptspec",
+    parser = argparse.ArgumentParser(prog="adaptspec", allow_abbrev=False,
                                      description="adaptive spectral method reproductions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="march one example, write per-step CSV")
+    p_run = sub.add_parser("run", allow_abbrev=False, help="march one example, write per-step CSV")
     _add_common(p_run)
 
-    p_sweep = sub.add_parser("sweep", help="tabulate endpoints over a parameter grid")
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False,
+                             help="tabulate endpoints over a parameter grid")
     _add_common(p_sweep)
     p_sweep.add_argument("--etas", type=_float_list, default=None,
                          help="comma-separated eta grid")

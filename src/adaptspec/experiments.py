@@ -89,12 +89,11 @@ class ExperimentConfig:
     drive_freq: float = 10.0
 
     def __post_init__(self):
-        if self.example not in _RUNNERS:
+        if self.example not in _STUDIES:
             raise ValueError("example must be 1..6, got %r" % (self.example,))
         if self.order < 0:
             raise ValueError("order must be >= 0")
-        if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
-            raise ValueError("dt and T must be positive and finite")
+        _step_count(self.dt, self.T)
         for f in dataclasses.fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError("%s must be finite, got %r" % (f.name, getattr(self, f.name)))
@@ -102,6 +101,9 @@ class ExperimentConfig:
             raise ValueError("beta0 and zeta must be positive")
         if self.n_ref < 1:
             raise ValueError("n_ref must be >= 1")
+        lo, hi = self.controller.beta_lo, self.controller.beta_hi
+        if self.controller.scaling and not lo <= self.beta0 <= hi:
+            raise ValueError("beta0=%g outside the scaling range [%g, %g]" % (self.beta0, lo, hi))
         # a run starts at or below every order ceiling: n_abs, and in example 6 the reference order
         ceilings = {"n_abs": self.controller.n_abs, "n_ref": self.n_ref if self.example == 6 else None}
         for name, order in (("order", self.order), ("order_y", self.order_y)):
@@ -160,75 +162,11 @@ def load_config_file(path):
                 raise ValueError("%s:%d: expected key=value" % (path, lineno))
             if key not in _SCHEMA:
                 raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
-            overrides[key] = _SCHEMA[key](value)
+            try:
+                overrides[key] = _SCHEMA[key](value)
+            except ValueError as exc:
+                raise ValueError("%s:%d: %s: %s" % (path, lineno, key, exc)) from None
     return overrides
-
-
-# Published operating points.  Values not named by a study stay at the
-# ControllerConfig defaults; eta0 mirrors eta where only one threshold
-# was quoted (the coarsening side is inactive or symmetric there).
-# Examples 3 and 4 share one controller operating point.
-_TRACKING = dict(
-    eta=1.2, eta0=1.2, gamma=1.05, n_max=3, q=0.95, nu=1.0 / 0.95, beta_lo=0.3, beta_hi=10.0,
-    moving=False,
-)
-_FACTORY_DEFAULTS = {
-    1: (
-        dict(eta=1.5, gamma=1.1, n_max=3, scaling=False, moving=False),
-        dict(family=Family.CHEBYSHEV, order=10, dt=1e-3, T=2.0),
-    ),
-    2: (
-        dict(eta=1.1, eta0=1.1, gamma=1.1, n_max=3, scaling=False, moving=False),
-        dict(family=Family.LEGENDRE, order=36, order_y=36, dt=0.01, T=5.0),
-    ),
-    3: (
-        _TRACKING,
-        dict(family=Family.LAGUERRE_FN, order=50, beta0=4.0, dt=1e-3, T=5.0, a=2.0, b=0.7),
-    ),
-    4: (
-        _TRACKING,
-        dict(family=Family.LAGUERRE_FN, order=50, beta0=4.0, dt=1e-3, T=5.0, a=0.5, b=0.5),
-    ),
-    5: (
-        dict(
-            eta=1.1,
-            eta0=1.1,
-            gamma=1.05,
-            n_max=6,
-            q=0.95,
-            nu=1.0 / 0.95,
-            beta_lo=0.3,
-            beta_hi=2.0,
-            mu=1.0002,
-            delta=0.005,
-            d_max=0.1,
-        ),
-        dict(family=Family.HERMITE_FN, order=50, beta0=1.0, dt=0.005, T=1.0, zeta=0.3, k=1.0),
-    ),
-    6: (
-        dict(
-            eta=1.025,
-            eta0=1.025,
-            gamma=1.0,
-            n_max=20,
-            q=0.95,
-            nu=1.0 / 0.95,
-            beta_lo=0.3,
-            beta_hi=2.0,
-            moving=False,
-        ),
-        dict(
-            family=Family.HERMITE_FN,
-            order=200,
-            beta0=1.3,
-            dt=0.01,
-            T=1.0,
-            zeta=0.3,
-            k=1.0,
-            n_ref=600,
-        ),
-    ),
-}
 
 
 def _override(config, overrides):
@@ -252,9 +190,9 @@ def example_config(example, **overrides):
     eta/gamma/d_max and experiment fields like order/dt/T); None values
     are ignored so callers can pass optional CLI arguments wholesale.
     """
-    if example not in _FACTORY_DEFAULTS:
+    if example not in _STUDIES:
         raise ValueError("example must be 1..6, got %r" % (example,))
-    ctrl, exp = _FACTORY_DEFAULTS[example]
+    _, ctrl, exp = _STUDIES[example]
     return _override(ExperimentConfig(example, ControllerConfig(**ctrl), **exp), overrides)
 
 
@@ -290,11 +228,16 @@ def _logger(target, rows=None):
     return log, flush
 
 
+def _start(cfg, order):
+    """The study's starting space of the given order: cfg's family, beta0 and x_left0."""
+    return BasisDescriptor(cfg.family, order, beta=cfg.beta0, x_left=cfg.x_left0)
+
+
 def _run_example_1(cfg):
     def analytic(x, t):
         return np.cos((t + 1.0) * (x + 2.0))
 
-    d0 = BasisDescriptor(cfg.family, cfg.order)
+    d0 = _start(cfg, cfg.order)
     u0 = to_coefficients(analytic(nodes_weights(d0).nodes, 0.0), d0)
     problem = EvolutionProblem(
         rhs=advection_rhs,
@@ -313,17 +256,16 @@ def _run_example_2(cfg):
         p = 10.0 - 4.0 * abs(t - 2.5)
         return np.cos(w * X * Y) + np.abs(Y) ** p * np.sin(4.0 * w * X)
 
-    dx0 = BasisDescriptor(cfg.family, cfg.order)
-    dy0 = BasisDescriptor(cfg.family, cfg.order_y if cfg.order_y is not None else cfg.order)
+    dx0 = _start(cfg, cfg.order)
+    dy0 = _start(cfg, cfg.order_y if cfg.order_y is not None else cfg.order)
     log, logged = _logger(target)
     track_function_2d(target, cfg.controller, dx0, dy0, cfg.dt, cfg.T, on_step=log)
     return logged()
 
 
 def _tracking_runner(cfg, target):
-    d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
     log, logged = _logger(target)
-    track_function(target, cfg.controller, d0, cfg.dt, cfg.T, on_step=log)
+    track_function(target, cfg.controller, _start(cfg, cfg.order), cfg.dt, cfg.T, on_step=log)
     return logged()
 
 
@@ -340,9 +282,8 @@ def _run_example_4(cfg):
 def _run_example_5(cfg):
     target = lambda x, t: gaussian_packet(x, t, cfg.zeta, cfg.k)
     problem = SchrodingerProblem(psi0=lambda x: target(x, 0.0), dt=cfg.dt, T=cfg.T)
-    d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
     log, logged = _logger(target)
-    adapt_schrodinger_run(problem, cfg.controller, d0, on_step=log)
+    adapt_schrodinger_run(problem, cfg.controller, _start(cfg, cfg.order), on_step=log)
     return logged()
 
 
@@ -366,8 +307,7 @@ def _example_6_start(cfg):
         dt=cfg.dt,
         T=cfg.T,
     )
-    d0 = BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
-    return problem, d0
+    return problem, _start(cfg, cfg.order)
 
 
 @lru_cache(maxsize=2)
@@ -408,7 +348,6 @@ def _reference_key_6(cfg):
 
 
 def _run_example_6(cfg):
-    _step_count(cfg.dt, cfg.T)  # refuse a fractional horizon before the reference march
     reference = _reference_trajectory_6(_reference_key_6(cfg))
     problem, d0 = _example_6_start(cfg)
     # Refinement may grow the order, but never past what the yardstick resolves.
@@ -426,13 +365,76 @@ def _run_example_6(cfg):
     return logged()
 
 
-_RUNNERS = {
-    1: _run_example_1,
-    2: _run_example_2,
-    3: _run_example_3,
-    4: _run_example_4,
-    5: _run_example_5,
-    6: _run_example_6,
+# example -> (runner, pinned controller, pinned experiment).  Values not named
+# by a study stay at the ControllerConfig defaults; eta0 mirrors eta where only
+# one threshold was quoted (the coarsening side is inactive or symmetric
+# there).  Examples 3 and 4 share one controller operating point.
+_TRACKING = dict(
+    eta=1.2, eta0=1.2, gamma=1.05, n_max=3, q=0.95, nu=1.0 / 0.95, beta_lo=0.3, beta_hi=10.0,
+    moving=False,
+)
+_STUDIES = {
+    1: (
+        _run_example_1,
+        dict(eta=1.5, gamma=1.1, n_max=3, scaling=False, moving=False),
+        dict(family=Family.CHEBYSHEV, order=10, dt=1e-3, T=2.0),
+    ),
+    2: (
+        _run_example_2,
+        dict(eta=1.1, eta0=1.1, gamma=1.1, n_max=3, scaling=False, moving=False),
+        dict(family=Family.LEGENDRE, order=36, order_y=36, dt=0.01, T=5.0),
+    ),
+    3: (
+        _run_example_3,
+        _TRACKING,
+        dict(family=Family.LAGUERRE_FN, order=50, beta0=4.0, dt=1e-3, T=5.0, a=2.0, b=0.7),
+    ),
+    4: (
+        _run_example_4,
+        _TRACKING,
+        dict(family=Family.LAGUERRE_FN, order=50, beta0=4.0, dt=1e-3, T=5.0, a=0.5, b=0.5),
+    ),
+    5: (
+        _run_example_5,
+        dict(
+            eta=1.1,
+            eta0=1.1,
+            gamma=1.05,
+            n_max=6,
+            q=0.95,
+            nu=1.0 / 0.95,
+            beta_lo=0.3,
+            beta_hi=2.0,
+            mu=1.0002,
+            delta=0.005,
+            d_max=0.1,
+        ),
+        dict(family=Family.HERMITE_FN, order=50, beta0=1.0, dt=0.005, T=1.0, zeta=0.3, k=1.0),
+    ),
+    6: (
+        _run_example_6,
+        dict(
+            eta=1.025,
+            eta0=1.025,
+            gamma=1.0,
+            n_max=20,
+            q=0.95,
+            nu=1.0 / 0.95,
+            beta_lo=0.3,
+            beta_hi=2.0,
+            moving=False,
+        ),
+        dict(
+            family=Family.HERMITE_FN,
+            order=200,
+            beta0=1.3,
+            dt=0.01,
+            T=1.0,
+            zeta=0.3,
+            k=1.0,
+            n_ref=600,
+        ),
+    ),
 }
 
 
@@ -480,7 +482,7 @@ def _summary(cfg, last):
 
 def run(config, out=None):
     """March one configured example; write its CSV; print the endpoint."""
-    records = _RUNNERS[config.example](config)
+    records = _STUDIES[config.example][0](config)
     path = out or config.out or ("example%d.csv" % config.example)
     write_csv(path, records)
     print(_summary(config, records[-1]))
@@ -521,7 +523,7 @@ def sweep(config, grid, out=None):
     for combo in itertools.product(*(values for _, values in axes)):
         try:
             cell = _override(config, dict(zip(names, combo)))
-            results.append((combo, _RUNNERS[config.example](cell)[-1]))
+            results.append((combo, _STUDIES[config.example][0](cell)[-1]))
         except Exception as exc:  # keep sweeping; the table records the loss
             results.append((combo, "failed: %s" % exc))
 

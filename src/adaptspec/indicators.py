@@ -38,6 +38,7 @@ from .basis import (
     _cross_matrix,
     _hermite_derivative,
     _laguerre_derivative,
+    _on_grid,
     _with_order,
     nodes_weights,
     norms,
@@ -230,8 +231,7 @@ def relative_error_2d(u: Expansion2D, reference: Callable) -> float:
     fx = _fine_descriptor(u.descriptor_x)
     fy = _fine_descriptor(u.descriptor_y)
     rx, ry = nodes_weights(fx), nodes_weights(fy)
-    X, Y = np.meshgrid(rx.nodes, ry.nodes, indexing="ij", sparse=True)
-    fv = np.broadcast_to(reference(X, Y), (rx.nodes.size, ry.nodes.size))
+    fv = _on_grid(reference, rx.nodes, ry.nodes)
     uv = _cross_matrix(u.descriptor_x, fx).T @ u.coefficients @ _cross_matrix(u.descriptor_y, fy)
     W = rx.weights[:, None] * ry.weights[None, :]
     den2 = float((W * np.abs(fv) ** 2).sum())

@@ -21,7 +21,8 @@ product runs in real arithmetic as one two-column real matrix product,
 never through a complex copy of the matrix.  The operators within one
 space come from the reference rule: beta scales the stiffness bands and
 cancels from the potential term, and x_left enters neither, so a moved or
-rescaled grid builds no new matrix for them.
+rescaled grid builds no new matrix for them.  A SchrodingerProblem refuses a
+horizon that is not a whole number of steps when constructed, by the march's rule.
 """
 
 import math
@@ -31,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .adapt import ControllerConfig, _march, initial_state, orchestrate_step
+from .adapt import ControllerConfig, _march, _step_count, initial_state, orchestrate_step
 from .basis import (
     BasisDescriptor,
     Family,
@@ -73,10 +74,7 @@ class SchrodingerProblem:
     T: float = 1.0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.T >= self.dt:
-            raise ValueError("T must cover at least one step")
+        _step_count(self.dt, self.T)
 
 
 def _require_hermite(d: BasisDescriptor):

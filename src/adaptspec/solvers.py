@@ -5,10 +5,11 @@ third-order Runge-Kutta collocation solver for PDEs posed on grid values
 (with strong Dirichlet imposition), and closed-form target tracking that
 re-interpolates a known u(x, t) each step.  Each public marcher only builds
 its step: the 1-D ones wrap `orchestrate_step` around their evolve, the
-tensor tracker interpolates and then runs `p_adapt_step_2d`.  The march
-itself, the horizon check and the non-finite guard are `adapt._march`'s,
-so every run logs the same `StepRecord` wherever its new time level comes
-from.
+tensor tracker interpolates, runs `p_adapt_step_2d` and records the axis
+readings it hands back.  The march and the non-finite guard are
+`adapt._march`'s, and the horizon rule `adapt._step_count`, which an
+EvolutionProblem also applies when constructed; so every run logs the same
+`StepRecord` wherever its new time level comes from.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .adapt import (
     StepRecord,
     _check_finite,
     _march,
+    _step_count,
     initial_state,
     orchestrate_step,
     p_adapt_step_2d,
@@ -30,6 +32,7 @@ from .basis import (
     BasisDescriptor,
     Family,
     SpectralExpansion,
+    _on_grid,
     differentiate,
     node_values,
     nodes_weights,
@@ -63,10 +66,7 @@ class EvolutionProblem:
     boundary: Optional[tuple] = None
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.T >= self.dt:
-            raise ValueError("T must cover at least one step")
+        _step_count(self.dt, self.T)
 
 
 def rk3_step(rhs, u: SpectralExpansion, t, dt, boundary=None) -> SpectralExpansion:
@@ -156,17 +156,15 @@ def track_function_2d(
     """
 
     def interpolate(dx, dy, t):
-        rx, ry = nodes_weights(dx), nodes_weights(dy)
-        X, Y = np.meshgrid(rx.nodes, ry.nodes, indexing="ij", sparse=True)
-        return to_coefficients_2d(np.broadcast_to(target(X, Y, t), (dx.size, dy.size)), dx, dy)
+        x, y = nodes_weights(dx).nodes, nodes_weights(dy).nodes
+        return to_coefficients_2d(_on_grid(lambda X, Y: target(X, Y, t), x, y), dx, dy)
 
     def step(u, states, t, t_next):
         u = interpolate(u.descriptor_x, u.descriptor_y, t_next)
-        actions = []
         if config.p_adaptivity:
-            u, state_x, state_y, actions = p_adapt_step_2d(u, *states, config)
-            states = (state_x, state_y)
-        freq_x, freq_y = _axis_indicators(u)
+            u, *states, actions, (freq_x, freq_y) = p_adapt_step_2d(u, *states, config)
+        else:
+            actions, (freq_x, freq_y) = [], _axis_indicators(u)
         return u, states, StepRecord(
             actions=tuple(actions),
             freq=freq_x,

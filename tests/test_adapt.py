@@ -273,7 +273,7 @@ def test_p_adapt_refine_stops_at_max_order(monkeypatch):
     )
     assert actions == ["refine"] * 2 and v.descriptor.order == 12
     u2 = Expansion2D(LEG(12), LEG(10), np.ones((13, 11)))
-    v2, _, _, actions = p_adapt_step_2d(
+    v2, _, _, actions, _ = p_adapt_step_2d(
         u2, state_with(freq_ref=1e-9), state_with(freq_ref=1e-9), ControllerConfig(n_max=6)
     )
     assert actions == ["refine_y"] * 2
@@ -352,7 +352,7 @@ def test_p_adapt_2d_isotropic_symmetric_actions():
     sx = state_with(freq_ref=1e-9)
     sy = state_with(freq_ref=1e-9)
     cfg = ControllerConfig(n_max=2)
-    v, sx2, sy2, actions = p_adapt_step_2d(u, sx, sy, cfg)
+    v, sx2, sy2, actions, _ = p_adapt_step_2d(u, sx, sy, cfg)
     assert actions.count("refine_x") == actions.count("refine_y") == 2
     assert v.descriptor_x.order == v.descriptor_y.order == 10
     npt.assert_allclose(sx2.freq_ref, sy2.freq_ref, rtol=1e-12)
@@ -369,7 +369,7 @@ def test_p_adapt_2d_anisotropic_refines_one_axis():
     sx = state_with(freq_ref=fx / 2, refine_factor=1.2)
     sy = state_with(freq_ref=0.5, refine_factor=1.2)
     cfg = ControllerConfig(n_max=1, n_min=8)
-    v, _, _, actions = p_adapt_step_2d(u, sx, sy, cfg)
+    v, _, _, actions, _ = p_adapt_step_2d(u, sx, sy, cfg)
     assert actions == ["refine_x"]
     assert v.descriptor_x.order == 9
     assert v.descriptor_y.order == 8
@@ -380,7 +380,7 @@ def test_p_adapt_2d_dead_zone():
     u = Expansion2D(LEG(6), LEG(6), rng.standard_normal((7, 7)))
     sx = state_with(freq_ref=frequency_indicator_axis(u, 0))
     sy = state_with(freq_ref=frequency_indicator_axis(u, 1))
-    v, _, _, actions = p_adapt_step_2d(u, sx, sy, ControllerConfig())
+    v, _, _, actions, _ = p_adapt_step_2d(u, sx, sy, ControllerConfig())
     assert actions == []
     npt.assert_allclose(v.coefficients, u.coefficients, atol=1e-14)
 

@@ -34,8 +34,8 @@ from adaptspec.basis import (
     _core_of,
     _cross_matrix,
     _cross_matrix_build,
-    _derivative_rows,
     _endpoint_values,
+    _family_table,
     _frame,
     _gauss_nodes,
     _lobatto_nodes,
@@ -724,7 +724,8 @@ def test_newton_polish_equals_loop_forms(n):
 def test_derivative_rows_equal_loop_forms(n):
     for a, b in JACOBI_EXPONENTS:
         y = _core(Family.JACOBI, n, a, b).y
-        assert np.array_equal(_derivative_rows(n, a, b), jacobi_derivative_loop(n, y, a, b))
+        rows = _rows(_family_table(Family.JACOBI, n, a, b), y, deriv=True)
+        assert np.array_equal(rows, jacobi_derivative_loop(n, y, a, b))
 
 
 # ------------------------------------- the rescale test under a running bound

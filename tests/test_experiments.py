@@ -96,6 +96,35 @@ def test_experiment_config_refuses_a_start_above_the_order_ceiling(capsys):
     assert example_config(5, n_ref=10).order == 50
 
 
+def test_a_horizon_is_refused_when_configured(capsys):
+    # the march's rule, at configuration time: nothing is built or marched
+    with pytest.raises(ValueError, match="integer number of steps"):
+        example_config(3, T=0.0105)
+    assert cli.main(["run", "--example", "3", "--T", "0.0105"]) == 2
+    assert "integer number of steps" in capsys.readouterr().err
+
+
+def test_a_bounded_study_refuses_a_scaled_or_shifted_start(tmp_path, capsys):
+    # examples 1-2 build their start from beta0 and x_left0 like the others
+    for example, overrides in ((1, dict(beta0=2.0)), (1, dict(x_left0=3.0)), (2, dict(beta0=2.0))):
+        with pytest.raises(ValueError, match="bounded families require beta == 1 and x_left == 0"):
+            experiments.run(example_config(example, T=0.02, **overrides), out=str(tmp_path / "r.csv"))
+    assert cli.main(["run", "--example", "2", "--xleft0", "3", "--T", "0.02"]) == 2
+    assert "bounded families" in capsys.readouterr().err
+
+
+def test_a_study_starts_inside_its_scaling_range(capsys):
+    with pytest.raises(ValueError, match=re.escape("beta0=4 outside the scaling range [0.3, 3]")):
+        example_config(3, T=0.2, beta_hi=3.0)
+    with pytest.raises(ValueError, match=re.escape("beta0=4 outside the scaling range [5, 10]")):
+        example_config(3, T=0.2, beta_lo=5.0)
+    assert cli.main(["run", "--example", "3", "--T", "0.2", "--betahi", "3"]) == 2
+    assert "scaling range" in capsys.readouterr().err
+    # the range is read only while scaling is on; its edges are inside
+    assert example_config(3, beta_hi=3.0, scaling=False).beta0 == 4.0
+    assert example_config(3, beta_hi=4.0).beta0 == example_config(3, beta_lo=4.0).beta0 == 4.0
+
+
 def test_reference_march_equals_the_scaling_only_adaptive_run():
     # the direct propagate-then-scale march must reproduce what the full
     # orchestrated run with only scaling on produces, bit for bit
@@ -161,6 +190,16 @@ def test_load_config_file(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ValueError, match="expected key=value"):
         load_config_file(bad)
+
+
+def test_config_file_values_that_fail_to_parse_name_file_line_and_key(tmp_path):
+    path = tmp_path / "c.txt"
+    for line, reason in (("eta=", "could not convert"), ("n_abs=none", "invalid literal"),
+                         ("scaling=maybe", "expected a boolean")):
+        path.write_text("# overrides\n" + line + "\n")
+        key = line.split("=")[0]
+        with pytest.raises(ValueError, match=re.escape("c.txt:2: %s: " % key) + reason):
+            load_config_file(path)
 
 
 def test_config_schema_covers_every_plain_field():
@@ -236,6 +275,17 @@ def test_cli_flag_spellings_keep_their_fields(capsys):
             cli.build_parser().parse_args([command, "--help"])
         listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
         assert set(spellings) | set(switches) <= listed
+
+
+def test_cli_refuses_abbreviated_flags(capsys):
+    for argv in (["run", "--example", "5", "--drivef", "5"], ["sweep", "--exa", "3"],
+                 ["run", "--example", "3", "--no-padaptiv"], ["--he"]):
+        with pytest.raises(SystemExit) as raised:
+            cli.build_parser().parse_args(argv)
+        assert raised.value.code == 2, argv
+    assert "unrecognized arguments" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(["run", "--example", "5", "--drivefreq", "5", "--no-padapt"])
+    assert (args.example, args.drive_freq, args.p_adaptivity) == (5, 5.0, False)
 
 
 def test_example_6_refuses_a_fractional_horizon_before_the_reference_march(tmp_path):
@@ -387,7 +437,7 @@ def _logged_run(monkeypatch, example, march_name, **overrides):
 
     monkeypatch.setattr(experiments, march_name, spy)
     cfg = example_config(example, **overrides)
-    records = experiments._RUNNERS[example](cfg)
+    records = experiments._STUDIES[example][0](cfg)
     return cfg, seen, records
 
 

@@ -132,3 +132,13 @@ def test_guard_refuses_non_finite_initial_data_before_the_first_step():
     with pytest.raises(RuntimeError, match=r"non-finite initial coefficients at t=0$"):
         adapt_schrodinger_run(problem, CFG, BasisDescriptor(Family.HERMITE_FN, 20))
     assert calls == []
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, 0.015, 0.005])
+def test_a_problem_refuses_its_horizon_when_constructed(T):
+    # the march's own horizon rule, applied before any step is built
+    match = "integer number of steps" if math.isfinite(T) else "positive and finite"
+    with pytest.raises(ValueError, match=match):
+        EvolutionProblem(rhs=advection_rhs, dt=0.01, T=T)
+    with pytest.raises(ValueError, match=match):
+        SchrodingerProblem(psi0=gaussian_packet, dt=0.01, T=T)

@@ -1,4 +1,4 @@
-"""Controller decisions pinned on five studies at short horizons.
+"""Controller decisions pinned on all six studies at short horizons.
 
 Each study's action sequence (the sha256 of its steps' actions, one line
 per step, joined by ';', as bench/child.py hashes it) and its endpoint
@@ -22,6 +22,8 @@ PINS = [
      (None, 40, 38, None, None)),
     (3, 1.0, "2afb00109c7f60e5d3956b2aacb608892342be4cf93b20a47459cbffa39ffafb",
      (56, None, None, 2.161440350650546, 0.0)),
+    (4, 1.0, "fb998d808b219803fb2a77ba5c95f0aea238c14128a7e2fc6791588cd7735d31",
+     (32, None, None, 5.1694217395992625, 0.0)),
     (5, 0.5, "54b26c5bff9db001122432448afc125f50eca17bb27681968a6d5f971220b5de",
      (85, None, None, 0.7737809374999999, 3.7399999999999425)),
     (6, 0.1, "186b2794404bd18b175f0351cf29956e9ea85aff51c2937bdf24e75dcbf8c103",

@@ -294,9 +294,8 @@ def test_moving_disabled_pins_x_left():
 
 
 def test_run_requires_integer_step_count():
-    prob = SchrodingerProblem(psi0=lambda x: x, dt=0.03, T=0.1)
     with pytest.raises(ValueError, match="integer"):
-        adapt_schrodinger_run(prob, ControllerConfig(), HER(10))
+        SchrodingerProblem(psi0=lambda x: x, dt=0.03, T=0.1)
 
 
 def test_problem_validation():

@@ -226,6 +226,32 @@ def test_tracking_2d_constant_target_silent():
     assert (u.descriptor_x.order, u.descriptor_y.order) == (8, 8)
 
 
+def test_tracking_2d_records_the_order_step_readings(monkeypatch):
+    # the order step hands back its axis readings: a step with no action
+    # reads the axis indicators once, and every record keeps them bit for bit
+    from adaptspec import adapt, indicators, solvers
+
+    calls = []
+
+    def counted(u, *axes):
+        calls.append(u)
+        return indicators._axis_indicators(u, *axes)
+
+    monkeypatch.setattr(adapt, "_axis_indicators", counted)
+    monkeypatch.setattr(solvers, "_axis_indicators", counted)
+    target = lambda X, Y, t: np.sin((2.0 + 6.0 * t) * X) * np.cos(2.0 * Y)
+    cfg = ControllerConfig(eta=1.2, eta0=1.2, gamma=1.05, n_max=3)
+    seen = []
+    track_function_2d(target, cfg, LEG(10), LEG(10), dt=0.05, T=0.5,
+                      on_step=lambda t, u, rec: seen.append((len(calls), u, rec)))
+    reads = [n - m for m, (n, _, _) in zip([1] + [n for n, _, _ in seen], seen)]
+    idle = [k for k, (_, _, rec) in enumerate(seen) if not rec.actions]
+    assert 0 < len(idle) < len(seen)  # steps with and without an action
+    assert [reads[k] for k in idle] == [1] * len(idle)
+    for _, u, rec in seen:
+        assert (rec.freq, rec.ext) == indicators._axis_indicators(u)
+
+
 def _on_full_grids(target):
     """target called with full (nx, ny) grids, as meshgrid gives them without sparse=True."""
 
