@@ -14,10 +14,11 @@ translation in fixed increments while the exterior indicator exceeds its
 reference; each also returns its last reading of its indicator.
 `orchestrate_step` chains evolve -> move -> scale -> order per step,
 passing those readings on, and renews the reference indicators after
-basis changes; one private driver, `_march`, repeats a step to the
-horizon for every time loop in the package.  The exterior indicator
-always splits at the default node of the current grid, so the split point
-is not carried in AdaptiveState.
+basis changes.  The private `_march` repeats a step to the
+horizon for every time loop in the package; `_adaptive_march` runs it
+with `orchestrate_step` as the step of every 1-D marcher.  The exterior
+indicator always splits at the default node of the current grid, so the
+split point is not carried in AdaptiveState.
 
 Cross matrices are cached on the frame of both spaces and the shift
 between them, so repeated moves by a fixed increment reuse one matrix.
@@ -394,8 +395,6 @@ def move_step(
         return u, state, [], None
     actions: list[str] = []
     e = exterior_error_indicator(u)
-    if e <= config.mu * state.exterior_ref:
-        return u, state, [], e
     moved = 0.0
     while e > config.mu * state.exterior_ref and moved + config.delta <= config.d_max * (1 + 1e-12):
         u = translate(u, config.delta)
@@ -490,3 +489,12 @@ def _march(u, state, step, dt, T, on_step):
         if on_step is not None:
             on_step(t_next, u, rec)
     return u, records
+
+
+def _adaptive_march(u0, config, evolve, dt, T, on_step):
+    """_march from u0 and initial_state(u0); each step orchestrates evolve(w, t, t_next)."""
+
+    def step(u, state, t, t_next):
+        return orchestrate_step(u, state, config, lambda w: evolve(w, t, t_next))
+
+    return _march(u0, initial_state(u0, config), step, dt, T, on_step)

@@ -24,9 +24,13 @@ def _float_list(text):
     return values
 
 
+# the controller fields a sweep may vary, each through a --<name>s grid flag
+_SWEEP_AXES = ("eta", "gamma", "eta0")
+
+
 def _add_common(parser):
     parser.add_argument("--example", type=int, required=True, choices=experiments._STUDIES,
-                        help="which packaged study to run (1-6)")
+                        help="which packaged study to run")
     parser.add_argument("--config", help="key=value file applied before other flags")
     for key, parse in experiments._SCHEMA.items():
         owner = "ControllerConfig" if key in experiments._CONTROLLER_FIELDS else "ExperimentConfig"
@@ -52,12 +56,9 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", allow_abbrev=False,
                              help="tabulate endpoints over a parameter grid")
     _add_common(p_sweep)
-    p_sweep.add_argument("--etas", type=_float_list, default=None,
-                         help="comma-separated eta grid")
-    p_sweep.add_argument("--gammas", type=_float_list, default=None,
-                         help="comma-separated gamma grid")
-    p_sweep.add_argument("--eta0s", type=_float_list, default=None,
-                         help="comma-separated eta0 grid")
+    for name in _SWEEP_AXES:
+        p_sweep.add_argument("--%ss" % name, type=_float_list, default=None,
+                             help="comma-separated %s grid" % name)
     return parser
 
 
@@ -72,13 +73,7 @@ def _collect_overrides(args):
 
 
 def _sweep_grid(args):
-    grid = {}
-    if args.etas:
-        grid["eta"] = args.etas
-    if args.gammas:
-        grid["gamma"] = args.gammas
-    if args.eta0s:
-        grid["eta0"] = args.eta0s
+    grid = {name: getattr(args, name + "s") for name in _SWEEP_AXES if getattr(args, name + "s")}
     if grid:
         return grid
     if args.example == 4:

@@ -1,4 +1,4 @@
-"""Packaged accuracy/cost studies: six examples, per-step CSV logs, sweeps.
+"""Packaged accuracy/cost studies (the table _STUDIES), per-step CSV logs, sweeps.
 
 Each example_config() factory pins one study's operating point (basis,
 controller thresholds, step size, horizon).  run() marches it and writes
@@ -89,8 +89,7 @@ class ExperimentConfig:
     drive_freq: float = 10.0
 
     def __post_init__(self):
-        if self.example not in _STUDIES:
-            raise ValueError("example must be 1..6, got %r" % (self.example,))
+        _study(self.example)
         if self.order < 0:
             raise ValueError("order must be >= 0")
         _step_count(self.dt, self.T)
@@ -190,9 +189,7 @@ def example_config(example, **overrides):
     eta/gamma/d_max and experiment fields like order/dt/T); None values
     are ignored so callers can pass optional CLI arguments wholesale.
     """
-    if example not in _STUDIES:
-        raise ValueError("example must be 1..6, got %r" % (example,))
-    _, ctrl, exp = _STUDIES[example]
+    _, ctrl, exp = _study(example)
     return _override(ExperimentConfig(example, ControllerConfig(**ctrl), **exp), overrides)
 
 
@@ -279,11 +276,16 @@ def _run_example_4(cfg):
     return _tracking_runner(cfg, lambda x, t: np.exp(-(b * t + a) * x) * np.cos(x))
 
 
+def _packet_problem(cfg, V=None, V_ex=None):
+    """cfg's wave packet (zeta, k) at t=0 in the potentials V and V_ex, on cfg's dt and T."""
+    psi0 = lambda x: gaussian_packet(x, 0.0, cfg.zeta, cfg.k)
+    return SchrodingerProblem(psi0=psi0, V=V, V_ex=V_ex, dt=cfg.dt, T=cfg.T)
+
+
 def _run_example_5(cfg):
-    target = lambda x, t: gaussian_packet(x, t, cfg.zeta, cfg.k)
-    problem = SchrodingerProblem(psi0=lambda x: target(x, 0.0), dt=cfg.dt, T=cfg.T)
-    log, logged = _logger(target)
-    adapt_schrodinger_run(problem, cfg.controller, _start(cfg, cfg.order), on_step=log)
+    log, logged = _logger(lambda x, t: gaussian_packet(x, t, cfg.zeta, cfg.k))
+    problem, d0 = _packet_problem(cfg), _start(cfg, cfg.order)
+    adapt_schrodinger_run(problem, cfg.controller, d0, on_step=log)
     return logged()
 
 
@@ -300,14 +302,7 @@ def _example_6_potentials(depth, sharp, amp, omega):
 def _example_6_start(cfg):
     """Example 6's problem and its initial space, of order cfg.order."""
     V, V_ex = _example_6_potentials(cfg.v_depth, cfg.v_sharp, cfg.drive_amp, cfg.drive_freq)
-    problem = SchrodingerProblem(
-        psi0=lambda x: gaussian_packet(x, 0.0, cfg.zeta, cfg.k),
-        V=V,
-        V_ex=V_ex,
-        dt=cfg.dt,
-        T=cfg.T,
-    )
-    return problem, _start(cfg, cfg.order)
+    return _packet_problem(cfg, V, V_ex), _start(cfg, cfg.order)
 
 
 @lru_cache(maxsize=2)
@@ -436,6 +431,13 @@ _STUDIES = {
         ),
     ),
 }
+
+
+def _study(example):
+    """The table entry of one study; any other example is refused."""
+    if example not in _STUDIES:
+        raise ValueError("example must be one of %s, got %r" % (tuple(_STUDIES), example))
+    return _STUDIES[example]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .adapt import ControllerConfig, _march, _step_count, initial_state, orchestrate_step
+from .adapt import ControllerConfig, _adaptive_march, _step_count
 from .basis import (
     BasisDescriptor,
     Family,
@@ -204,15 +204,12 @@ def adapt_schrodinger_run(
     """
     _require_hermite(d0)
 
-    def step(u, state, t, t_next):
-        def evolve(w):
-            psi = propagate_step(w.coefficients, w.descriptor, problem, t)
-            return SpectralExpansion(w.descriptor, psi)
-
-        return orchestrate_step(u, state, config, evolve)
+    def evolve(w, t, t_next):
+        psi = propagate_step(w.coefficients, w.descriptor, problem, t)
+        return SpectralExpansion(w.descriptor, psi)
 
     u0 = to_coefficients(np.asarray(problem.psi0(nodes_weights(d0).nodes), dtype=complex), d0)
-    return _march(u0, initial_state(u0, config), step, problem.dt, problem.T, on_step)
+    return _adaptive_march(u0, config, evolve, problem.dt, problem.T, on_step)
 
 
 def gaussian_packet(x, t, zeta=0.3, k=1.0):

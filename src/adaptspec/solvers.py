@@ -3,10 +3,10 @@
 Two ways to produce the per-step evolve for the adaptive loop: an explicit
 third-order Runge-Kutta collocation solver for PDEs posed on grid values
 (with strong Dirichlet imposition), and closed-form target tracking that
-re-interpolates a known u(x, t) each step.  Each public marcher only builds
-its step: the 1-D ones wrap `orchestrate_step` around their evolve, the
-tensor tracker interpolates, runs `p_adapt_step_2d` and records the axis
-readings it hands back.  The march and the non-finite guard are
+re-interpolates a known u(x, t) each step.  A 1-D marcher supplies only
+its start and its evolve to `adapt._adaptive_march`; the tensor tracker
+builds its step, which interpolates, runs `p_adapt_step_2d` and records the
+axis readings it hands back.  The march and the non-finite guard are
 `adapt._march`'s, and the horizon rule `adapt._step_count`, which an
 EvolutionProblem also applies when constructed; so every run logs the same
 `StepRecord` wherever its new time level comes from.
@@ -21,11 +21,10 @@ from .adapt import (
     AdaptiveState,
     ControllerConfig,
     StepRecord,
+    _adaptive_march,
     _check_finite,
     _march,
     _step_count,
-    initial_state,
-    orchestrate_step,
     p_adapt_step_2d,
 )
 from .basis import (
@@ -74,25 +73,27 @@ def rk3_step(rhs, u: SpectralExpansion, t, dt, boundary=None) -> SpectralExpansi
 
     Stage results approximate times t+dt, t+dt/2, t+dt; the Dirichlet
     value is re-imposed at those times, strongly, at the boundary node.
+    Each slope rhs(w, ts) and each pinned boundary value g(ts) is checked
+    where it is made: a NaN or infinite entry raises RuntimeError naming
+    ts.  The stage values are left to the march's check of each step.
     """
     d = u.descriptor
 
-    def finish(vals, ts):
+    def slope(w, ts):
+        return _check_finite(np.asarray(rhs(w, ts)), ts, "right-hand side")
+
+    def pin(vals, ts):
         if boundary is not None:
             node, g = boundary
-            vals[node] = g(ts)
-        return _check_finite(vals, ts, "stage values")
+            vals[node] = _check_finite(g(ts), ts, "boundary value")
+        return vals
 
     v0 = node_values(u)
-    k1 = _check_finite(np.asarray(rhs(u, t)), t, "right-hand side")
-    v1 = finish(v0 + dt * k1, t + dt)
-    u1 = to_coefficients(v1, d)
-    k2 = _check_finite(np.asarray(rhs(u1, t + dt)), t + dt, "right-hand side")
-    v2 = finish(0.75 * v0 + 0.25 * (v1 + dt * k2), t + 0.5 * dt)
-    u2 = to_coefficients(v2, d)
-    k3 = _check_finite(np.asarray(rhs(u2, t + 0.5 * dt)), t + 0.5 * dt, "right-hand side")
-    v3 = finish(v0 / 3.0 + (2.0 / 3.0) * (v2 + dt * k3), t + dt)
-    return to_coefficients(v3, d)
+    v1 = pin(v0 + dt * slope(u, t), t + dt)
+    k2 = slope(to_coefficients(v1, d), t + dt)
+    v2 = pin(0.75 * v0 + 0.25 * (v1 + dt * k2), t + 0.5 * dt)
+    k3 = slope(to_coefficients(v2, d), t + 0.5 * dt)
+    return to_coefficients(pin(v0 / 3.0 + (2.0 / 3.0) * (v2 + dt * k3), t + dt), d)
 
 
 def advection_rhs(u: SpectralExpansion, t) -> np.ndarray:
@@ -110,12 +111,8 @@ def solve_collocation(
     on_step=None,
 ):
     """March a collocation PDE with the adaptive loop around rk3_step."""
-
-    def step(u, state, t, t_next):
-        evolve = lambda w: rk3_step(problem.rhs, w, t, problem.dt, problem.boundary)
-        return orchestrate_step(u, state, config, evolve)
-
-    return _march(u0, initial_state(u0, config), step, problem.dt, problem.T, on_step)
+    evolve = lambda w, t, t_next: rk3_step(problem.rhs, w, t, problem.dt, problem.boundary)
+    return _adaptive_march(u0, config, evolve, problem.dt, problem.T, on_step)
 
 
 def track_function(target, config: ControllerConfig, d0: BasisDescriptor, dt, T, on_step=None):
@@ -129,11 +126,8 @@ def track_function(target, config: ControllerConfig, d0: BasisDescriptor, dt, T,
     def interpolate(d, t):
         return to_coefficients(np.asarray(target(nodes_weights(d).nodes, t)), d)
 
-    def step(u, state, t, t_next):
-        return orchestrate_step(u, state, config, lambda w: interpolate(w.descriptor, t_next))
-
-    u0 = interpolate(d0, 0.0)
-    return _march(u0, initial_state(u0, config), step, dt, T, on_step)
+    evolve = lambda w, t, t_next: interpolate(w.descriptor, t_next)
+    return _adaptive_march(interpolate(d0, 0.0), config, evolve, dt, T, on_step)
 
 
 def track_function_2d(

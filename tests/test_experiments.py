@@ -61,6 +61,22 @@ def test_example_config_rejects_unknown_keys_and_bad_ids():
             example_config(bad)
 
 
+def test_the_study_set_is_read_from_the_study_table(monkeypatch, capsys):
+    # a study added to the table is accepted everywhere and named in every
+    # refusal; no range of ids is written out anywhere else
+    monkeypatch.setitem(experiments._STUDIES, 7, experiments._STUDIES[3])
+    seventh = example_config(7)
+    assert seventh.example == 7
+    refusal = r"example must be one of \(1, 2, 3, 4, 5, 6, 7\), got 8$"
+    with pytest.raises(ValueError, match=refusal):
+        example_config(8)
+    with pytest.raises(ValueError, match=refusal):
+        ExperimentConfig(8, seventh.controller, seventh.family, 4)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["run", "--example", "8"])
+    assert "{1,2,3,4,5,6,7}" in capsys.readouterr().err
+
+
 def test_experiment_config_validation():
     ctrl = example_config(3).controller
     from adaptspec.basis import Family

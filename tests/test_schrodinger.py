@@ -1,5 +1,6 @@
 """Solver pieces against quadrature, dense-assembly, and analytic oracles."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from adaptspec import (
 )
 from adaptspec import schrodinger
 from adaptspec.adapt import ControllerConfig, initial_state, orchestrate_step, translate
-from adaptspec.experiments import _example_6_potentials, example_config
+from adaptspec.experiments import _example_6_potentials, _packet_problem, example_config
 from adaptspec.indicators import relative_error
 from adaptspec.schrodinger import (
     SchrodingerProblem,
@@ -353,9 +354,7 @@ def test_potential_operator_eigenvalues_are_the_node_values():
 def test_example_6_step_at_reference_order_needs_few_applies(monkeypatch):
     cfg = example_config(6)
     V, V_ex = _example_6_potentials(cfg.v_depth, cfg.v_sharp, cfg.drive_amp, cfg.drive_freq)
-    problem = SchrodingerProblem(
-        psi0=lambda x: gaussian_packet(x, 0.0, cfg.zeta, cfg.k), V=V, V_ex=V_ex, dt=cfg.dt, T=cfg.T
-    )
+    problem = _packet_problem(cfg, V, V_ex)
     d = HER(600, beta=1.3)
     psi = to_coefficients(problem.psi0(nodes_weights(d).nodes).astype(complex), d).coefficients
     applies = []
@@ -372,3 +371,62 @@ def test_example_6_step_at_reference_order_needs_few_applies(monkeypatch):
     out = propagate_step(psi, d, problem, 0.0)
     assert 0 < len(applies) <= 45
     assert abs(np.linalg.norm(out) / np.linalg.norm(psi) - 1) < 1e-13
+
+
+# ---------------------------------------------------- harmonic trap
+#
+# With V = x^2 the generator is H = -d^2/dx^2 + x^2, whose eigenfunctions are
+# the Hermite functions at beta=1, x_left=0; every Gaussian state evolves in
+# closed form, so the adaptive loop is checked against an exact solution
+# that turns around (no packet study does).
+
+
+def _coherent(x, t, x0=3.0):
+    # Schroedinger 1926, Glauber 1963: h_0(x - x0) oscillating with tau = 2t
+    tau = 2.0 * t
+    xc, pc = x0 * np.cos(tau), -x0 * np.sin(tau)
+    phase = pc * x - tau / 2 - xc * pc / 2
+    return np.pi**-0.25 * np.exp(-((x - xc) ** 2) / 2 + 1j * phase)
+
+
+def _squeezed(x, t, s=2.0):
+    # (s/pi)^(1/4) exp(-s x^2/2) breathing with period pi/2 (Mehler kernel):
+    # z^(-1/2) exp(-x^2/2 (s cos 2t + i sin 2t)/z), z = cos 2t + i s sin 2t.
+    # z e^(-2it) has real part >= min(1, s), so e^(it) times its principal
+    # root is the root of z continued from t=0; the principal root of z
+    # itself flips sign where z crosses the negative axis, at t = pi/2.
+    c, sn = np.cos(2.0 * t), np.sin(2.0 * t)
+    z = c + 1j * s * sn
+    root = np.exp(1j * t) * np.sqrt(z * (c - 1j * sn))
+    return (s / np.pi) ** 0.25 / root * np.exp(-(x**2) / 2 * (s * c + 1j * sn) / z)
+
+
+def _trap_run(psi):
+    """Half a trap period (200 steps of pi/400) from psi(x, 0) under example 5's
+    controller with moving off: (errors, actions, coefficient norms) per step."""
+    controller = dataclasses.replace(example_config(5).controller, moving=False)
+    dt = np.pi / 400
+    problem = SchrodingerProblem(psi0=lambda x: psi(x, 0.0), V=lambda x: x**2, dt=dt, T=200 * dt)
+    errors, actions, norms = [], [], []
+
+    def on_step(t, u, rec):
+        errors.append(relative_error(u, lambda x: psi(x, t)))
+        actions.extend(rec.actions)
+        norms.append(np.linalg.norm(u.coefficients))
+
+    _, records = adapt_schrodinger_run(problem, controller, HER(50, beta=1.0), on_step=on_step)
+    assert len(records) == 200
+    return np.array(errors), actions, np.array(norms)
+
+
+def test_trap_coherent_state_is_exact_and_leaves_the_space_alone():
+    errors, actions, _ = _trap_run(_coherent)
+    assert errors.max() <= 1e-12
+    assert actions == []
+
+
+def test_trap_squeezed_state_breathes_through_both_scalings():
+    errors, actions, norms = _trap_run(_squeezed)
+    assert "scale_up" in actions and "scale_down" in actions
+    assert errors.max() <= 1e-11
+    assert np.abs(norms - 1.0).max() <= 1e-12

@@ -1,6 +1,7 @@
 """RK3 collocation stepping and target-tracking drivers."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -78,6 +79,54 @@ def test_rk3_aborts_on_nan():
     u = SpectralExpansion(CHEB(4), np.ones(5))
     with pytest.raises(RuntimeError, match="non-finite"):
         rk3_step(lambda w, t: np.full(5, np.nan), u, 0.0, 0.01)
+
+
+def _slope_with(node, value, on_call):
+    """A zero right-hand side whose call number on_call (0, 1, 2: the three
+    stages) returns value at node."""
+    calls = []
+
+    def rhs(w, t):
+        k = np.zeros(w.descriptor.size)
+        if len(calls) == on_call:
+            k[node] = value
+        calls.append(t)
+        return k
+
+    return rhs
+
+
+# t=0.5, dt=0.25: the stages read slopes at t, t+dt, t+dt/2 and pin at t+dt, t+dt/2, t+dt
+_STAGE_TIMES = ("0.5", "0.75", "0.625")
+
+
+@pytest.mark.parametrize("on_call", [0, 1, 2])
+@pytest.mark.parametrize(
+    "node,value",
+    [(-1, np.nan), (3, np.inf), (3, -np.inf)],
+    ids=["nan-at-dirichlet-node", "plus-inf-interior", "minus-inf-interior"],
+)
+def test_rk3_refuses_a_non_finite_slope(node, value, on_call):
+    # a NaN at the Dirichlet node would be overwritten by the pinned value,
+    # and an infinite slope would reach the transform, so each slope is
+    # checked where it is produced, before either happens
+    u = SpectralExpansion(CHEB(6), np.ones(7))
+    match = r"non-finite right-hand side at t=%s$" % _STAGE_TIMES[on_call].replace(".", r"\.")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=match):
+            rk3_step(_slope_with(node, value, on_call), u, 0.5, 0.25, bc)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "plus-inf", "minus-inf"])
+@pytest.mark.parametrize("bad_t", ["0.75", "0.625"])
+def test_rk3_refuses_a_non_finite_boundary_value(value, bad_t):
+    u = SpectralExpansion(CHEB(6), np.ones(7))
+    g = lambda s: value if s == float(bad_t) else 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"non-finite .* at t=%s$" % bad_t.replace(".", r"\.")):
+            rk3_step(lambda w, t: np.zeros(7), u, 0.5, 0.25, (-1, g))
 
 
 def test_rk3_third_order_convergence():
