@@ -238,9 +238,12 @@ def translate(u: SpectralExpansion, dist: float) -> SpectralExpansion:
 
 
 def initial_state(u: SpectralExpansion, config: ControllerConfig) -> AdaptiveState:
-    """Reference state from the initial expansion (orchestrator init box)."""
+    """Reference state from the initial expansion (orchestrator init box).
+
+    exterior_ref, read by move_step alone, is measured only where that runs.
+    """
     f = frequency_indicator(u)
-    e = 0.0 if u.descriptor.bounded else exterior_error_indicator(u)
+    e = exterior_error_indicator(u) if config.moving and not u.descriptor.bounded else 0.0
     return AdaptiveState(freq_ref=f, scale_ref=f, exterior_ref=e, refine_factor=config.eta)
 
 

@@ -490,7 +490,7 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
             h0, h1, h2 = (p * env for p, _, env in islice(rows, n, None))
             y = y - h1 / (math.sqrt((n + 1) / 2.0) * h0 - math.sqrt((n + 2) / 2.0) * h2)
             y = 0.5 * (y - y[::-1])  # enforce the exact symmetry of the grid
-    elif family is Family.LAGUERRE_FN:
+    else:  # Family.LAGUERRE_FN
         # Radau: the left endpoint, then the roots of the degree-n Laguerre(a+1)
         # polynomial, which are the Gauss nodes of its weight (Golub 1973)
         y = np.zeros(n + 1)
@@ -500,8 +500,6 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
             table = _orthonormal_table(*_recurrence_laguerre(n + 1, a + 1.0))
             p, dp = _last_row(table, y[1:], rescale=True)
             y[1:] = y[1:] - p / (dp - 0.5 * p)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family {family!r}")
 
     V = _basis_rows(family, n, y, a, b)
     V2 = V * V

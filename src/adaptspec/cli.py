@@ -26,6 +26,9 @@ def _float_list(text):
 
 # the controller fields a sweep may vary, each through a --<name>s grid flag
 _SWEEP_AXES = ("eta", "gamma", "eta0")
+# the grid swept when no axis is given: eta x gamma, but example 4 studies coarsening
+_DEFAULT_GRID = {"eta": [1.2, 1.5, 2.0, 4.0], "gamma": [1.05, 1.1, 1.2, 1.5]}
+_DEFAULT_GRIDS = {4: {"eta0": [1.2, 1.5, 2.0, 4.0]}}
 
 
 def _add_common(parser):
@@ -74,11 +77,7 @@ def _collect_overrides(args):
 
 def _sweep_grid(args):
     grid = {name: getattr(args, name + "s") for name in _SWEEP_AXES if getattr(args, name + "s")}
-    if grid:
-        return grid
-    if args.example == 4:
-        return {"eta0": [1.2, 1.5, 2.0, 4.0]}
-    return {"eta": [1.2, 1.5, 2.0, 4.0], "gamma": [1.05, 1.1, 1.2, 1.5]}
+    return grid or _DEFAULT_GRIDS.get(args.example, _DEFAULT_GRID)
 
 
 def main(argv=None):

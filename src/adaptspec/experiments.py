@@ -20,7 +20,7 @@ from operator import attrgetter
 import numpy as np
 from scipy.special import erfc
 
-from .adapt import AdaptiveState, ControllerConfig, _march, _step_count, scale_step
+from .adapt import ControllerConfig, _march, _step_count, initial_state, scale_step
 from .basis import (
     BasisDescriptor,
     Family,
@@ -30,7 +30,7 @@ from .basis import (
     nodes_weights,
     to_coefficients,
 )
-from .indicators import _relative_errors, frequency_indicator, relative_error_2d
+from .indicators import _relative_errors, relative_error_2d
 from .schrodinger import (
     SchrodingerProblem,
     adapt_schrodinger_run,
@@ -64,8 +64,8 @@ class ExperimentConfig:
 
     a/b parameterize the decaying-envelope targets (examples 3-4), zeta/k
     the wave packet (5-6), v_* and drive_* the double-well potential and
-    its time-periodic forcing (6).  n_ref is the order of example 6's
-    fixed-order reference march.
+    its time-periodic forcing (6).  n_ref is the order of the fixed-order
+    reference march of a study whose pinned experiment names it (6).
     """
 
     example: int
@@ -90,8 +90,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _study(self.example)
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
         _step_count(self.dt, self.T)
         for f in dataclasses.fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
@@ -103,14 +101,21 @@ class ExperimentConfig:
         lo, hi = self.controller.beta_lo, self.controller.beta_hi
         if self.controller.scaling and not lo <= self.beta0 <= hi:
             raise ValueError("beta0=%g outside the scaling range [%g, %g]" % (self.beta0, lo, hi))
-        # a run starts at or below every order ceiling: n_abs, and in example 6 the reference order
-        ceilings = {"n_abs": self.controller.n_abs, "n_ref": self.n_ref if self.example == 6 else None}
-        for name, order in (("order", self.order), ("order_y", self.order_y)):
-            for cap, ceiling in ceilings.items():
-                if order is not None and ceiling is not None and order > ceiling:
-                    raise ValueError(
-                        "%s=%d exceeds the order ceiling %s=%d" % (name, order, cap, ceiling)
-                    )
+        ceiling, cap = _order_ceiling(self)
+        for name, n in (("order", self.order), ("order_y", self.order_y)):
+            if n is not None and n < 0:
+                raise ValueError("%s must be >= 0" % name)
+            if n is not None and ceiling is not None and n > ceiling:
+                raise ValueError("%s=%d exceeds the order ceiling %s=%d" % (name, n, cap, ceiling))
+
+
+def _order_ceiling(cfg):
+    """(order, name) of the lowest ceiling on cfg's orders, or (None, None): n_abs,
+    and n_ref if the study's pinned experiment names it (its yardstick's order)."""
+    ceilings = [(cfg.controller.n_abs, "n_abs")]
+    if "n_ref" in _study(cfg.example)[2]:
+        ceilings.append((cfg.n_ref, "n_ref"))
+    return min(((c, name) for c, name in ceilings if c is not None), default=(None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +322,7 @@ def _reference_trajectory_6(ref):
     """
     problem, d0 = _example_6_start(ref)
     u = to_coefficients(np.asarray(problem.psi0(nodes_weights(d0).nodes), dtype=complex), d0)
-    f = frequency_indicator(u)
-    # exterior_ref is read only by the moving controller, which is off
-    state = AdaptiveState(freq_ref=f, scale_ref=f, exterior_ref=math.nan, refine_factor=ref.controller.eta)
+    state = initial_state(u, ref.controller)
 
     def step(u, state, t, t_next):
         psi = propagate_step(u.coefficients, u.descriptor, problem, t)
@@ -346,8 +349,7 @@ def _run_example_6(cfg):
     reference = _reference_trajectory_6(_reference_key_6(cfg))
     problem, d0 = _example_6_start(cfg)
     # Refinement may grow the order, but never past what the yardstick resolves.
-    n_abs = cfg.n_ref if cfg.controller.n_abs is None else min(cfg.controller.n_abs, cfg.n_ref)
-    controller = dataclasses.replace(cfg.controller, n_abs=n_abs)
+    controller = dataclasses.replace(cfg.controller, n_abs=_order_ceiling(cfg)[0])
 
     def rows(x, ts):
         # the step ending at t is reference step t/dt - 1; one evaluation per space
@@ -377,7 +379,7 @@ _STUDIES = {
     2: (
         _run_example_2,
         dict(eta=1.1, eta0=1.1, gamma=1.1, n_max=3, scaling=False, moving=False),
-        dict(family=Family.LEGENDRE, order=36, order_y=36, dt=0.01, T=5.0),
+        dict(family=Family.LEGENDRE, order=36, dt=0.01, T=5.0),
     ),
     3: (
         _run_example_3,
@@ -552,5 +554,6 @@ def sweep(config, grid, out=None):
             print("  ".join("%-24s" % c for c in ["%g" % r] + cells))
     else:
         for combo, last in results:
-            print("%s=%g  %s" % (names[0], combo[0], _cell_text(last)))
+            axis = "  ".join("%s=%g" % pair for pair in zip(names, combo))
+            print("%s  %s" % (axis, _cell_text(last)))
     return path

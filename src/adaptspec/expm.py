@@ -40,7 +40,17 @@ def _bessel_coefficients(r):
     return j[: done[0] + 1]
 
 
-def _chebyshev_apply(apply_a, x, lo, hi):
+def expm_action(apply_a, x, spectrum):
+    """Return exp(A) x where A is given only through apply_a(v) = A v.
+
+    x may be any complex or real ndarray; apply_a must be linear and
+    shape-preserving.  A = -iH is taken to be skew-Hermitian with the
+    eigenvalues of H inside spectrum = (lo, hi).  The result is
+    deterministic for fixed inputs.
+    """
+    lo, hi = float(spectrum[0]), float(spectrum[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+        raise ValueError("spectrum must be a finite interval (lo, hi), got %r" % (spectrum,))
     # exp(-iH) = exp(-ic) sum_k (2 - delta_k0) (-i)^k J_k(r) T_k(X) with
     # X = (H - c)/r and H v = i A v; T_k(X) v by the three-term recurrence
     c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -57,17 +67,3 @@ def _chebyshev_apply(apply_a, x, lo, hi):
             phase *= -1j
             acc = acc + (phase * jk) * w
     return np.exp(-1j * c) * acc
-
-
-def expm_action(apply_a, x, spectrum):
-    """Return exp(A) x where A is given only through apply_a(v) = A v.
-
-    x may be any complex or real ndarray; apply_a must be linear and
-    shape-preserving.  A = -iH is taken to be skew-Hermitian with the
-    eigenvalues of H inside spectrum = (lo, hi).  The result is
-    deterministic for fixed inputs.
-    """
-    lo, hi = float(spectrum[0]), float(spectrum[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-        raise ValueError("spectrum must be a finite interval (lo, hi), got %r" % (spectrum,))
-    return _chebyshev_apply(apply_a, x, lo, hi)

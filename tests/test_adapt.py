@@ -523,6 +523,29 @@ def test_orchestrate_dead_zones_change_nothing():
     npt.assert_allclose(v.coefficients, u.coefficients, atol=0)
 
 
+def test_initial_state_reads_the_exterior_indicator_only_where_move_step_runs(monkeypatch):
+    # exterior_ref is read by move_step alone, so it is measured at t=0 only
+    # when moving is on and the family is unbounded
+    from adaptspec import adapt
+
+    calls = []
+
+    def counted(w):
+        calls.append(w.descriptor)
+        return exterior_error_indicator(w)
+
+    monkeypatch.setattr(adapt, "exterior_error_indicator", counted)
+    u = packet_expansion(0.0)
+    st = initial_state(u, ControllerConfig(moving=False))
+    assert calls == [] and st.exterior_ref == 0.0
+    st = initial_state(u, ControllerConfig(moving=True))
+    assert calls == [u.descriptor] and st.exterior_ref == exterior_error_indicator(u)
+    calls.clear()
+    bounded = to_coefficients(np.cos(nodes_weights(LEG(8)).nodes), LEG(8))
+    assert initial_state(bounded, ControllerConfig(moving=True)).exterior_ref == 0.0
+    assert calls == []
+
+
 def test_orchestrate_renews_references_after_order_change(monkeypatch):
     # the record's indicators renew the references: one exterior
     # evaluation follows the order step, not two

@@ -100,7 +100,7 @@ def test_experiment_config_refuses_a_start_above_the_order_ceiling(capsys):
     with pytest.raises(ValueError, match="order=200 exceeds the order ceiling n_ref=100"):
         example_config(6, T=0.02, n_ref=100)
     with pytest.raises(ValueError, match="order_y=36 exceeds the order ceiling n_abs=35"):
-        example_config(2, order=30, n_abs=35)
+        example_config(2, order=30, order_y=36, n_abs=35)
     with pytest.raises(ValueError, match="order=200 exceeds the order ceiling n_ref=199"):
         example_config(6, n_ref=199)
     assert cli.main(["run", "--example", "3", "--nabs", "20"]) == 2
@@ -110,6 +110,47 @@ def test_experiment_config_refuses_a_start_above_the_order_ceiling(capsys):
     assert example_config(6, n_ref=200).order == 200
     assert example_config(6, order=100, n_abs=100, n_ref=100).order == 100
     assert example_config(5, n_ref=10).order == 50
+
+
+def test_the_order_ceiling_is_read_from_the_study_table(monkeypatch):
+    # a study whose pinned experiment names n_ref is refused a start above it
+    # and its runner clamps n_abs to it; no example id is tested anywhere
+    _, ctrl, exp = experiments._STUDIES[6]
+    monkeypatch.setitem(experiments._STUDIES, 7, (experiments._run_example_6, ctrl, exp))
+    with pytest.raises(ValueError, match="order=200 exceeds the order ceiling n_ref=100"):
+        example_config(7, n_ref=100)
+    with pytest.raises(ValueError, match="order=200 exceeds the order ceiling n_abs=150"):
+        example_config(7, n_abs=150, n_ref=180)
+    assert experiments._order_ceiling(example_config(7, n_ref=230)) == (230, "n_ref")
+    assert experiments._order_ceiling(example_config(7, n_abs=210, n_ref=230)) == (210, "n_abs")
+    assert experiments._order_ceiling(example_config(3)) == (None, None)
+
+    seen = []
+    monkeypatch.setattr(experiments, "_reference_trajectory_6", lambda ref: ())
+    monkeypatch.setattr(experiments, "adapt_schrodinger_run",
+                        lambda problem, controller, d0, on_step: seen.append(controller.n_abs))
+    for overrides in (dict(n_ref=230), dict(n_ref=230, n_abs=210), dict(n_ref=230, n_abs=500)):
+        experiments._run_example_6(example_config(7, T=0.02, **overrides))
+    assert seen == [230, 210, 230]
+
+
+def test_both_start_orders_are_refused_below_zero_when_configured(capsys):
+    for name in ("order", "order_y"):
+        with pytest.raises(ValueError, match="%s must be >= 0" % name):
+            example_config(2, **{name: -1})
+    assert cli.main(["run", "--example", "2", "--ordery", "-1"]) == 2
+    assert "order_y must be >= 0" in capsys.readouterr().err
+
+
+def test_example_2_starts_square_at_the_configured_order(monkeypatch):
+    # order_y defaults to order: --order 50 starts the tensor run at 50x50
+    starts = []
+    monkeypatch.setattr(experiments, "track_function_2d",
+                        lambda target, ctrl, dx0, dy0, dt, T, on_step: starts.append((dx0, dy0)))
+    assert example_config(2).order_y is None
+    for order in (36, 50):
+        experiments._run_example_2(example_config(2, order=order))
+    assert [(dx.order, dy.order) for dx, dy in starts] == [(36, 36), (50, 50)]
 
 
 def test_a_horizon_is_refused_when_configured(capsys):
@@ -532,6 +573,34 @@ def test_sweep_single_cell_matches_run(tmp_path):
     assert float(rows[0]["error"]) == records[-1].error
     assert int(rows[0]["N"]) == records[-1].order
     assert float(rows[0]["beta"]) == records[-1].beta
+
+
+def test_sweep_names_every_axis_of_each_cell(tmp_path, capsys):
+    cfg = example_config(3, T=0.01)
+    experiments.sweep(cfg, {"eta": [1.2, 1.5], "gamma": [1.05], "eta0": [1.2, 2.0]},
+                      out=str(tmp_path / "s3.csv"))
+    lines = capsys.readouterr().out.splitlines()
+    cells = [(eta, eta0) for eta in (1.2, 1.5) for eta0 in (1.2, 2.0)]
+    assert len(lines) == 4
+    for line, cell in zip(lines, cells):
+        assert line.startswith("eta=%g  gamma=1.05  eta0=%g  " % cell), line
+    # one axis: the axis and the cell, as before
+    last = experiments.run(cfg, out=str(tmp_path / "r.csv"))[-1]
+    capsys.readouterr()
+    experiments.sweep(cfg, {"eta": [1.2]}, out=str(tmp_path / "s1.csv"))
+    assert capsys.readouterr().out == "eta=1.2  %s\n" % experiments._cell_text(last)
+
+
+def test_cli_sweep_default_grids():
+    def grid(*argv):
+        return cli._sweep_grid(cli.build_parser().parse_args(["sweep", *argv]))
+
+    assert grid("--example", "4") == {"eta0": [1.2, 1.5, 2.0, 4.0]}
+    for example in ("3", "5"):
+        assert grid("--example", example) == {
+            "eta": [1.2, 1.5, 2.0, 4.0], "gamma": [1.05, 1.1, 1.2, 1.5]
+        }
+    assert grid("--example", "4", "--etas", "1.3") == {"eta": [1.3]}
 
 
 def test_sweep_grid_layout_and_failure_isolation(tmp_path):
