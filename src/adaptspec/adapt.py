@@ -14,9 +14,10 @@ translation in fixed increments while the exterior indicator exceeds its
 reference; each also returns its last reading of its indicator.
 `orchestrate_step` chains evolve -> move -> scale -> order per step,
 passing those readings on, and renews the reference indicators after
-basis changes.  The private `_march` repeats a step to the
-horizon for every time loop in the package; `_adaptive_march` runs it
-with `orchestrate_step` as the step of every 1-D marcher.  The exterior
+basis changes.  The private `_march` repeats a step to the horizon for
+every time loop in the package; `_adaptive_march` runs it with
+`orchestrate_step` as the step of every 1-D marcher, and `_sample` puts
+every known function (start, target, packet) on a grid.  The exterior
 indicator always splits at the default node of the current grid, so the
 split point is not carried in AdaptiveState.
 
@@ -48,7 +49,9 @@ from .basis import (
     _cross_matrix,
     _cross_matrix_cached,  # noqa: F401  (its cache counters are read from this module too)
     _frame,
+    _on_grid,
     _with_order,
+    nodes_weights,
     to_coefficients,
     to_coefficients_2d,
 )
@@ -472,6 +475,17 @@ def _check_finite(vals, t, what):
     if not np.isfinite(vals).all():
         raise RuntimeError(f"non-finite {what} at t={t:.6g}")
     return vals
+
+
+def _sample(f, t, d, dy=None):
+    """f interpolated at the nodes of d, or of the tensor space d x dy, where f(X, Y)
+    gets the open grids as `_on_grid` passes them; a NaN or infinite sample raises
+    RuntimeError naming t, before it reaches the transform."""
+    x = nodes_weights(d).nodes
+    if dy is None:
+        return to_coefficients(_check_finite(np.asarray(f(x)), t, "sample"), d)
+    vals = _check_finite(_on_grid(f, x, nodes_weights(dy).nodes), t, "sample")
+    return to_coefficients_2d(vals, d, dy)
 
 
 def _march(u, state, step, dt, T, on_step):

@@ -20,16 +20,8 @@ from operator import attrgetter
 import numpy as np
 from scipy.special import erfc
 
-from .adapt import ControllerConfig, _march, _step_count, initial_state, scale_step
-from .basis import (
-    BasisDescriptor,
-    Family,
-    SpectralExpansion,
-    _apply_real,
-    evaluate_all,
-    nodes_weights,
-    to_coefficients,
-)
+from .adapt import ControllerConfig, _march, _sample, _step_count, initial_state, scale_step
+from .basis import BasisDescriptor, Family, SpectralExpansion, _apply_real, evaluate_all
 from .indicators import _relative_errors, relative_error_2d
 from .schrodinger import (
     SchrodingerProblem,
@@ -62,17 +54,17 @@ CSV_COLUMNS = ("t", "error", "freq", "ext", "N", "Nx", "Ny", "beta", "xL", "acti
 class ExperimentConfig:
     """Everything a reproduction run needs, in one hashable bundle.
 
-    a/b parameterize the decaying-envelope targets (examples 3-4), zeta/k
-    the wave packet (5-6), v_* and drive_* the double-well potential and
-    its time-periodic forcing (6).  n_ref is the order of the fixed-order
-    reference march of a study whose pinned experiment names it (6).
+    a/b parameterize the decaying-envelope targets (examples 3-4; a + b*t
+    must be positive on [0, T]), zeta/k the wave packet (5-6), v_* and
+    drive_* the double-well potential (v_sharp >= 0) and its time-periodic
+    forcing (6).  n_ref is the order of the fixed-order reference march of
+    a study whose pinned experiment names it (6).
     """
 
     example: int
     controller: ControllerConfig
     family: Family
     order: int
-    order_y: int = None
     beta0: float = 1.0
     x_left0: float = 0.0
     dt: float = 1e-3
@@ -89,24 +81,24 @@ class ExperimentConfig:
     drive_freq: float = 10.0
 
     def __post_init__(self):
-        _study(self.example)
+        pinned = _study(self.example)[2]
         _step_count(self.dt, self.T)
         for f in dataclasses.fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError("%s must be finite, got %r" % (f.name, getattr(self, f.name)))
         if self.beta0 <= 0 or self.zeta <= 0:
             raise ValueError("beta0 and zeta must be positive")
-        if self.n_ref < 1:
-            raise ValueError("n_ref must be >= 1")
+        for name, low in (("order", 0), ("n_ref", 1), ("v_sharp", 0)):
+            if getattr(self, name) < low:
+                raise ValueError("%s must be >= %d" % (name, low))
+        if {"a", "b"} <= pinned.keys() and min(self.a, self.a + self.b * self.T) <= 0:
+            raise ValueError("a + b*t must be positive on [0, T], got a=%g b=%g" % (self.a, self.b))
         lo, hi = self.controller.beta_lo, self.controller.beta_hi
         if self.controller.scaling and not lo <= self.beta0 <= hi:
             raise ValueError("beta0=%g outside the scaling range [%g, %g]" % (self.beta0, lo, hi))
-        ceiling, cap = _order_ceiling(self)
-        for name, n in (("order", self.order), ("order_y", self.order_y)):
-            if n is not None and n < 0:
-                raise ValueError("%s must be >= 0" % name)
-            if n is not None and ceiling is not None and n > ceiling:
-                raise ValueError("%s=%d exceeds the order ceiling %s=%d" % (name, n, cap, ceiling))
+        top, cap = _order_ceiling(self)
+        if top is not None and self.order > top:
+            raise ValueError("order=%d exceeds the order ceiling %s=%d" % (self.order, cap, top))
 
 
 def _order_ceiling(cfg):
@@ -230,17 +222,17 @@ def _logger(target, rows=None):
     return log, flush
 
 
-def _start(cfg, order):
-    """The study's starting space of the given order: cfg's family, beta0 and x_left0."""
-    return BasisDescriptor(cfg.family, order, beta=cfg.beta0, x_left=cfg.x_left0)
+def _start(cfg):
+    """The study's one starting space: cfg's family, order, beta0 and x_left0.
+    Example 2 starts on it along both axes."""
+    return BasisDescriptor(cfg.family, cfg.order, beta=cfg.beta0, x_left=cfg.x_left0)
 
 
 def _run_example_1(cfg):
     def analytic(x, t):
         return np.cos((t + 1.0) * (x + 2.0))
 
-    d0 = _start(cfg, cfg.order)
-    u0 = to_coefficients(analytic(nodes_weights(d0).nodes, 0.0), d0)
+    u0 = _sample(lambda x: analytic(x, 0.0), 0.0, _start(cfg))
     problem = EvolutionProblem(
         rhs=advection_rhs,
         dt=cfg.dt,
@@ -258,16 +250,14 @@ def _run_example_2(cfg):
         p = 10.0 - 4.0 * abs(t - 2.5)
         return np.cos(w * X * Y) + np.abs(Y) ** p * np.sin(4.0 * w * X)
 
-    dx0 = _start(cfg, cfg.order)
-    dy0 = _start(cfg, cfg.order_y if cfg.order_y is not None else cfg.order)
     log, logged = _logger(target)
-    track_function_2d(target, cfg.controller, dx0, dy0, cfg.dt, cfg.T, on_step=log)
+    track_function_2d(target, cfg.controller, _start(cfg), _start(cfg), cfg.dt, cfg.T, on_step=log)
     return logged()
 
 
 def _tracking_runner(cfg, target):
     log, logged = _logger(target)
-    track_function(target, cfg.controller, _start(cfg, cfg.order), cfg.dt, cfg.T, on_step=log)
+    track_function(target, cfg.controller, _start(cfg), cfg.dt, cfg.T, on_step=log)
     return logged()
 
 
@@ -289,7 +279,7 @@ def _packet_problem(cfg, V=None, V_ex=None):
 
 def _run_example_5(cfg):
     log, logged = _logger(lambda x, t: gaussian_packet(x, t, cfg.zeta, cfg.k))
-    problem, d0 = _packet_problem(cfg), _start(cfg, cfg.order)
+    problem, d0 = _packet_problem(cfg), _start(cfg)
     adapt_schrodinger_run(problem, cfg.controller, d0, on_step=log)
     return logged()
 
@@ -307,7 +297,7 @@ def _example_6_potentials(depth, sharp, amp, omega):
 def _example_6_start(cfg):
     """Example 6's problem and its initial space, of order cfg.order."""
     V, V_ex = _example_6_potentials(cfg.v_depth, cfg.v_sharp, cfg.drive_amp, cfg.drive_freq)
-    return _packet_problem(cfg, V, V_ex), _start(cfg, cfg.order)
+    return _packet_problem(cfg, V, V_ex), _start(cfg)
 
 
 @lru_cache(maxsize=2)
@@ -321,7 +311,7 @@ def _reference_trajectory_6(ref):
     variants compared against it pay for it once.
     """
     problem, d0 = _example_6_start(ref)
-    u = to_coefficients(np.asarray(problem.psi0(nodes_weights(d0).nodes), dtype=complex), d0)
+    u = _sample(problem.psi0, 0.0, d0)
     state = initial_state(u, ref.controller)
 
     def step(u, state, t, t_next):
@@ -340,8 +330,7 @@ def _reference_key_6(cfg):
         p_adaptivity=False, moving=False, q=c.q, nu=c.nu, beta_lo=c.beta_lo, beta_hi=c.beta_hi
     )
     return dataclasses.replace(
-        cfg, controller=scaling, family=Family.HERMITE_FN, order=cfg.n_ref, order_y=None,
-        out=None, a=0.0, b=0.0,
+        cfg, controller=scaling, family=Family.HERMITE_FN, order=cfg.n_ref, out=None, a=0.0, b=0.0,
     )
 
 

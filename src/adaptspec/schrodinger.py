@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .adapt import ControllerConfig, _adaptive_march, _step_count
+from .adapt import ControllerConfig, _adaptive_march, _check_finite, _sample, _step_count
 from .basis import (
     BasisDescriptor,
     Family,
@@ -40,7 +40,6 @@ from .basis import (
     _apply_real,
     _core_of,
     nodes_weights,
-    to_coefficients,
 )
 from .expm import expm_action
 
@@ -138,7 +137,7 @@ def _potential_operator(d: BasisDescriptor, g: np.ndarray):
 
 
 def _integrated_potential(d, V, V_ex, t_n, dt):
-    """Node values of int_{t_n}^{t_n+dt} (V + V_ex)(x_s, t) dt."""
+    """Node values of int_{t_n}^{t_n+dt} (V + V_ex)(x_s, t) dt; a non-finite one raises."""
     x = nodes_weights(d).nodes
     g = np.zeros(len(x))
     if V is not None:
@@ -146,7 +145,7 @@ def _integrated_potential(d, V, V_ex, t_n, dt):
     if V_ex is not None:
         for xi, wq in zip(_GL3_NODES, _GL3_WEIGHTS):
             g = g + (wq * dt) * np.asarray(V_ex(x, t_n + xi * dt), dtype=float)
-    return g
+    return _check_finite(g, t_n, "potential")
 
 
 def potential_apply(d: BasisDescriptor, V, V_ex, t_n, dt, X) -> np.ndarray:
@@ -196,11 +195,12 @@ def adapt_schrodinger_run(
 ):
     """Evolve psi0 from t=0 to t=T with the full adaptive loop.
 
-    Each step propagates, then lets the controllers move/rescale/reorder
-    the space; the operator pieces follow the current descriptor (the
-    stiffness bands are cached per order and beta).  on_step(t, u,
-    record) is called after every step.  Returns the final expansion and
-    the per-step records.
+    The start is psi0 sampled on d0 (`adapt._sample`: a NaN or infinite
+    value raises RuntimeError at t=0).  Each step propagates, then lets the
+    controllers move/rescale/reorder the space; the operator pieces follow
+    the current descriptor (the stiffness bands are cached per order and
+    beta).  on_step(t, u, record) is called after every step.  Returns the
+    final expansion and the per-step records.
     """
     _require_hermite(d0)
 
@@ -208,7 +208,7 @@ def adapt_schrodinger_run(
         psi = propagate_step(w.coefficients, w.descriptor, problem, t)
         return SpectralExpansion(w.descriptor, psi)
 
-    u0 = to_coefficients(np.asarray(problem.psi0(nodes_weights(d0).nodes), dtype=complex), d0)
+    u0 = _sample(problem.psi0, 0.0, d0)
     return _adaptive_march(u0, config, evolve, problem.dt, problem.T, on_step)
 
 

@@ -3,9 +3,9 @@
 Two ways to produce the per-step evolve for the adaptive loop: an explicit
 third-order Runge-Kutta collocation solver for PDEs posed on grid values
 (with strong Dirichlet imposition), and closed-form target tracking that
-re-interpolates a known u(x, t) each step.  A 1-D marcher supplies only
+samples a known u(x, t) each step.  A 1-D marcher supplies only
 its start and its evolve to `adapt._adaptive_march`; the tensor tracker
-builds its step, which interpolates, runs `p_adapt_step_2d` and records the
+builds its step, which samples, runs `p_adapt_step_2d` and records the
 axis readings it hands back.  The march and the non-finite guard are
 `adapt._march`'s, and the horizon rule `adapt._step_count`, which an
 EvolutionProblem also applies when constructed; so every run logs the same
@@ -24,6 +24,7 @@ from .adapt import (
     _adaptive_march,
     _check_finite,
     _march,
+    _sample,
     _step_count,
     p_adapt_step_2d,
 )
@@ -31,12 +32,10 @@ from .basis import (
     BasisDescriptor,
     Family,
     SpectralExpansion,
-    _on_grid,
     differentiate,
     node_values,
     nodes_weights,
     to_coefficients,
-    to_coefficients_2d,
 )
 from .indicators import _axis_indicators
 
@@ -118,16 +117,14 @@ def solve_collocation(
 def track_function(target, config: ControllerConfig, d0: BasisDescriptor, dt, T, on_step=None):
     """Approximate a closed-form target u(x, t) on an adaptive basis.
 
-    The evolve is plain re-interpolation of target(., t+dt) on whatever
+    The start and each evolve are `adapt._sample` of target(., t) on the
     space the controllers currently prefer, so the time series isolates
-    pure approximation behavior from time-integration error.
+    pure approximation behavior from time-integration error; a NaN or
+    infinite target value stops the run with a RuntimeError naming t.
     """
-
-    def interpolate(d, t):
-        return to_coefficients(np.asarray(target(nodes_weights(d).nodes, t)), d)
-
-    evolve = lambda w, t, t_next: interpolate(w.descriptor, t_next)
-    return _adaptive_march(interpolate(d0, 0.0), config, evolve, dt, T, on_step)
+    sample = lambda d, t: _sample(lambda x: target(x, t), t, d)
+    evolve = lambda w, t, t_next: sample(w.descriptor, t_next)
+    return _adaptive_march(sample(d0, 0.0), config, evolve, dt, T, on_step)
 
 
 def track_function_2d(
@@ -144,17 +141,15 @@ def track_function_2d(
     target(X, Y, t) receives the open grids of the current tensor grid: X
     of shape (nx, 1) and Y of shape (1, ny), as meshgrid(..., indexing='ij',
     sparse=True) gives them.  Its result is broadcast to (nx, ny); a shape
-    that does not broadcast raises ValueError.  Bounded domains only get
-    order control, so the loop is interpolate -> order step each way.  The
-    records carry the x- and y-axis indicators in freq and ext.
+    that does not broadcast raises ValueError, and a NaN or infinite value
+    a RuntimeError naming t (the sampling of `adapt._sample`).  Bounded
+    domains only get order control, so the loop is sample -> order step
+    each way.  The records carry the x- and y-axis indicators in freq and ext.
     """
-
-    def interpolate(dx, dy, t):
-        x, y = nodes_weights(dx).nodes, nodes_weights(dy).nodes
-        return to_coefficients_2d(_on_grid(lambda X, Y: target(X, Y, t), x, y), dx, dy)
+    sample = lambda dx, dy, t: _sample(lambda X, Y: target(X, Y, t), t, dx, dy)
 
     def step(u, states, t, t_next):
-        u = interpolate(u.descriptor_x, u.descriptor_y, t_next)
+        u = sample(u.descriptor_x, u.descriptor_y, t_next)
         if config.p_adaptivity:
             u, *states, actions, (freq_x, freq_y) = p_adapt_step_2d(u, *states, config)
         else:
@@ -167,7 +162,7 @@ def track_function_2d(
             order_y=u.descriptor_y.order,
         )
 
-    u0 = interpolate(dx0, dy0, 0.0)
+    u0 = sample(dx0, dy0, 0.0)
     # only the order controller runs: the scale and exterior references stay unread
     states = tuple(
         AdaptiveState(freq_ref=f, scale_ref=0.0, exterior_ref=0.0, refine_factor=config.eta)

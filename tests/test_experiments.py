@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -99,8 +100,6 @@ def test_experiment_config_refuses_a_start_above_the_order_ceiling(capsys):
         example_config(3, T=0.05, n_abs=20)
     with pytest.raises(ValueError, match="order=200 exceeds the order ceiling n_ref=100"):
         example_config(6, T=0.02, n_ref=100)
-    with pytest.raises(ValueError, match="order_y=36 exceeds the order ceiling n_abs=35"):
-        example_config(2, order=30, order_y=36, n_abs=35)
     with pytest.raises(ValueError, match="order=200 exceeds the order ceiling n_ref=199"):
         example_config(6, n_ref=199)
     assert cli.main(["run", "--example", "3", "--nabs", "20"]) == 2
@@ -134,20 +133,32 @@ def test_the_order_ceiling_is_read_from_the_study_table(monkeypatch):
     assert seen == [230, 210, 230]
 
 
-def test_both_start_orders_are_refused_below_zero_when_configured(capsys):
-    for name in ("order", "order_y"):
-        with pytest.raises(ValueError, match="%s must be >= 0" % name):
-            example_config(2, **{name: -1})
-    assert cli.main(["run", "--example", "2", "--ordery", "-1"]) == 2
-    assert "order_y must be >= 0" in capsys.readouterr().err
+def test_a_negative_start_order_is_refused_when_configured(capsys):
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        example_config(2, order=-1)
+    assert cli.main(["run", "--example", "2", "--order", "-1"]) == 2
+    assert "order must be >= 0" in capsys.readouterr().err
+
+
+def test_order_y_is_not_a_setting(tmp_path, capsys):
+    # one start order serves both axes of example 2: no flag or key sets the y axis alone
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--example", "2", "--ordery", "40"])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --ordery 40" in capsys.readouterr().err
+    path = tmp_path / "c.txt"
+    path.write_text("order_y=40\n")
+    assert cli.main(["run", "--example", "2", "--config", str(path)]) == 2
+    assert "unknown key 'order_y'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="unknown configuration key 'order_y'"):
+        example_config(2, order_y=40)
 
 
 def test_example_2_starts_square_at_the_configured_order(monkeypatch):
-    # order_y defaults to order: --order 50 starts the tensor run at 50x50
+    # --order 50 starts the tensor run at 50x50
     starts = []
     monkeypatch.setattr(experiments, "track_function_2d",
                         lambda target, ctrl, dx0, dy0, dt, T, on_step: starts.append((dx0, dy0)))
-    assert example_config(2).order_y is None
     for order in (36, 50):
         experiments._run_example_2(example_config(2, order=order))
     assert [(dx.order, dy.order) for dx, dy in starts] == [(36, 36), (50, 50)]
@@ -180,6 +191,31 @@ def test_a_study_starts_inside_its_scaling_range(capsys):
     # the range is read only while scaling is on; its edges are inside
     assert example_config(3, beta_hi=3.0, scaling=False).beta0 == 4.0
     assert example_config(3, beta_hi=4.0).beta0 == example_config(3, beta_lo=4.0).beta0 == 4.0
+
+
+@pytest.mark.parametrize("example", [3, 4])
+def test_an_envelope_not_positive_on_the_horizon_is_refused(example, capsys):
+    # a + b*t must stay positive on [0, T]: at t=0 (a <= 0) or by t=T (b pulls it down)
+    for overrides in (dict(a=0.0), dict(a=-1.0), dict(a=2.0, b=-10.0, T=0.5), dict(a=1.0, b=-1.0)):
+        with pytest.raises(ValueError, match=r"a \+ b\*t must be positive on \[0, T\]"):
+            example_config(example, **overrides)
+    assert cli.main(["run", "--example", str(example), "--a", "-1", "--T", "0.01"]) == 2
+    assert "usage:" in capsys.readouterr().err
+    # positive at both ends is positive throughout, however b leans
+    assert example_config(example, a=2.0, b=-1.0, T=1.0).b == -1.0
+    # a study whose pinned experiment does not name a and b does not read them
+    assert example_config(5, a=-1.0).a == -1.0
+
+
+def test_a_negative_well_sharpness_is_refused(capsys):
+    # v_sharp < 0 makes the wells grow without bound; 0 is a flat well and runs
+    with pytest.raises(ValueError, match="v_sharp must be >= 0"):
+        example_config(6, v_sharp=-10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", "--example", "6", "--vsharp", "-10", "--T", "0.02"]) == 2
+    assert "v_sharp must be >= 0" in capsys.readouterr().err
+    assert example_config(6, v_sharp=0.0).v_sharp == 0.0
 
 
 def test_reference_march_equals_the_scaling_only_adaptive_run():
@@ -269,7 +305,7 @@ def test_config_schema_covers_every_plain_field():
     names = {f.name for cls in (ControllerConfig, ExperimentConfig) for f in dataclasses.fields(cls)}
     plain = names - {"indicator", "example", "controller", "family"}
     assert set(experiments._SCHEMA) == plain
-    ints = {"n_max", "n_min", "n_abs", "order", "order_y", "n_ref"}
+    ints = {"n_max", "n_min", "n_abs", "order", "n_ref"}
     bools = {"p_adaptivity", "scaling", "moving"}
     for name, parser in experiments._SCHEMA.items():
         if name in bools:
@@ -648,6 +684,25 @@ def test_readme_cli_commands_parse():
     for argv in commands:
         args = cli.build_parser().parse_args(argv[1:])
         assert args.command == argv[1]
+
+
+def test_readme_flag_table_matches_the_parser():
+    # the table lists exactly the flags derived from the config schema, and
+    # each row's flags parse into the fields that row names
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("### Flags", 1)[1].split("\n### ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        if line.startswith("| `--"):
+            flags, fields = line.split("|")[1:3]
+            listed.update(zip(re.findall(r"--[\w-]+", flags), re.findall(r"`(\w+)`", fields)))
+    derived = {("--no-" if parse is experiments._parse_bool else "--") + key.replace("_", "")
+               for key, parse in experiments._SCHEMA.items()}
+    assert set(listed) == derived
+    for flag, field in listed.items():
+        argv = ["run", "--example", "3", flag] + ([] if flag.startswith("--no-") else ["1"])
+        assert getattr(cli.build_parser().parse_args(argv), field) is not None, flag
 
 
 def test_cli_run_roundtrip(tmp_path):

@@ -6,6 +6,7 @@ owns the step count, the on_step callback and the non-finite guard.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ def test_guard_stops_tracking_when_the_target_turns_non_finite():
         return np.exp(-x) * np.cos(x) * (math.nan if t > 0.0025 else 1.0)
 
     d0 = BasisDescriptor(Family.LAGUERRE_FN, 20, beta=2.0)
-    with pytest.raises(RuntimeError, match=r"non-finite coefficients at t=0\.003$"):
+    with pytest.raises(RuntimeError, match=r"non-finite sample at t=0\.003$"):
         track_function(target, CFG, d0, dt=1e-3, T=0.01)
 
 
@@ -115,7 +116,7 @@ def test_guard_stops_tensor_tracking_when_the_target_turns_non_finite():
         return np.cos(X * Y) * (math.nan if t > 0.025 else 1.0)
 
     leg = BasisDescriptor(Family.LEGENDRE, 8)
-    with pytest.raises(RuntimeError, match=r"non-finite coefficients at t=0\.03$"):
+    with pytest.raises(RuntimeError, match=r"non-finite sample at t=0\.03$"):
         track_function_2d(target, CFG, leg, leg, dt=0.01, T=0.1)
 
 
@@ -129,8 +130,68 @@ def test_guard_refuses_non_finite_initial_data_before_the_first_step():
     problem = SchrodingerProblem(
         psi0=lambda x: np.where(x > 1.0, math.nan, gaussian_packet(x, 0.0)), V=V, dt=0.01, T=0.05
     )
-    with pytest.raises(RuntimeError, match=r"non-finite initial coefficients at t=0$"):
+    with pytest.raises(RuntimeError, match=r"non-finite sample at t=0$"):
         adapt_schrodinger_run(problem, CFG, BasisDescriptor(Family.HERMITE_FN, 20))
+    assert calls == []
+
+
+# A target or start infinite at one node is refused where it is sampled, at the
+# time of the sample, before the transform can make numpy warn.
+INF = pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["plus-inf", "minus-inf"])
+
+
+@INF
+@pytest.mark.parametrize(
+    "d0",
+    [
+        BasisDescriptor(Family.LAGUERRE_FN, 20, beta=2.0),
+        BasisDescriptor(Family.HERMITE_FN, 20),
+        BasisDescriptor(Family.CHEBYSHEV, 20),
+    ],
+    ids=lambda d: d.family.name,
+)
+def test_tracking_refuses_an_infinite_sample_of_the_target(d0, value):
+    def target(x, t):
+        vals = np.exp(-0.5 * x**2) * np.cos(x)
+        if t > 0.015:
+            vals[len(x) // 2] = value
+        return vals
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"non-finite sample at t=0\.02$"):
+            track_function(target, CFG, d0, dt=0.01, T=0.05)
+
+
+@INF
+def test_tensor_tracking_refuses_an_infinite_sample_of_the_target(value):
+    def target(X, Y, t):
+        vals = np.cos(X * Y)
+        if t > 0.015:
+            vals[1, 2] = value
+        return vals
+
+    leg = BasisDescriptor(Family.LEGENDRE, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"non-finite sample at t=0\.02$"):
+            track_function_2d(target, CFG, leg, leg, dt=0.01, T=0.05)
+
+
+@INF
+def test_the_packet_start_refuses_an_infinite_sample(value):
+    calls = []
+
+    def V(x):
+        calls.append(x)
+        return np.zeros_like(x)
+
+    psi0 = lambda x: np.where(np.arange(x.size) == 3, value, gaussian_packet(x, 0.0))
+    problem = SchrodingerProblem(psi0=psi0, V=V, dt=0.01, T=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"non-finite sample at t=0$"):
+            adapt_schrodinger_run(problem, CFG, BasisDescriptor(Family.HERMITE_FN, 20))
     assert calls == []
 
 

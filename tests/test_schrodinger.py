@@ -242,6 +242,26 @@ def test_stiff_potential_aborts_with_diagnostics():
     assert not caught
 
 
+@pytest.mark.parametrize(
+    "V,V_ex",
+    [
+        (lambda x: np.where(abs(x) > 3, np.nan, x**2), None),
+        (None, lambda x, t: np.where(x > 1, np.inf, 0.0 * x)),
+    ],
+    ids=["nan-static", "plus-inf-drive"],
+)
+def test_a_non_finite_potential_is_refused_where_it_is_sampled(V, V_ex):
+    # named at the step's start time, as a RuntimeError, not as a bad spectrum
+    psi0 = lambda x: gaussian_packet(x, 0.0)
+    prob = SchrodingerProblem(psi0=psi0, V=V, V_ex=V_ex, dt=0.01, T=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"non-finite potential at t=0\.25$"):
+            propagate_step(np.ones(21, dtype=complex), HER(20), prob, 0.25)
+        with pytest.raises(RuntimeError, match=r"non-finite potential at t=0$"):
+            adapt_schrodinger_run(prob, ControllerConfig(), HER(20))
+
+
 def test_constant_stiff_potential_is_a_phase():
     # a constant potential only shifts the spectral interval: the step is
     # the free step times exp(-i V dt), whatever the size of V
