@@ -190,14 +190,14 @@ def resample(u: SpectralExpansion, d_new: BasisDescriptor) -> SpectralExpansion:
 
 
 def resample_2d(u: Expansion2D, dx_new: BasisDescriptor, dy_new: BasisDescriptor) -> Expansion2D:
-    if dx_new == u.descriptor_x and dy_new == u.descriptor_y:
-        return u
-    vals = (
-        _cross_matrix(u.descriptor_x, dx_new).T
-        @ u.coefficients
-        @ _cross_matrix(u.descriptor_y, dy_new)
-    )
-    return to_coefficients_2d(vals, dx_new, dy_new)
+    """u on the tensor grid of dx_new x dy_new, one axis at a time: a changed axis
+    takes resample's two passes along its own index, an unchanged one no transform."""
+    (dx, dy), U = (u.descriptor_x, u.descriptor_y), u.coefficients
+    if dx_new != dx:
+        U = basis._transform_of(dx_new) @ (_cross_matrix(dx, dx_new).T @ U) / math.sqrt(dx_new.beta)
+    if dy_new != dy:
+        U = (U @ _cross_matrix(dy, dy_new)) @ basis._transform_of(dy_new).T / math.sqrt(dy_new.beta)
+    return Expansion2D(dx_new, dy_new, U)
 
 
 def refine(u: SpectralExpansion) -> SpectralExpansion:
@@ -314,38 +314,35 @@ def p_adapt_step_2d(
     state_y: AdaptiveState,
     config: ControllerConfig,
 ) -> tuple[Expansion2D, AdaptiveState, AdaptiveState, list[str], tuple]:
-    """Axis-wise order adaptivity: decisions made independently from the
-    same input (each axis judged with the other frozen), then applied.
+    """Axis-wise order adaptivity: the order rule on x, then on y of x's result.
     Returns (u, state_x, state_y, actions, the two axis readings of u).
 
-    Each axis trial resamples the tensor expansion from the previous trial
-    (resample_2d), in both directions.  Zero-padding the refine trials, as
-    1-D does, is exact in exact arithmetic but not in floating point, and
-    example 2's tail sits at roundoff, so its decisions would change.
+    Each trial moves its own axis by one order (resample_2d keeps the other
+    bit for bit), and the step returns the last trial it accepted.  Zero-padding
+    the refine trials, as 1-D does, is exact in exact arithmetic but not in
+    floating point, and example 2's tail sits at roundoff, so they interpolate.
     """
+    f = _axis_indicators(u)
 
-    f = _axis_indicators(u)  # both axes judge the same input
-
-    def axis(k, state):
+    def axis(w, k, state, fk):
         def trial(w, step):
             ds = [w.descriptor_x, w.descriptor_y]
             ds[k] = _with_order(ds[k], ds[k].order + step)
             return resample_2d(w, *ds)
 
         return _order_rule(
-            u,
+            w,
             state,
             config,
             order=lambda w: (w.descriptor_x, w.descriptor_y)[k].order,
             trial=trial,
             indicator=lambda w: frequency_indicator_axis(w, k),
             suffix=("_x", "_y")[k],
-            f=f[k],
+            f=fk,
         )
 
-    wx, state_x, ax, _ = axis(0, state_x)
-    wy, state_y, ay, _ = axis(1, state_y)
-    out = resample_2d(u, wx.descriptor_x, wy.descriptor_y)  # u itself when no axis acted
+    wx, state_x, ax, _ = axis(u, 0, state_x, f[0])
+    out, state_y, ay, _ = axis(wx, 1, state_y, frequency_indicator_axis(wx, 1) if ax else f[1])
     return out, state_x, state_y, ax + ay, _axis_indicators(out) if ax or ay else f
 
 

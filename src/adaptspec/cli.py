@@ -5,7 +5,7 @@ Every plain field of ControllerConfig and ExperimentConfig is a flag named
 parsed as its config-file key is; a boolean field is a --no-<flag> switch
 (p_adaptivity also answers to --no-padapt).  The field's docstring holds its
 meaning.  Precedence per option: packaged example default < --config file <
-flag.
+flag.  --out, the CSV path, is the front end's own flag, not a configuration value.
 """
 
 import argparse
@@ -35,6 +35,7 @@ def _add_common(parser):
     parser.add_argument("--example", type=int, required=True, choices=experiments._STUDIES,
                         help="which packaged study to run")
     parser.add_argument("--config", help="key=value file applied before other flags")
+    parser.add_argument("--out", help="output CSV path (default example<id>.csv or sweep<id>.csv)")
     for key, parse in experiments._SCHEMA.items():
         owner = "ControllerConfig" if key in experiments._CONTROLLER_FIELDS else "ExperimentConfig"
         flag, field = key.replace("_", ""), "%s.%s" % (owner, key)
@@ -86,9 +87,9 @@ def main(argv=None):
     try:
         config = experiments.example_config(args.example, **_collect_overrides(args))
         if args.command == "run":
-            experiments.run(config)
+            experiments.run(config, args.out)
         else:
-            experiments.sweep(config, _sweep_grid(args))
+            experiments.sweep(config, _sweep_grid(args), args.out)
     except (ValueError, OSError) as exc:
         parser.print_usage(sys.stderr)
         print("adaptspec: error: %s" % exc, file=sys.stderr)

@@ -69,7 +69,6 @@ class ExperimentConfig:
     x_left0: float = 0.0
     dt: float = 1e-3
     T: float = 1.0
-    out: str = None
     a: float = 0.0
     b: float = 0.0
     zeta: float = 0.3
@@ -91,6 +90,9 @@ class ExperimentConfig:
         for name, low in (("order", 0), ("n_ref", 1), ("v_sharp", 0)):
             if getattr(self, name) < low:
                 raise ValueError("%s must be >= %d" % (name, low))
+        if self.controller.p_adaptivity and self.order < 2:
+            raise ValueError("order must be >= 2 with p_adaptivity on: the order rule "
+                             "never refines a start below order 2")
         if {"a", "b"} <= pinned.keys() and min(self.a, self.a + self.b * self.T) <= 0:
             raise ValueError("a + b*t must be positive on [0, T], got a=%g b=%g" % (self.a, self.b))
         lo, hi = self.controller.beta_lo, self.controller.beta_hi
@@ -330,7 +332,7 @@ def _reference_key_6(cfg):
         p_adaptivity=False, moving=False, q=c.q, nu=c.nu, beta_lo=c.beta_lo, beta_hi=c.beta_hi
     )
     return dataclasses.replace(
-        cfg, controller=scaling, family=Family.HERMITE_FN, order=cfg.n_ref, out=None, a=0.0, b=0.0,
+        cfg, controller=scaling, family=Family.HERMITE_FN, order=cfg.n_ref, a=0.0, b=0.0,
     )
 
 
@@ -474,10 +476,9 @@ def _summary(cfg, last):
 
 
 def run(config, out=None):
-    """March one configured example; write its CSV; print the endpoint."""
+    """March one example; write its CSV to out, or example<id>.csv; print the endpoint."""
     records = _STUDIES[config.example][0](config)
-    path = out or config.out or ("example%d.csv" % config.example)
-    write_csv(path, records)
+    write_csv(out or "example%d.csv" % config.example, records)
     print(_summary(config, records[-1]))
     return records
 
@@ -520,7 +521,7 @@ def sweep(config, grid, out=None):
         except Exception as exc:  # keep sweeping; the table records the loss
             results.append((combo, "failed: %s" % exc))
 
-    path = out or config.out or ("sweep%d.csv" % config.example)
+    path = out or "sweep%d.csv" % config.example
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names + ("error", "beta", "N", "Nx", "Ny", "status"))

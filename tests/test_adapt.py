@@ -218,6 +218,26 @@ def test_resample_2d_axis_trials_build_only_the_coarsening_matrix():
     npt.assert_allclose(to_values_2d(v, xs, xs), to_values_2d(u, xs, xs), atol=1e-12)
 
 
+@pytest.mark.parametrize("order", [9, 7])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_resample_2d_keeps_an_unchanged_axis_bit_for_bit(axis, order, monkeypatch):
+    # modes above 0 on the frozen axis are exactly zero and stay so: a trial on
+    # one axis takes no transform along the other
+    U = np.zeros((9, 9))
+    U[:, 0] = 0.9 ** np.arange(9)
+    u = Expansion2D(LEG(8), LEG(8), U if axis == 0 else U.T)
+    transformed = []
+    transform_of = basis._transform_of
+    monkeypatch.setattr(basis, "_transform_of", lambda d: transformed.append(d) or transform_of(d))
+    ds = [LEG(8), LEG(8)]
+    ds[axis] = LEG(order)
+    w = resample_2d(u, *ds)
+    assert transformed == [LEG(order)]
+    frozen = w.coefficients[:, 1:] if axis == 0 else w.coefficients[1:, :]
+    assert not frozen.any()
+    assert frequency_indicator_axis(w, 1 - axis) == 0.0
+
+
 # ------------------------------------------------------------ p-adapt
 
 
@@ -383,6 +403,41 @@ def test_p_adapt_2d_dead_zone():
     v, _, _, actions, _ = p_adapt_step_2d(u, sx, sy, ControllerConfig())
     assert actions == []
     npt.assert_allclose(v.coefficients, u.coefficients, atol=1e-14)
+
+
+def test_p_adapt_2d_resamples_once_per_trial_and_keeps_the_accepted_one(monkeypatch):
+    from adaptspec import adapt
+
+    trials = []
+
+    def counted(*args):
+        trials.append(adapt_resample_2d(*args))
+        return trials[-1]
+
+    adapt_resample_2d = adapt.resample_2d
+    monkeypatch.setattr(adapt, "resample_2d", counted)
+    a = 0.9 ** np.arange(9)
+    u = Expansion2D(LEG(8), LEG(8), np.outer(a, a))
+    low = state_with(freq_ref=1e-9)
+    v, _, _, actions, _ = p_adapt_step_2d(u, low, low, ControllerConfig(n_max=2))
+    assert len(actions) == len(trials) == 4 and v is trials[-1]
+
+    # both coarsenings accepted: the y trial starts from x's, and is the result
+    trials.clear()
+    a = np.array([1.0, 0.5, 1e-9, 1e-10, 1e-11])
+    u = Expansion2D(LEG(4), LEG(4), np.outer(a, a))
+    high = state_with(freq_ref=0.1)
+    v, _, _, actions, _ = p_adapt_step_2d(u, high, high, ControllerConfig(eta0=1.2))
+    assert actions == ["coarsen_x", "coarsen_y"] and len(trials) == 2
+    assert trials[1].descriptor_x == LEG(3) and v is trials[1]
+
+    # both coarsenings rejected: two trials, and u itself comes back
+    trials.clear()
+    c = np.array([1.0, 0.0, 0.3, 1e-6])
+    u = Expansion2D(LEG(3), LEG(3), np.outer(c, c))
+    ref = state_with(freq_ref=1.5 * frequency_indicator_axis(u, 0))
+    v, _, _, actions, _ = p_adapt_step_2d(u, ref, ref, ControllerConfig(eta0=1.2))
+    assert actions == [] and len(trials) == 2 and v is u
 
 
 # ------------------------------------------------------------ scaling

@@ -140,6 +140,19 @@ def test_a_negative_start_order_is_refused_when_configured(capsys):
     assert "order must be >= 0" in capsys.readouterr().err
 
 
+def test_a_start_the_order_controller_cannot_leave_is_refused(tmp_path, capsys):
+    # below order 2 the order rule never refines, so with it on such a start is refused
+    for order in (0, 1):
+        with pytest.raises(ValueError, match="order must be >= 2 with p_adaptivity on"):
+            example_config(1, order=order)
+        assert cli.main(["run", "--example", "2", "--order", str(order)]) == 2
+        assert "the order rule never refines" in capsys.readouterr().err
+    out = str(tmp_path / "r.csv")
+    argv = ["run", "--example", "1", "--no-padaptivity", "--order", "1", "--T", "0.01"]
+    assert cli.main(argv + ["--out", out]) == 0
+    assert _read(out)[-1]["N"] == "1"
+
+
 def test_order_y_is_not_a_setting(tmp_path, capsys):
     # one start order serves both axes of example 2: no flag or key sets the y axis alone
     with pytest.raises(SystemExit) as raised:
@@ -271,10 +284,9 @@ def test_load_config_file(tmp_path):
         "n_max=5   # trailing comment\n"
         "\n"
         "scaling=false\n"
-        "out=run.csv\n"
     )
     got = load_config_file(path)
-    assert got == {"eta": 1.3, "n_max": 5, "scaling": False, "out": "run.csv"}
+    assert got == {"eta": 1.3, "n_max": 5, "scaling": False}
 
     bad = tmp_path / "bad.txt"
     bad.write_text("eta=1.3\nshoe_size=11\n")
@@ -313,12 +325,14 @@ def test_config_schema_covers_every_plain_field():
         elif name in ints:
             assert parser is int
         else:
-            assert parser is (str if name == "out" else float)
+            assert parser is float
 
 
 def test_config_file_refuses_unknown_and_object_keys(tmp_path):
     path = tmp_path / "c.txt"
-    for line in ("m=12", "m_ref=48", "indicator=none", "family=hermite_function", "example=3"):
+    # the output path is the CLI's --out and run's argument, not a configuration key
+    for line in ("m=12", "m_ref=48", "indicator=none", "family=hermite_function", "example=3",
+                 "out=run.csv"):
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match="unknown key"):
             load_config_file(path)
@@ -333,7 +347,7 @@ def test_cli_value_flags_parse_as_their_config_keys(tmp_path):
     assert (args.n_max, args.n_abs, args.eta, args.T) == (4, 90, 1.5, 0.5)
     assert type(args.n_max) is int and type(args.eta) is float
     # every config key is a flag on both subcommands, read as its file line reads
-    texts = {int: "7", float: "0.25", str: "r.csv", experiments._parse_bool: "false"}
+    texts = {int: "7", float: "0.25", experiments._parse_bool: "false"}
     for command in ("run", "sweep"):
         for key, parse in experiments._SCHEMA.items():
             flag = "--" + ("no-" if parse is experiments._parse_bool else "") + key.replace("_", "")
@@ -353,11 +367,12 @@ def test_cli_flag_spellings_keep_their_fields(capsys):
         "--eta": "eta", "--eta0": "eta0", "--gamma": "gamma", "--q": "q", "--nu": "nu",
         "--mu": "mu", "--delta": "delta", "--dmax": "d_max", "--nmax": "n_max",
         "--nmin": "n_min", "--nabs": "n_abs", "--order": "order", "--beta0": "beta0",
-        "--dt": "dt", "--T": "T", "--nref": "n_ref", "--out": "out",
+        "--dt": "dt", "--T": "T", "--nref": "n_ref",
     }
     for flag, dest in spellings.items():
         args = cli.build_parser().parse_args(["run", "--example", "3", flag, "2"])
         assert getattr(args, dest) == experiments._SCHEMA[dest]("2"), flag
+    assert cli.build_parser().parse_args(["run", "--example", "3", "--out", "2"]).out == "2"
     switches = {"--no-scaling": "scaling", "--no-moving": "moving", "--no-padapt": "p_adaptivity"}
     for flag, dest in switches.items():
         args = cli.build_parser().parse_args(["sweep", "--example", "3", flag])
@@ -367,7 +382,7 @@ def test_cli_flag_spellings_keep_their_fields(capsys):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args([command, "--help"])
         listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
-        assert set(spellings) | set(switches) <= listed
+        assert set(spellings) | set(switches) | {"--out"} <= listed
 
 
 def test_cli_refuses_abbreviated_flags(capsys):
@@ -686,6 +701,15 @@ def test_readme_cli_commands_parse():
         assert args.command == argv[1]
 
 
+def test_readme_library_example_runs(capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    order, beta, x_left = capsys.readouterr().out.split()
+    assert int(order) >= 50 and float(beta) > 0 and math.isfinite(float(x_left))
+
+
 def test_readme_flag_table_matches_the_parser():
     # the table lists exactly the flags derived from the config schema, and
     # each row's flags parse into the fields that row names
@@ -699,7 +723,7 @@ def test_readme_flag_table_matches_the_parser():
             listed.update(zip(re.findall(r"--[\w-]+", flags), re.findall(r"`(\w+)`", fields)))
     derived = {("--no-" if parse is experiments._parse_bool else "--") + key.replace("_", "")
                for key, parse in experiments._SCHEMA.items()}
-    assert set(listed) == derived
+    assert set(listed) == derived | {"--out"}  # and the one flag the CLI declares itself
     for flag, field in listed.items():
         argv = ["run", "--example", "3", flag] + ([] if flag.startswith("--no-") else ["1"])
         assert getattr(cli.build_parser().parse_args(argv), field) is not None, flag

@@ -23,7 +23,7 @@ PINS = [
      "9ec3995650cb0dffb0d481dc3071b25fdb78e5a55b70a9ca0d641070f8fa691c"),
     (2, 1.0, "f70fe8f98c5b8c3608a7e61760810a4f17ceae38328e025bdac01fc872582925",
      (None, 40, 38, None, None),
-     "a2c40c9ef9a0a405933ee3a68c2b2d81612e6ef1df7ebd19b9e1652f0ef60d7c"),
+     "8e8c69c2deb2b135bc7535ba18cdf7208a51aa0f046c5f5d91d53b7418fb4539"),
     (3, 1.0, "2afb00109c7f60e5d3956b2aacb608892342be4cf93b20a47459cbffa39ffafb",
      (56, None, None, 2.161440350650546, 0.0),
      "c10050b497b2ce04cb47ea166f10a86bdad15d5685989ccc429b7ccc2fe56519"),
