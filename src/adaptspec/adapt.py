@@ -88,9 +88,11 @@ class ControllerConfig:
     eta is the initial refine multiplier (refine when the indicator
     exceeds refine_factor * freq_ref); gamma grows the multiplier after
     each refinement event.  eta0 is the coarsen divisor: coarsening is
-    considered when the indicator falls below freq_ref/eta0.  n_max caps
-    order increments per call; n_abs, if set, caps the absolute order.
-    q in (0,1) is the scaling ratio; a down-scaling trial proposes
+    considered when the indicator falls below freq_ref/eta0 and the order
+    exceeds the floor n_min (2 by default: at order 0 or 1 the indicator
+    reads one or two modes and seldom calls for a refinement again).
+    n_max caps order increments per call; n_abs, if set, caps the absolute
+    order.  q in (0,1) is the scaling ratio; a down-scaling trial proposes
     q*beta, an up-scaling trial beta/q, with beta kept inside
     [beta_lo, beta_hi]; nu*scale_ref is the down-scaling trigger.  mu,
     delta, d_max control translation: move right in steps of delta, at
@@ -102,7 +104,7 @@ class ControllerConfig:
     eta0: float = 1.2
     gamma: float = 1.05
     n_max: int = 6
-    n_min: int = 0
+    n_min: int = 2
     n_abs: int | None = None
     q: float = 0.95
     nu: float = 1.0 / 0.95

@@ -5,7 +5,7 @@ spectral differentiation for five families:
 
 * Jacobi, Chebyshev, Legendre polynomials on [-1, 1] with Gauss-Lobatto
   grids (a single Gauss point for order 0);
-* generalized Laguerre functions on [x_left, inf) with Gauss-Radau grids;
+* Laguerre functions (exponent 0) on [x_left, inf) with Gauss-Radau grids;
 * Hermite functions on the real line with Gauss grids.
 
 The unbounded families carry a scaling factor beta and a translation
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 # Node solve is refused above this order; memory grows quadratically.
-# Hermite, Laguerre (a=0), Legendre and Chebyshev have finite weights and a
+# Hermite, Laguerre, Legendre and Chebyshev have finite weights and a
 # sampled normalized Gram defect <= 4e-13 at N=2500 and at N=3000.
 MAX_ORDER = 3000
 
@@ -96,7 +96,7 @@ class BasisDescriptor:
     order N means basis functions B_0..B_N (N+1 of them).  beta > 1
     compresses the unbounded grids toward x_left, beta < 1 stretches them.
     Bounded families are pinned to the reference interval (beta = 1,
-    x_left = 0).
+    x_left = 0).  Only the Jacobi family takes exponents (jacobi_a, jacobi_b).
     """
 
     family: Family
@@ -105,7 +105,6 @@ class BasisDescriptor:
     x_left: float = 0.0
     jacobi_a: float = 0.0
     jacobi_b: float = 0.0
-    laguerre_a: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.order, (int, np.integer)):
@@ -123,12 +122,11 @@ class BasisDescriptor:
             raise ValueError(f"x_left must be finite, got {self.x_left!r}")
         if self.family in _BOUNDED and (self.beta != 1.0 or self.x_left != 0.0):
             raise ValueError("bounded families require beta == 1 and x_left == 0")
-        if self.family is Family.JACOBI and (
-            self.jacobi_a <= -1.0 or self.jacobi_b <= -1.0
-        ):
+        if self.family is not Family.JACOBI:
+            if self.jacobi_a or self.jacobi_b:
+                raise ValueError(f"the {self.family.value} family takes no Jacobi exponents")
+        elif self.jacobi_a <= -1.0 or self.jacobi_b <= -1.0:
             raise ValueError("Jacobi exponents must be > -1")
-        if self.family is Family.LAGUERRE_FN and self.laguerre_a <= -1.0:
-            raise ValueError("Laguerre exponent must be > -1")
 
     @property
     def bounded(self) -> bool:
@@ -507,10 +505,8 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
         with np.errstate(divide="ignore", over="ignore"):
             w = 1.0 / np.sum(V2, axis=0)
         if not np.isfinite(w).all():
-            # sum V^2 underflows at the outer nodes (Laguerre with a large exponent)
-            raise ValueError(
-                f"{family.value} rule of order {n} with exponent {a:g} has non-finite weights"
-            )
+            # sum V^2 underflows at the outer nodes
+            raise ValueError(f"{family.value} rule of order {n} has non-finite weights")
         gamma = np.ones(n + 1)
     gamma_hat = V2 @ w
     for arr in (y, w, V, gamma, gamma_hat):
@@ -519,12 +515,8 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
 
 
 def _exponents(d: BasisDescriptor) -> tuple:
-    """(a, b) of the family's weight: Jacobi (a, b), Laguerre (a, 0), else (0, 0)."""
-    if d.family is Family.JACOBI:
-        return float(d.jacobi_a), float(d.jacobi_b)
-    if d.family is Family.LAGUERRE_FN:
-        return float(d.laguerre_a), 0.0
-    return 0.0, 0.0
+    """(a, b) of the family's weight: Jacobi's exponents, zero on every other family."""
+    return float(d.jacobi_a), float(d.jacobi_b)
 
 
 def _core_of(d: BasisDescriptor) -> _CoreRule:
@@ -587,18 +579,18 @@ def norms(d: BasisDescriptor) -> np.ndarray:
 
 def _frame(d: BasisDescriptor) -> tuple:
     """d without its translation, as a plain tuple (a cheap cache key)."""
-    return (d.family, d.order, d.beta, d.jacobi_a, d.jacobi_b, d.laguerre_a)
+    return (d.family, d.order, d.beta, d.jacobi_a, d.jacobi_b)
 
 
 def _at(frame: tuple, x_left: float) -> BasisDescriptor:
     """The descriptor of a frame placed at x_left."""
-    family, order, beta, jacobi_a, jacobi_b, laguerre_a = frame
-    return BasisDescriptor(family, order, beta, x_left, jacobi_a, jacobi_b, laguerre_a)
+    family, order, beta, jacobi_a, jacobi_b = frame
+    return BasisDescriptor(family, order, beta, x_left, jacobi_a, jacobi_b)
 
 
 def _with_order(d: BasisDescriptor, order: int) -> BasisDescriptor:
     """replace(d, order=order), without dataclasses.replace's walk over the fields."""
-    return BasisDescriptor(d.family, order, d.beta, d.x_left, d.jacobi_a, d.jacobi_b, d.laguerre_a)
+    return BasisDescriptor(d.family, order, d.beta, d.x_left, d.jacobi_a, d.jacobi_b)
 
 
 @lru_cache(maxsize=256)
@@ -773,7 +765,7 @@ def differentiate(u: SpectralExpansion) -> SpectralExpansion:
         return SpectralExpansion(_with_order(d, n + 1), _hermite_derivative(a, d.beta))
 
     if d.family is Family.LAGUERRE_FN:
-        return SpectralExpansion(d, _laguerre_derivative(a, d.beta, d.laguerre_a))
+        return SpectralExpansion(d, _laguerre_derivative(a, d.beta))
 
     # Jacobi polynomials: derivative values at the nodes
     table = _family_table(d.family, n, *_exponents(d))
@@ -793,21 +785,11 @@ def _hermite_derivative(a: np.ndarray, beta: float) -> np.ndarray:
     return b
 
 
-def _laguerre_derivative(a: np.ndarray, beta: float, alpha: float) -> np.ndarray:
+def _laguerre_derivative(a: np.ndarray, beta: float) -> np.ndarray:
     """Order-N Laguerre coefficients of the derivative of an order-N expansion.
 
-    (L_n^alpha)' = -sum_{k<n} L_k^alpha (Szego, sec. 5.1) and
-    (p e^{-y/2})' = (p' - p/2) e^{-y/2} give b = beta (a/2 - r S), with
-    r_k = sqrt(h_k/h_0), h_k = Gamma(k+alpha+1)/k!, and the suffix sums
-    S_k = sum_{n>=k} a_n / r_n (one reversed cumulative sum).
+    L_n' = -sum_{k<n} L_k (Szego, sec. 5.1) and (p e^{-y/2})' = (p' - p/2) e^{-y/2}
+    give b = beta (a/2 - S), with the suffix sums S_k = sum_{n>=k} a_n (one
+    reversed cumulative sum).
     """
-    r = _laguerre_ratios(a.size - 1, alpha)
-    return beta * (0.5 * a - r * np.cumsum((a / r)[::-1])[::-1])
-
-
-@lru_cache(maxsize=64)
-def _laguerre_ratios(n: int, alpha: float) -> np.ndarray:
-    """r_k = sqrt(h_k/h_0) for k = 0..n, read-only; h_k/h_{k-1} = (k+alpha)/k."""
-    r = np.sqrt(np.cumprod(np.concatenate(([1.0], (_COUNT[:n] + alpha) / _COUNT[:n]))))
-    r.setflags(write=False)
-    return r
+    return beta * (0.5 * a - np.cumsum(a[::-1])[::-1])

@@ -8,14 +8,14 @@ reference function on an oversampled grid.
 
 The exterior indicator and the relative error evaluate the expansion
 through cached matrices keyed in the reference frame: the exterior panels
-of the current space only (family, order, exponent; the split is a
-reference node), the fine-grid matrix per descriptor without its
-translation (on the bounded families, the top rows of the fine rule's own
-basis values).  Moving or rescaling the grid thus reuses them, and each
-call is a matrix-vector product, run in real arithmetic for complex
-coefficients.  The errors of a run of expansions in one space take one
-pass over stacked reference rows, each row with a single call's
-arithmetic; a NaN or infinite reference value is refused.
+of the current space only (family and order; the split is a reference
+node), the fine-grid matrix per descriptor without its translation (on
+the bounded families, the top rows of the fine rule's own basis values).
+Moving or rescaling the grid thus reuses them, and each call is a
+matrix-vector product, run in real arithmetic for complex coefficients.
+The errors of a run of expansions in one space take one pass over
+stacked reference rows, each row with a single call's arithmetic; a NaN
+or infinite reference value is refused.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def exterior_error_indicator(u: SpectralExpansion) -> float:
 
     The split is a node of the reference grid in y = beta (x - x_left), where
     the ratio does not depend on beta or x_left, so the panels depend on the
-    family, order and exponent only.
+    family and order only.
     """
     d = u.descriptor
     if d.bounded:
@@ -132,19 +132,19 @@ def exterior_error_indicator(u: SpectralExpansion) -> float:
         b = _hermite_derivative(u.coefficients, d.beta)
         split = (2 * d.order + 2) // 3
     else:
-        b = _laguerre_derivative(u.coefficients, d.beta, d.laguerre_a)
+        b = _laguerre_derivative(u.coefficients, d.beta)
         split = (d.order + 2) // 3
     den2 = float(np.real(np.vdot(b, b)))
     if den2 == 0.0:
         return 0.0
     y_split = float(_core_of(d).y[split])
-    E, w = _exterior_panels(d.family, b.size - 1, float(d.laguerre_a), y_split)
+    E, w = _exterior_panels(d.family, b.size - 1, y_split)
     num2 = float(w @ np.abs(_apply_real(E.T, b)) ** 2)
     return min(math.sqrt(max(num2, 0.0) / den2), 1.0)
 
 
 @lru_cache(maxsize=1)
-def _exterior_panels(family: Family, n: int, a: float, y_split: float) -> tuple:
+def _exterior_panels(family: Family, n: int, y_split: float) -> tuple:
     """(E, w): order-n basis values E at the panel points beyond y_split, weights w.
 
     w holds the Jacobian of the panel variable, so that w @ |E^T b|^2 is the
@@ -158,16 +158,15 @@ def _exterior_panels(family: Family, n: int, a: float, y_split: float) -> tuple:
         panels = int(math.ceil((y_cut - y_lo) * max(turn, 1.0) / (2.0 * math.pi))) + 1
         y, w = _composite_gauss(np.linspace(y_lo, y_cut, panels + 1))
     else:
-        y_cut = 4.0 * (n + a) + 2.0 + 90.0  # exp(-y/2) tail below 1e-18 relative
+        y_cut = 4.0 * n + 92.0  # exp(-y/2) tail below 1e-18 relative
         y_lo = min(max(y_split, 0.0), y_cut)
-        # integrate in s = sqrt(y): the oscillation wavelength is uniform there;
-        # dy = 2 s ds, and the Laguerre weight y^a is not in the basis values
+        # integrate in s = sqrt(y): the oscillation wavelength is uniform there; dy = 2 s ds
         s_lo, s_hi = math.sqrt(y_lo), math.sqrt(y_cut)
         panels = int(math.ceil((s_hi - s_lo) * math.sqrt(n + 1.0) / math.pi)) + 1
         s, w = _composite_gauss(np.linspace(s_lo, s_hi, panels + 1))
         y = s * s
-        w = 2.0 * s * y**a * w
-    E = _basis_rows(family, n, y, a)
+        w = 2.0 * s * w
+    E = _basis_rows(family, n, y)
     E.setflags(write=False)
     w.setflags(write=False)
     return E, w

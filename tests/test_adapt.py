@@ -81,7 +81,7 @@ def test_refine_is_lossless():
         CHEB(11),
         BasisDescriptor(Family.JACOBI, 11, jacobi_a=0.5, jacobi_b=-0.3),
         HER(11, beta=1.3, x_left=0.4),
-        LAG(11, beta=0.8, x_left=-1.0, laguerre_a=0.5),
+        LAG(11, beta=0.8, x_left=-1.0),
     ],
     ids=str,
 )
@@ -346,6 +346,15 @@ def test_p_adapt_respects_n_min():
     v, _, actions, _ = p_adapt_step(u, st, cfg)
     assert actions == []
     assert v.descriptor.order == 2
+
+
+def test_p_adapt_floor_is_order_two_by_default():
+    u = SpectralExpansion(HER(2), np.array([1.0, 1e-13, 1e-13]))
+    v, _, actions, _ = p_adapt_step(u, state_with(freq_ref=0.5), ControllerConfig())
+    assert actions == [] and v.descriptor.order == 2
+    # the floor stays settable, and 0 lets the same step coarsen
+    v, _, actions, _ = p_adapt_step(u, state_with(freq_ref=0.5), ControllerConfig(n_min=0))
+    assert actions == ["coarsen"] and v.descriptor.order == 1
 
 
 def test_p_adapt_threshold_boundaries_are_dead():

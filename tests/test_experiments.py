@@ -133,6 +133,17 @@ def test_the_order_ceiling_is_read_from_the_study_table(monkeypatch):
     assert seen == [230, 210, 230]
 
 
+def test_a_low_start_order_keeps_the_default_floor(tmp_path, capsys):
+    # example 5 from order 2: with a floor of 0 the first step coarsens to
+    # N=1 and the run ends there, with a larger error than at N=2
+    out = str(tmp_path / "r.csv")
+    kept = experiments.run(example_config(5, order=2, T=0.1), out=out)
+    dropped = experiments.run(example_config(5, order=2, T=0.1, n_min=0), out=out)
+    assert min(rec.order for rec in kept) == 2 and kept[-1].order == 2
+    assert dropped[-1].order == 1
+    assert kept[-1].error < dropped[-1].error
+
+
 def test_a_negative_start_order_is_refused_when_configured(capsys):
     with pytest.raises(ValueError, match="order must be >= 0"):
         example_config(2, order=-1)

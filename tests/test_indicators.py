@@ -168,7 +168,7 @@ def exterior_beyond(u, y_split):
     """The panel quadrature beyond any reference point y_split, read from _exterior_panels."""
     du = differentiate(u)
     b = du.coefficients
-    E, w = _exterior_panels(du.descriptor.family, du.descriptor.order, du.descriptor.laguerre_a, y_split)
+    E, w = _exterior_panels(du.descriptor.family, du.descriptor.order, y_split)
     return min(math.sqrt(float(w @ np.abs(E.T @ b) ** 2) / float(np.vdot(b, b).real)), 1.0)
 
 
@@ -351,7 +351,7 @@ def test_relative_error_names_the_first_non_finite_reference_value(bad):
 RUN_SPACES = [
     (HER(14, beta=1.3, x_left=-0.4), True),
     (HER(14, beta=0.8, x_left=0.3), False),
-    (BasisDescriptor(Family.LAGUERRE_FN, 12, beta=0.7, x_left=0.5, laguerre_a=0.5), True),
+    (BasisDescriptor(Family.LAGUERRE_FN, 12, beta=0.7, x_left=0.5), True),
     (BasisDescriptor(Family.LAGUERRE_FN, 12, beta=1.4), False),
     (BasisDescriptor(Family.CHEBYSHEV, 11), True),
     (BasisDescriptor(Family.CHEBYSHEV, 11), False),
@@ -449,14 +449,13 @@ def _exterior_rule(d, y_split):
         y_lo = min(max(y_split, -y_cut), y_cut)
         panels = int(math.ceil((y_cut - y_lo) * max(turn, 1.0) / (2.0 * math.pi))) + 1
         return _composite_gauss(np.linspace(y_lo, y_cut, panels + 1))
-    a = d.laguerre_a
-    y_cut = 4.0 * (n + a) + 2.0 + 90.0
+    y_cut = 4.0 * n + 92.0
     y_lo = min(max(y_split, 0.0), y_cut)
     s_lo, s_hi = math.sqrt(y_lo), math.sqrt(y_cut)
     panels = int(math.ceil((s_hi - s_lo) * math.sqrt(n + 1.0) / math.pi)) + 1
     s, w = _composite_gauss(np.linspace(s_lo, s_hi, panels + 1))
     y = s * s
-    return y, 2.0 * s * y**a * w
+    return y, 2.0 * s * w
 
 
 def _exterior_from_values(du, w, vals, scale):
@@ -489,9 +488,9 @@ CACHED_CASES = [
     (HER(18, beta=1.3, x_left=-0.4), True),
     (HER(19, beta=1.3, x_left=-0.4), True),
     (HER(18, beta=1.3, x_left=0.1), True),
-    # Laguerre with a != 0, before and after a rescale
-    (BasisDescriptor(Family.LAGUERRE_FN, 16, beta=0.7, x_left=0.5, laguerre_a=0.5), False),
-    (BasisDescriptor(Family.LAGUERRE_FN, 16, beta=0.9, x_left=0.5, laguerre_a=0.5), False),
+    # Laguerre, before and after a rescale
+    (BasisDescriptor(Family.LAGUERRE_FN, 16, beta=0.7, x_left=0.5), False),
+    (BasisDescriptor(Family.LAGUERRE_FN, 16, beta=0.9, x_left=0.5), False),
 ]
 
 
@@ -593,6 +592,6 @@ def test_exterior_panels_stay_resident_at_the_order_cap():
         u = SpectralExpansion(dk, c)
         assert exterior_error_indicator(u) == exterior_direct(u)
     assert _exterior_panels.cache_info().misses == 1
-    E, w = _exterior_panels(Family.HERMITE_FN, 601, 0.0, split_node(replace(d, beta=1.0)))
+    E, w = _exterior_panels(Family.HERMITE_FN, 601, split_node(replace(d, beta=1.0)))
     assert _exterior_panels.cache_info().misses == 1
     assert E.size > _CACHE_ENTRY_LIMIT and E.shape == (602, w.size)
