@@ -179,6 +179,11 @@ class StepRecord:
     t: float | None = None
     error: float | None = None
 
+    def filled(self, t, error):
+        """replace(self, t=t, error=error), built directly: the log fills every record."""
+        return StepRecord(self.actions, self.freq, self.ext, self.order, self.beta,
+                          self.x_left, self.order_x, self.order_y, t, error)
+
 
 # ---------------------------------------------------- reconstruction
 

@@ -772,6 +772,15 @@ def differentiate(u: SpectralExpansion) -> SpectralExpansion:
     return to_coefficients(_rows(table, _core_of(d).y, deriv=True).T @ a, d)
 
 
+@lru_cache(maxsize=256)
+def _derivative_matrix(family: Family, order: int, a: float, b: float) -> np.ndarray:
+    """D @ v = du/dx on a bounded space's grid: node_values ∘ differentiate ∘ to_coefficients."""
+    d = BasisDescriptor(family, order, jacobi_a=a, jacobi_b=b)
+    D = np.column_stack([node_values(differentiate(to_coefficients(e, d))) for e in np.eye(d.size)])
+    D.setflags(write=False)
+    return D
+
+
 def _hermite_derivative(a: np.ndarray, beta: float) -> np.ndarray:
     """Order-(N+1) Hermite coefficients of the derivative of an order-N expansion.
 

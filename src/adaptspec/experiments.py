@@ -208,14 +208,14 @@ def _logger(target, rows=None):
         if run:
             ts, us, recs = zip(*run)
             for r, t, e in zip(recs, ts, _relative_errors(us, lambda x: rows(x, ts))):
-                records.append(dataclasses.replace(r, t=t, error=e))
+                records.append(r.filled(t, e))
             run.clear()
         return records
 
     def log(t, u, rec):
         if rec.order_x is not None:
             error = relative_error_2d(u, lambda X, Y: target(X, Y, t))
-            records.append(dataclasses.replace(rec, t=t, error=error))
+            records.append(rec.filled(t, error))
             return
         if run and run[-1][1].descriptor != u.descriptor:
             flush()

@@ -12,6 +12,7 @@ EvolutionProblem also applies when constructed; so every run logs the same
 `StepRecord` wherever its new time level comes from.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,7 +33,7 @@ from .basis import (
     BasisDescriptor,
     Family,
     SpectralExpansion,
-    differentiate,
+    _derivative_matrix,
     node_values,
     nodes_weights,
     to_coefficients,
@@ -53,9 +54,9 @@ __all__ = [
 class EvolutionProblem:
     """A right-hand side in collocation form plus stepping data.
 
-    rhs(expansion, t) returns du/dt at the grid nodes; boundary, when
-    given, is (node_index, g) and pins value g(t) at that node after
-    every stage.
+    rhs(v, d, t) takes the values v of u at the nodes of the space d and
+    returns du/dt at those nodes; boundary, when given, is (node_index, g)
+    and pins the scalar value g(t) at that node after every stage.
     """
 
     rhs: Callable
@@ -68,39 +69,40 @@ class EvolutionProblem:
 
 
 def rk3_step(rhs, u: SpectralExpansion, t, dt, boundary=None) -> SpectralExpansion:
-    """One Shu-Osher SSP-RK3 step on grid values.
+    """One Shu-Osher SSP-RK3 step, its stages on node values (one transform each way).
 
     Stage results approximate times t+dt, t+dt/2, t+dt; the Dirichlet
     value is re-imposed at those times, strongly, at the boundary node.
-    Each slope rhs(w, ts) and each pinned boundary value g(ts) is checked
+    Each slope rhs(v, d, ts) and each pinned boundary value g(ts) is checked
     where it is made: a NaN or infinite entry raises RuntimeError naming
     ts.  The stage values are left to the march's check of each step.
     """
     d = u.descriptor
 
-    def slope(w, ts):
-        return _check_finite(np.asarray(rhs(w, ts)), ts, "right-hand side")
+    def slope(v, ts):
+        return _check_finite(np.asarray(rhs(v, d, ts)), ts, "right-hand side")
 
     def pin(vals, ts):
         if boundary is not None:
             node, g = boundary
-            vals[node] = _check_finite(g(ts), ts, "boundary value")
+            if not math.isfinite(g_ts := g(ts)):
+                raise RuntimeError(f"non-finite boundary value at t={ts:.6g}")
+            vals[node] = g_ts
         return vals
 
     v0 = node_values(u)
-    v1 = pin(v0 + dt * slope(u, t), t + dt)
-    k2 = slope(to_coefficients(v1, d), t + dt)
-    v2 = pin(0.75 * v0 + 0.25 * (v1 + dt * k2), t + 0.5 * dt)
-    k3 = slope(to_coefficients(v2, d), t + 0.5 * dt)
-    return to_coefficients(pin(v0 / 3.0 + (2.0 / 3.0) * (v2 + dt * k3), t + dt), d)
+    v1 = pin(v0 + dt * slope(v0, t), t + dt)
+    v2 = pin(0.75 * v0 + 0.25 * (v1 + dt * slope(v1, t + dt)), t + 0.5 * dt)
+    v3 = pin(v0 / 3.0 + (2.0 / 3.0) * (v2 + dt * slope(v2, t + 0.5 * dt)), t + dt)
+    return to_coefficients(v3, d)
 
 
-def advection_rhs(u: SpectralExpansion, t) -> np.ndarray:
-    """((x+2)/(t+1)) du/dx at the grid nodes (boundary handled by rk3_step)."""
-    if u.descriptor.family is not Family.CHEBYSHEV:
+def advection_rhs(v: np.ndarray, d: BasisDescriptor, t) -> np.ndarray:
+    """((x+2)/(t+1)) du/dx from the values v at the nodes of d (boundary handled by rk3_step)."""
+    if d.family is not Family.CHEBYSHEV:
         raise ValueError("this right-hand side is posed on the Chebyshev grid")
-    x = nodes_weights(u.descriptor).nodes
-    return (x + 2.0) / (t + 1.0) * node_values(differentiate(u))
+    x = nodes_weights(d).nodes
+    return (x + 2.0) / (t + 1.0) * (_derivative_matrix(Family.CHEBYSHEV, d.order, 0.0, 0.0) @ v)
 
 
 def solve_collocation(

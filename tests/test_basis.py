@@ -35,6 +35,7 @@ from adaptspec.basis import (
     _core_of,
     _cross_matrix,
     _cross_matrix_build,
+    _derivative_matrix,
     _endpoint_values,
     _family_table,
     _frame,
@@ -484,6 +485,29 @@ def test_derivative_complex_coefficients():
     h = 1e-6
     fd = (to_values(SpectralExpansion(d, c), x + h) - to_values(SpectralExpansion(d, c), x - h)) / (2 * h)
     npt.assert_allclose(to_values(du, x), fd, rtol=1e-7, atol=1e-7)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 20, 64])
+@pytest.mark.parametrize(
+    "family,a,b",
+    [(Family.CHEBYSHEV, 0.0, 0.0), (Family.LEGENDRE, 0.0, 0.0), (Family.JACOBI, 1.5, -0.3)],
+    ids=["chebyshev", "legendre", "jacobi"],
+)
+def test_derivative_matrix_is_the_coefficient_chain(family, a, b, order):
+    # collocation differentiates node values with one cached matrix per space,
+    # which must be the chain through coefficient space, column by column
+    d = BasisDescriptor(family, order, jacobi_a=a, jacobi_b=b)
+    D = _derivative_matrix(family, order, a, b)
+    assert D.shape == (d.size, d.size)
+    scale = np.abs(D).max()
+    for j, e in enumerate(np.eye(d.size)):
+        chain = node_values(differentiate(to_coefficients(e, d)))
+        npt.assert_allclose(D[:, j], chain, rtol=0.0, atol=1e-12 * scale)
+    x = nodes_weights(d).nodes
+    if order >= 2:
+        npt.assert_allclose(D @ x**2, 2.0 * x, rtol=0.0, atol=1e-12 * scale)
+    with pytest.raises(ValueError, match="read-only"):
+        D[0, 0] = 1.0
 
 
 # ---------------------------------------- kernels against their loop forms

@@ -1,6 +1,7 @@
 """Experiment harness: config plumbing, CSV contract, sweep, CLI."""
 
 import csv
+import dataclasses
 import math
 import os
 import re
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from adaptspec import cli, experiments
+from adaptspec.adapt import StepRecord
 from adaptspec.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -593,6 +595,23 @@ def test_logger_fills_every_step_from_one_error_pass_per_run(monkeypatch, exampl
     for rec, (t, u) in zip(records, seen):
         assert rec.t == t and rec.order == u.descriptor.order
         assert rec.error == relative_error(u, lambda x: f(x, t))
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        StepRecord(("refine", "move"), 0.125, ext=0.25, order=12, beta=1.5, x_left=-0.75),
+        StepRecord(("coarsen_y",), 0.5, ext=0.0625, order_x=20, order_y=18),
+        # every field set, each to its own value, so a field the direct
+        # construction drops or misplaces cannot pass for a default
+        StepRecord(**{f.name: "value of " + f.name for f in dataclasses.fields(StepRecord)}),
+    ],
+    ids=["1d", "2d", "every-field"],
+)
+def test_filled_record_is_replace_field_for_field(rec):
+    got, want = rec.filled(0.75, 3e-9), dataclasses.replace(rec, t=0.75, error=3e-9)
+    for f in dataclasses.fields(StepRecord):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 def test_example_6_error_evaluates_each_reference_space_once_per_run(monkeypatch):

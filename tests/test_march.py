@@ -33,9 +33,9 @@ def _collocation(dt, T, on_step, evolved):
     d = BasisDescriptor(Family.CHEBYSHEV, 10)
     u0 = to_coefficients(np.cos(2.0 * (nodes_weights(d).nodes + 2.0)), d)
 
-    def rhs(u, t):
+    def rhs(v, d, t):
         evolved.append(t)
-        return advection_rhs(u, t)
+        return advection_rhs(v, d, t)
 
     problem = EvolutionProblem(
         rhs=rhs, dt=dt, T=T, boundary=(-1, lambda s: math.cos(3.0 * (s + 1.0)))

@@ -20,7 +20,7 @@ from adaptspec import experiments
 PINS = [
     (1, 1.0, "d3ade467c0d4a523a6933f1299fa9e078e9faa08d44c30ffed7ae6f18d2e5b7c",
      (16, None, None, None, None),
-     "9ec3995650cb0dffb0d481dc3071b25fdb78e5a55b70a9ca0d641070f8fa691c"),
+     "c1c79e627e000c14e69c5699910b3b15a394e49ad0cc7b0007ba932faaec5d0d"),
     (2, 1.0, "f70fe8f98c5b8c3608a7e61760810a4f17ceae38328e025bdac01fc872582925",
      (None, 40, 38, None, None),
      "8e8c69c2deb2b135bc7535ba18cdf7208a51aa0f046c5f5d91d53b7418fb4539"),
@@ -46,7 +46,7 @@ BENCH_PINS = [
      "22f876dfb83f0d21c41469dbd703c4d7461e51eb0d9ed5e5ff4f865b5a247b95"),
     (1, 2.0, "adf8b071f28f142563a6e19bdae5bd52e791c73600eb13515369e79b0fb22d81",
      (20, None, None, None, None),
-     "0cbef81fb40cc6d9ee6d6da61b91596ae84a5dfd6e22fbaa883b5e9bdc1b3390"),
+     "b642cbba9f30683b4a91244415ed48a42c21c04aead5a3020cbd9d3f8ec391ff"),
 ]
 
 

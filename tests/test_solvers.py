@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -11,10 +12,13 @@ from adaptspec import (
     BasisDescriptor,
     Family,
     SpectralExpansion,
+    differentiate,
+    node_values,
     nodes_weights,
     to_coefficients,
     to_values,
 )
+from adaptspec import basis, experiments, solvers
 from adaptspec.adapt import ControllerConfig
 from adaptspec.indicators import relative_error
 from adaptspec.solvers import (
@@ -49,7 +53,7 @@ def advect_fixed_grid(dt, T, n):
 def test_rk3_zero_rhs_is_identity():
     rng = np.random.default_rng(0)
     u = SpectralExpansion(CHEB(10), rng.standard_normal(11))
-    v = rk3_step(lambda w, t: np.zeros(11), u, 0.0, 0.1)
+    v = rk3_step(lambda w, d, t: np.zeros(11), u, 0.0, 0.1)
     npt.assert_allclose(v.coefficients, u.coefficients, atol=1e-13)
 
 
@@ -59,7 +63,7 @@ def test_rk3_scalar_exponential_order():
     lam = -2.0
     for dt in (0.1, 0.05):
         u = SpectralExpansion(CHEB(4), np.array([1.0, 0, 0, 0, 0]))
-        v = rk3_step(lambda w, t: lam * np.full(5, to_values(w, [0.0])[0]), u, 0.0, dt)
+        v = rk3_step(lambda w, d, t: lam * np.full(5, w[2]), u, 0.0, dt)  # w[2]: the node x = 0
         got = to_values(v, [0.3])[0]
         z = lam * dt
         r = 1 + z + z**2 / 2 + z**3 / 6
@@ -78,7 +82,7 @@ def test_rk3_imposes_boundary_value_exactly():
 def test_rk3_aborts_on_nan():
     u = SpectralExpansion(CHEB(4), np.ones(5))
     with pytest.raises(RuntimeError, match="non-finite"):
-        rk3_step(lambda w, t: np.full(5, np.nan), u, 0.0, 0.01)
+        rk3_step(lambda w, d, t: np.full(5, np.nan), u, 0.0, 0.01)
 
 
 def _slope_with(node, value, on_call):
@@ -86,8 +90,8 @@ def _slope_with(node, value, on_call):
     stages) returns value at node."""
     calls = []
 
-    def rhs(w, t):
-        k = np.zeros(w.descriptor.size)
+    def rhs(w, d, t):
+        k = np.zeros(d.size)
         if len(calls) == on_call:
             k[node] = value
         calls.append(t)
@@ -126,7 +130,7 @@ def test_rk3_refuses_a_non_finite_boundary_value(value, bad_t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match=r"non-finite .* at t=%s$" % bad_t.replace(".", r"\.")):
-            rk3_step(lambda w, t: np.zeros(7), u, 0.5, 0.25, (-1, g))
+            rk3_step(lambda w, d, t: np.zeros(7), u, 0.5, 0.25, (-1, g))
 
 
 def test_rk3_third_order_convergence():
@@ -145,14 +149,12 @@ def test_rk3_third_order_convergence():
 
 
 def test_advection_rhs_constant_is_zero():
-    u = SpectralExpansion(CHEB(8), np.r_[3.0, np.zeros(8)])
-    npt.assert_allclose(advection_rhs(u, 0.7), np.zeros(9), atol=1e-12)
+    npt.assert_allclose(advection_rhs(np.full(9, 3.0), CHEB(8), 0.7), np.zeros(9), atol=1e-12)
 
 
 def test_advection_rhs_linear_data():
-    u = SpectralExpansion(CHEB(8), np.r_[0.0, 1.0, np.zeros(7)])
-    x = nodes_weights(u.descriptor).nodes
-    npt.assert_allclose(advection_rhs(u, 0.0), x + 2.0, atol=1e-12)
+    x = nodes_weights(CHEB(8)).nodes
+    npt.assert_allclose(advection_rhs(x, CHEB(8), 0.0), x + 2.0, atol=1e-12)
 
 
 def test_advection_rhs_matches_time_derivative_of_analytic():
@@ -160,14 +162,13 @@ def test_advection_rhs_matches_time_derivative_of_analytic():
     d = CHEB(30)
     x = nodes_weights(d).nodes
     t = 0.3
-    u = to_coefficients(analytic(x, t), d)
     dudt = -(x + 2.0) * np.sin((t + 1.0) * (x + 2.0))
-    npt.assert_allclose(advection_rhs(u, t), dudt, atol=1e-8)
+    npt.assert_allclose(advection_rhs(analytic(x, t), d, t), dudt, atol=1e-8)
 
 
 def test_advection_rhs_requires_chebyshev():
     with pytest.raises(ValueError):
-        advection_rhs(SpectralExpansion(LEG(4), np.ones(5)), 0.0)
+        advection_rhs(np.ones(5), LEG(4), 0.0)
 
 
 # --------------------------------------------------- solve_collocation
@@ -191,6 +192,90 @@ def test_adaptive_advection_run():
     assert all("coarsen" not in r.actions for r in records)
     assert u.descriptor.order > 10
     assert relative_error(u, lambda x: analytic(x, 0.5)) < 1e-4
+
+
+def test_a_march_builds_one_derivative_matrix_per_order():
+    seen = set()
+
+    def rhs(w, d, t):
+        seen.add(d.order)
+        return advection_rhs(w, d, t)
+
+    d = CHEB(10)
+    u0 = to_coefficients(analytic(nodes_weights(d).nodes, 0.0), d)
+    problem = EvolutionProblem(rhs=rhs, dt=0.001, T=0.2, boundary=bc)
+    basis._derivative_matrix.cache_clear()
+    _, records = solve_collocation(problem, ControllerConfig(eta=1.5, gamma=1.1, n_max=3, n_min=0), u0)
+    info = basis._derivative_matrix.cache_info()
+    assert len(seen) > 1
+    assert (info.misses, info.hits) == (len(seen), 3 * len(records) - len(seen))
+
+
+def test_a_step_makes_one_transform_each_way_and_no_derivative(monkeypatch):
+    d = CHEB(12)
+    u = to_coefficients(analytic(nodes_weights(d).nodes, 0.0), d)
+    u = rk3_step(advection_rhs, u, 0.0, 0.001, bc)  # caches the derivative matrix of d
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (basis, solvers):
+        for name in ("node_values", "to_coefficients", "differentiate"):
+            if hasattr(module, name):
+                count(module, name)
+    for k in range(1, 4):
+        u = rk3_step(advection_rhs, u, k * 0.001, 0.001, bc)
+    assert calls == {"node_values": 3, "to_coefficients": 3}
+
+
+# ------------------------------------------- the retired coefficient-space step
+#
+# rk3_step as it was before its stages ran on node values: each stage went
+# through coefficients, and the right-hand side took the expansion, rhs(w, t).
+# The value-space step must take the same decisions on example 1, with errors
+# equal to roundoff.
+
+
+def _coefficient_rk3_step(rhs, u, t, dt, boundary):
+    d = u.descriptor
+
+    def pin(vals, ts):
+        node, g = boundary
+        vals[node] = g(ts)
+        return vals
+
+    v0 = node_values(u)
+    v1 = pin(v0 + dt * rhs(u, t), t + dt)
+    k2 = rhs(to_coefficients(v1, d), t + dt)
+    v2 = pin(0.75 * v0 + 0.25 * (v1 + dt * k2), t + 0.5 * dt)
+    k3 = rhs(to_coefficients(v2, d), t + 0.5 * dt)
+    return to_coefficients(pin(v0 / 3.0 + (2.0 / 3.0) * (v2 + dt * k3), t + dt), d)
+
+
+def _coefficient_advection_rhs(u, t):
+    x = nodes_weights(u.descriptor).nodes
+    return (x + 2.0) / (t + 1.0) * node_values(differentiate(u))
+
+
+def test_value_stages_match_the_coefficient_stages_on_example_1(monkeypatch, tmp_path):
+    run = lambda: experiments.run(experiments.example_config(1, T=1.0), out=str(tmp_path / "ex1.csv"))
+    records = run()
+
+    def reference(rhs, u, t, dt, boundary=None):
+        assert rhs is advection_rhs
+        return _coefficient_rk3_step(_coefficient_advection_rhs, u, t, dt, boundary)
+
+    monkeypatch.setattr(solvers, "rk3_step", reference)
+    expected = run()
+    assert [(r.actions, r.order) for r in records] == [(r.actions, r.order) for r in expected]
+    npt.assert_allclose([r.error for r in records], [r.error for r in expected], rtol=1e-6)
 
 
 def test_problem_validation():
