@@ -34,7 +34,7 @@ is flagged as such here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -45,10 +45,8 @@ from .basis import (
     Expansion2D,
     SpectralExpansion,
     _apply_real,
-    _at,
     _cross_matrix,
     _cross_matrix_cached,  # noqa: F401  (its cache counters are read from this module too)
-    _frame,
     _on_grid,
     _with_order,
     nodes_weights,
@@ -118,6 +116,9 @@ class ControllerConfig:
     moving: bool = True
 
     def __post_init__(self):
+        for f in fields(self):  # the annotations are strings here (postponed evaluation)
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError("%s must be finite, got %r" % (f.name, getattr(self, f.name)))
         if not self.eta > 1.0:
             raise ValueError(f"eta must be > 1, got {self.eta}")
         if not self.eta0 > 1.0:
@@ -232,8 +233,8 @@ def rescale(u: SpectralExpansion, beta_new: float) -> SpectralExpansion:
     """Same order, new scaling factor; values at the new grid preserved."""
     if u.descriptor.bounded:
         raise ValueError("rescale applies to unbounded families only")
-    family, order, _, *exponents = _frame(u.descriptor)  # no dataclasses.replace: half the cost
-    return resample(u, _at((family, order, float(beta_new), *exponents), u.descriptor.x_left))
+    d = u.descriptor  # no dataclasses.replace: half the cost
+    return resample(u, BasisDescriptor(d.family, d.order, float(beta_new), d.x_left))
 
 
 def translate(u: SpectralExpansion, dist: float) -> SpectralExpansion:
@@ -241,7 +242,7 @@ def translate(u: SpectralExpansion, dist: float) -> SpectralExpansion:
     if u.descriptor.bounded:
         raise ValueError("translate applies to unbounded families only")
     d = u.descriptor
-    return resample(u, _at(_frame(d), d.x_left + float(dist)))
+    return resample(u, BasisDescriptor(d.family, d.order, d.beta, d.x_left + float(dist)))
 
 
 # ------------------------------------------------------- controllers

@@ -1,10 +1,10 @@
 """Orthogonal bases on bounded and unbounded domains.
 
 Provides quadrature rules, basis evaluation, coefficient transforms and
-spectral differentiation for five families:
+spectral differentiation for four families:
 
-* Jacobi, Chebyshev, Legendre polynomials on [-1, 1] with Gauss-Lobatto
-  grids (a single Gauss point for order 0);
+* Chebyshev and Legendre polynomials on [-1, 1] with Gauss-Lobatto grids
+  (a single Gauss point for order 0);
 * Laguerre functions (exponent 0) on [x_left, inf) with Gauss-Radau grids;
 * Hermite functions on the real line with Gauss grids.
 
@@ -23,15 +23,14 @@ Every family obeys one three-term recurrence (Gautschi),
     p_{k+1} = ((A_k x + B_k) p_k - C_k p_{k-1}) / D_k,
 
 and one engine (_recurrence) evaluates it from a small coefficient table
-per family: the classical Chebyshev, Legendre and Jacobi polynomials, and
-the orthonormal polynomials of a monic recurrence, which give the Hermite
-and Laguerre functions under an exponential envelope (the polynomial part
-is divided by 1e130 wherever it exceeds that, and the envelope makes up
-the difference; a running bound skips tests that cannot fire).  A
-companion recurrence for p_k' serves the Newton polish of the nodes and
-the Jacobi derivative rows (the other families differentiate in
-coefficient space), and the Lobatto endpoint values come from the same
-recurrence run in scalar arithmetic.
+per family: the classical Chebyshev and Legendre polynomials, and the
+orthonormal polynomials of a monic recurrence, which give the Hermite and
+Laguerre functions under an exponential envelope (the polynomial part is
+divided by 1e130 wherever it exceeds that, and the envelope makes up the
+difference; a running bound skips tests that cannot fire).  A companion
+recurrence for p_k' serves the Newton polish of the nodes, and the Lobatto
+endpoint values come from the same recurrence run in scalar arithmetic.
+Every family differentiates in coefficient space.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ _LOG_RESCALE = 130 * math.log(10.0)
 
 
 class Family(Enum):
-    JACOBI = "jacobi"
     CHEBYSHEV = "chebyshev"
     LEGENDRE = "legendre"
     LAGUERRE_FN = "laguerre_function"
@@ -86,7 +84,7 @@ class Family(Enum):
     __hash__ = object.__hash__
 
 
-_BOUNDED = frozenset({Family.JACOBI, Family.CHEBYSHEV, Family.LEGENDRE})
+_BOUNDED = frozenset({Family.CHEBYSHEV, Family.LEGENDRE})
 
 
 @dataclass(frozen=True)
@@ -96,15 +94,14 @@ class BasisDescriptor:
     order N means basis functions B_0..B_N (N+1 of them).  beta > 1
     compresses the unbounded grids toward x_left, beta < 1 stretches them.
     Bounded families are pinned to the reference interval (beta = 1,
-    x_left = 0).  Only the Jacobi family takes exponents (jacobi_a, jacobi_b).
+    x_left = 0).  No family takes a weight exponent: Laguerre functions have
+    exponent 0, and the Legendre weight is 1.
     """
 
     family: Family
     order: int
     beta: float = 1.0
     x_left: float = 0.0
-    jacobi_a: float = 0.0
-    jacobi_b: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.order, (int, np.integer)):
@@ -122,11 +119,6 @@ class BasisDescriptor:
             raise ValueError(f"x_left must be finite, got {self.x_left!r}")
         if self.family in _BOUNDED and (self.beta != 1.0 or self.x_left != 0.0):
             raise ValueError("bounded families require beta == 1 and x_left == 0")
-        if self.family is not Family.JACOBI:
-            if self.jacobi_a or self.jacobi_b:
-                raise ValueError(f"the {self.family.value} family takes no Jacobi exponents")
-        elif self.jacobi_a <= -1.0 or self.jacobi_b <= -1.0:
-            raise ValueError("Jacobi exponents must be > -1")
 
     @property
     def bounded(self) -> bool:
@@ -190,6 +182,7 @@ def _on_grid(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # weight), after Gautschi.
 
 
+# General in (a, b): the Legendre-Lobatto rule reads it at (0, 0), its Newton polish at (1, 1).
 def _recurrence_jacobi(n: int, a: float, b: float):
     alpha = np.zeros(n)
     beta = np.zeros(n)
@@ -246,8 +239,8 @@ def _orthonormal_table(alpha: np.ndarray, beta: np.ndarray, orient: float = 1.0)
     return np.full(n, orient), -orient * alpha[:n], r[:n], r[1:], 1.0 / r[0]
 
 
-def _family_table(family: Family, n: int, a: float = 0.0, b: float = 0.0):
-    """Table of the reference basis rows 0..n of a family (exponents a, b)."""
+def _family_table(family: Family, n: int):
+    """Table of the reference basis rows 0..n of a family."""
     k = np.arange(n, dtype=float)
     if family is Family.CHEBYSHEV:
         # T_1 = x, T_{k+1} = 2x T_k - T_{k-1}
@@ -255,18 +248,9 @@ def _family_table(family: Family, n: int, a: float = 0.0, b: float = 0.0):
     if family is Family.LEGENDRE:
         # (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}
         return 2.0 * k + 1.0, np.zeros(n), k, k + 1.0, 1.0
-    if family is Family.JACOBI:
-        n2ab = 2.0 * k + a + b
-        A = n2ab * (n2ab + 1.0) * (n2ab + 2.0)
-        B = (n2ab + 1.0) * (a * a - b * b)
-        C = 2.0 * (k + a) * (k + b) * (n2ab + 2.0)
-        D = 2.0 * (k + 1.0) * (k + a + b + 1.0) * n2ab
-        # P_1 = (a+b+2)/2 x + (a-b)/2
-        A[:1], B[:1], C[:1], D[:1] = 0.5 * (a + b + 2.0), 0.5 * (a - b), 0.0, 1.0
-        return A, B, C, D, 1.0
     if family is Family.HERMITE_FN:
         return _orthonormal_table(*_recurrence_hermite(n + 1))
-    return _orthonormal_table(*_recurrence_laguerre(n + 1, a), orient=-1.0)
+    return _orthonormal_table(*_recurrence_laguerre(n + 1, 0.0), orient=-1.0)
 
 
 def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
@@ -344,26 +328,25 @@ def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
         yield p, d, env
 
 
-def _rows(table, x: np.ndarray, log_env=None, deriv: bool = False) -> np.ndarray:
-    """All rows of a table at x (p_k' with deriv), times the envelope when one is given."""
+def _rows(table, x: np.ndarray, log_env=None) -> np.ndarray:
+    """All rows of a table at x, times the envelope when one is given."""
     out = np.empty((len(table[0]) + 1, x.size))
-    for k, (p, d, env) in enumerate(_recurrence(table, x, log_env, deriv)):
-        row = d if deriv else p
+    for k, (p, _, env) in enumerate(_recurrence(table, x, log_env)):
         if env is None:
-            out[k] = row
+            out[k] = p
         else:
-            np.multiply(row, env, out=out[k])
+            np.multiply(p, env, out=out[k])
     return out
 
 
-def _basis_rows(family: Family, n: int, y: np.ndarray, a: float = 0.0, b: float = 0.0):
+def _basis_rows(family: Family, n: int, y: np.ndarray):
     """Reference basis values B_k(y), k = 0..n (no sqrt(beta) factor)."""
     log_env = None  # the exponent of the function families' envelope
     if family is Family.HERMITE_FN:
         log_env = -0.5 * y * y
     elif family is Family.LAGUERRE_FN:
         log_env = -0.5 * y
-    return _rows(_family_table(family, n, a, b), y, log_env)
+    return _rows(_family_table(family, n), y, log_env)
 
 
 def _last_row(table, x: np.ndarray, rescale: bool = False):
@@ -420,7 +403,7 @@ def _endpoint_values(alpha: np.ndarray, beta: np.ndarray, t: float):
 
 
 # --------------------------------------------------------------------------
-# Reference (beta-independent) rules, cached per family/order/exponents.
+# Reference (beta-independent) rules, cached per family and order.
 
 
 @dataclass(frozen=True)
@@ -433,7 +416,7 @@ class _CoreRule:
 
 
 @lru_cache(maxsize=256)
-def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
+def _core(family: Family, order: int) -> _CoreRule:
     n = order
     if family is Family.CHEBYSHEV:
         if n == 0:
@@ -450,33 +433,19 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
             w[-1] *= 0.5
         gamma = np.full(n + 1, math.pi / 2.0)
         gamma[0] = math.pi
-    elif family in (Family.LEGENDRE, Family.JACOBI):
-        alpha, beta = _recurrence_jacobi(n + 1, a, b)
+    elif family is Family.LEGENDRE:
+        alpha, beta = _recurrence_jacobi(n + 1, 0.0, 0.0)
         if n == 0:
             y = np.array([alpha[0]])
             w = np.array([beta[0]])
         else:
             y, w = _lobatto_nodes(alpha, beta, -1.0, 1.0)
             if n > 1:
-                # interior nodes: roots of the degree n-1 Jacobi(a+1, b+1) polynomial
-                table = _orthonormal_table(*_recurrence_jacobi(n, a + 1.0, b + 1.0))
+                # interior nodes: roots of P_n', the degree n-1 Jacobi(1, 1) polynomial
+                table = _orthonormal_table(*_recurrence_jacobi(n, 1.0, 1.0))
                 p, dp = _last_row(table, y[1:-1])
                 y[1:-1] = y[1:-1] - p / dp
-        i = np.arange(n + 1, dtype=float)
-        if family is Family.LEGENDRE:
-            gamma = 2.0 / (2.0 * i + 1.0)
-        else:
-            logg = (
-                (a + b + 1.0) * math.log(2.0)
-                + gammaln(i + a + 1.0)
-                + gammaln(i + b + 1.0)
-                - gammaln(i + 1.0)
-                - gammaln(i + a + b + 1.0)
-            )
-            den = 2.0 * i + a + b + 1.0
-            den[0] = 1.0  # i = 0 uses beta[0] directly (den may vanish at a+b=-1)
-            gamma = np.exp(logg) / den
-            gamma[0] = beta[0]
+        gamma = 2.0 / (2.0 * np.arange(n + 1, dtype=float) + 1.0)
     elif family is Family.HERMITE_FN:
         alpha, beta = _recurrence_hermite(n + 1)
         y = _gauss_nodes(alpha, beta)
@@ -489,17 +458,17 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
             y = y - h1 / (math.sqrt((n + 1) / 2.0) * h0 - math.sqrt((n + 2) / 2.0) * h2)
             y = 0.5 * (y - y[::-1])  # enforce the exact symmetry of the grid
     else:  # Family.LAGUERRE_FN
-        # Radau: the left endpoint, then the roots of the degree-n Laguerre(a+1)
+        # Radau: the left endpoint, then the roots of the degree-n Laguerre(1)
         # polynomial, which are the Gauss nodes of its weight (Golub 1973)
         y = np.zeros(n + 1)
         if n >= 1:
-            y[1:] = _gauss_nodes(*_recurrence_laguerre(n, a + 1.0))
-            # Newton on the degree-n Laguerre(a+1) function p e^{-y/2}: ratio p / (p' - p/2)
-            table = _orthonormal_table(*_recurrence_laguerre(n + 1, a + 1.0))
+            y[1:] = _gauss_nodes(*_recurrence_laguerre(n, 1.0))
+            # Newton on the degree-n Laguerre(1) function p e^{-y/2}: ratio p / (p' - p/2)
+            table = _orthonormal_table(*_recurrence_laguerre(n + 1, 1.0))
             p, dp = _last_row(table, y[1:], rescale=True)
             y[1:] = y[1:] - p / (dp - 0.5 * p)
 
-    V = _basis_rows(family, n, y, a, b)
+    V = _basis_rows(family, n, y)
     V2 = V * V
     if family not in _BOUNDED:
         with np.errstate(divide="ignore", over="ignore"):
@@ -514,13 +483,8 @@ def _core(family: Family, order: int, a: float, b: float) -> _CoreRule:
     return _CoreRule(y=y, w=w, V=V, gamma=gamma, gamma_hat=gamma_hat)
 
 
-def _exponents(d: BasisDescriptor) -> tuple:
-    """(a, b) of the family's weight: Jacobi's exponents, zero on every other family."""
-    return float(d.jacobi_a), float(d.jacobi_b)
-
-
 def _core_of(d: BasisDescriptor) -> _CoreRule:
-    return _core(d.family, d.order, *_exponents(d))
+    return _core(d.family, d.order)
 
 
 # --------------------------------------------------------------------------
@@ -552,13 +516,13 @@ def evaluate_all(d: BasisDescriptor, x) -> np.ndarray:
         raise ValueError(f"evaluation point {i} is not finite: {float(x.flat[i])!r}")
     if d.bounded:
         _check_bounded_domain(x)
-        return _basis_rows(d.family, d.order, x, *_exponents(d))
+        return _basis_rows(d.family, d.order, x)
     y = d.beta * (x - d.x_left)
     if d.family is Family.LAGUERRE_FN:
         if (y < -1e-9).any():
             raise ValueError("evaluation point below x_left for a half-line basis")
         y = np.maximum(y, 0.0)
-    return math.sqrt(d.beta) * _basis_rows(d.family, d.order, y, *_exponents(d))
+    return math.sqrt(d.beta) * _basis_rows(d.family, d.order, y)
 
 
 def _check_bounded_domain(x: np.ndarray):
@@ -579,22 +543,22 @@ def norms(d: BasisDescriptor) -> np.ndarray:
 
 def _frame(d: BasisDescriptor) -> tuple:
     """d without its translation, as a plain tuple (a cheap cache key)."""
-    return (d.family, d.order, d.beta, d.jacobi_a, d.jacobi_b)
+    return (d.family, d.order, d.beta)
 
 
 def _at(frame: tuple, x_left: float) -> BasisDescriptor:
     """The descriptor of a frame placed at x_left."""
-    family, order, beta, jacobi_a, jacobi_b = frame
-    return BasisDescriptor(family, order, beta, x_left, jacobi_a, jacobi_b)
+    family, order, beta = frame
+    return BasisDescriptor(family, order, beta, x_left)
 
 
 def _with_order(d: BasisDescriptor, order: int) -> BasisDescriptor:
     """replace(d, order=order), without dataclasses.replace's walk over the fields."""
-    return BasisDescriptor(d.family, order, d.beta, d.x_left, d.jacobi_a, d.jacobi_b)
+    return BasisDescriptor(d.family, order, d.beta, d.x_left)
 
 
 @lru_cache(maxsize=256)
-def _transform_matrix(family: Family, order: int, a: float, b: float) -> np.ndarray:
+def _transform_matrix(family: Family, order: int) -> np.ndarray:
     """T with u = T @ values on the reference rule: row i is w_s phi_i(y_s) / gamma_hat_i.
 
     Keyed like _core.  A scaled and shifted grid has basis values
@@ -602,14 +566,14 @@ def _transform_matrix(family: Family, order: int, a: float, b: float) -> np.ndar
     to_coefficients applies that factor, and every beta and x_left of one
     family and order shares this entry.
     """
-    core = _core(family, order, a, b)
+    core = _core(family, order)
     T = core.V * core.w / core.gamma_hat[:, None]
     T.setflags(write=False)
     return T
 
 
 def _transform_of(d: BasisDescriptor) -> np.ndarray:
-    return _transform_matrix(d.family, d.order, *_exponents(d))
+    return _transform_matrix(d.family, d.order)
 
 
 # The cross-matrix cache holds at most this many entries per matrix; larger
@@ -634,18 +598,13 @@ def _cross_matrix(d_from: BasisDescriptor, d_to: BasisDescriptor) -> np.ndarray:
     The bases depend on x_left only through differences, so the matrix is
     built with d_from at x_left = 0 and d_to shifted by the difference, and
     cached on that shift: translations by a fixed step share one entry.
-    A bounded basis on the grid of its own family (same exponents) at the
-    same or a higher order is the top rows of that space's core V, bit for
-    bit (row k of the recurrence depends on rows k-1 and k-2 only), so it
-    is neither built nor cached.  The unbounded grids y/beta + x_left do
+    A bounded basis on the grid of its own family at the same or a higher
+    order is the top rows of that space's core V, bit for bit (row k of
+    the recurrence depends on rows k-1 and k-2 only), so it is neither
+    built nor cached.  The unbounded grids y/beta + x_left do
     not map back to y exactly, so they take no such shortcut.
     """
-    if (
-        d_from.bounded
-        and d_from.family is d_to.family
-        and d_from.order <= d_to.order
-        and _exponents(d_from) == _exponents(d_to)
-    ):
+    if d_from.bounded and d_from.family is d_to.family and d_from.order <= d_to.order:
         V = _core_of(d_to).V
         return V if d_from.order == d_to.order else V[: d_from.size]
     key = (_frame(d_from), _frame(d_to), d_to.x_left - d_from.x_left)
@@ -726,11 +685,8 @@ _HALF_ROOT.setflags(write=False)
 def differentiate(u: SpectralExpansion) -> SpectralExpansion:
     """Expansion of du/dx.
 
-    Chebyshev/Legendre/Hermite/Laguerre use exact coefficient recurrences
-    (the Hermite result has order N+1: differentiation couples upward).
-    Jacobi differentiates the recurrence at the grid nodes and
-    re-interpolates, which is exact because degree N polynomials stay in
-    the space the grid resolves.
+    Every family uses an exact coefficient recurrence (the Hermite result
+    has order N+1: differentiation couples upward).
     """
     d = u.descriptor
     n = d.order
@@ -764,18 +720,13 @@ def differentiate(u: SpectralExpansion) -> SpectralExpansion:
     if d.family is Family.HERMITE_FN:
         return SpectralExpansion(_with_order(d, n + 1), _hermite_derivative(a, d.beta))
 
-    if d.family is Family.LAGUERRE_FN:
-        return SpectralExpansion(d, _laguerre_derivative(a, d.beta))
-
-    # Jacobi polynomials: derivative values at the nodes
-    table = _family_table(d.family, n, *_exponents(d))
-    return to_coefficients(_rows(table, _core_of(d).y, deriv=True).T @ a, d)
+    return SpectralExpansion(d, _laguerre_derivative(a, d.beta))  # Family.LAGUERRE_FN
 
 
 @lru_cache(maxsize=256)
-def _derivative_matrix(family: Family, order: int, a: float, b: float) -> np.ndarray:
+def _derivative_matrix(family: Family, order: int) -> np.ndarray:
     """D @ v = du/dx on a bounded space's grid: node_values ∘ differentiate ∘ to_coefficients."""
-    d = BasisDescriptor(family, order, jacobi_a=a, jacobi_b=b)
+    d = BasisDescriptor(family, order)
     D = np.column_stack([node_values(differentiate(to_coefficients(e, d))) for e in np.eye(d.size)])
     D.setflags(write=False)
     return D

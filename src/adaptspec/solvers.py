@@ -102,7 +102,7 @@ def advection_rhs(v: np.ndarray, d: BasisDescriptor, t) -> np.ndarray:
     if d.family is not Family.CHEBYSHEV:
         raise ValueError("this right-hand side is posed on the Chebyshev grid")
     x = nodes_weights(d).nodes
-    return (x + 2.0) / (t + 1.0) * (_derivative_matrix(Family.CHEBYSHEV, d.order, 0.0, 0.0) @ v)
+    return (x + 2.0) / (t + 1.0) * (_derivative_matrix(Family.CHEBYSHEV, d.order) @ v)
 
 
 def solve_collocation(

@@ -79,7 +79,6 @@ def test_refine_is_lossless():
     [
         LEG(11),
         CHEB(11),
-        BasisDescriptor(Family.JACOBI, 11, jacobi_a=0.5, jacobi_b=-0.3),
         HER(11, beta=1.3, x_left=0.4),
         LAG(11, beta=0.8, x_left=-1.0),
     ],
@@ -724,6 +723,11 @@ def test_config_validation():
     for d_max in (-0.1, math.nan):  # NaN would otherwise switch translation off
         with pytest.raises(ValueError, match="d_max"):
             ControllerConfig(d_max=d_max)
+    # an infinite cap or beta bound would void the per-call move cap and the beta range
+    for name in ("d_max", "beta_hi", "gamma", "eta", "delta", "q"):
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            ControllerConfig(**{name: math.inf})
+    assert ControllerConfig(n_abs=None).n_abs is None
 
 
 # ------------------------------------------- reference-frame operator caches

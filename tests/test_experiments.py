@@ -790,12 +790,13 @@ def test_cli_refuses_an_infinite_horizon(tmp_path):
 def test_cli_refuses_bad_physical_parameters(tmp_path, capsys):
     # caught as usage errors before the march, not as a traceback at t=0
     path = tmp_path / "bad.txt"
-    for line in ("zeta=nan", "zeta=0", "zeta=-0.3", "k=inf", "x_left0=nan", "drive_amp=inf"):
+    for line in ("zeta=nan", "zeta=0", "zeta=-0.3", "k=inf", "x_left0=nan", "drive_amp=inf", "beta_hi=inf"):
         path.write_text(line + "\n")
         assert cli.main(["run", "--example", "5", "--config", str(path)]) == 2, line
         assert line.split("=")[0] in capsys.readouterr().err
-    assert cli.main(["run", "--example", "5", "--dmax", "nan"]) == 2
-    assert "d_max" in capsys.readouterr().err
+    for value in ("nan", "inf"):
+        assert cli.main(["run", "--example", "5", "--dmax", value]) == 2, value
+        assert "d_max" in capsys.readouterr().err
 
 
 def test_cli_no_adapt_freezes_every_controller(tmp_path):

@@ -357,8 +357,6 @@ RUN_SPACES = [
     (BasisDescriptor(Family.CHEBYSHEV, 11), False),
     (LEG(9), True),
     (LEG(9), False),
-    (BasisDescriptor(Family.JACOBI, 8, jacobi_a=0.5, jacobi_b=-0.25), True),
-    (BasisDescriptor(Family.JACOBI, 8, jacobi_a=0.5, jacobi_b=-0.25), False),
 ]
 
 
