@@ -4,9 +4,10 @@ The wavefunction lives in a Hermite-function space on an adaptive grid
 (order, scaling, shift all movable).  Each step advances the coefficient
 vector with the exponential of the exact weak-form generator: the
 derivative-derivative term is assembled analytically (pentadiagonal), the
-potential term is contracted matrix-free through the quadrature grid, and
-the time dependence of the external drive is integrated with a three-point
-Gauss-Legendre rule inside the step.
+potential term is contracted matrix-free through the quadrature grid, on
+parity halves of the basis values (the grid is mirror-symmetric and each
+basis function even or odd), and the time dependence of the external drive
+is integrated with a three-point Gauss-Legendre rule inside the step.
 
 The step exponential is a Chebyshev series sized from the generator's
 spectrum, which is known in closed form: the stiffness matrix is positive
@@ -130,10 +131,46 @@ def _potential_operator(d: BasisDescriptor, g: np.ndarray):
     mass-matrix solve appears.  The grid's basis values sqrt(beta) V and
     weights w/beta leave beta out of the product, so the reference rule's
     V and w serve every scaled and shifted grid.
+
+    Both products run on parity halves: the grid is mirrored bit for bit
+    and B_n(-y) = (-1)^n B_n(y), so the even rows Ve = V[0::2, :k] and the
+    odd rows Vo = V[1::2, :h] on the left half of the grid (k nodes up to
+    and including the middle one, h mirrored pairs) carry all of V.  The
+    node values are e + o on the left and e - o, reversed, on the right,
+    with e = Ve^T X[0::2] and o = Vo^T X[1::2]; odd rows vanish at the
+    middle node y = 0.  Back in coefficients the even rows take Ve (u + u')
+    and the odd rows Vo (u - u'), u and u' the weighted values on the left
+    and the reversed right half.  Ve and Vo are strided views of V, and an
+    application does half the dense work of V^T then V.
     """
     core = _core_of(d)
     wg = core.w * g
-    return lambda X: _apply_real(core.V, wg * _apply_real(core.V.T, X))
+    m = len(wg)
+    h, k = m // 2, (m + 1) // 2
+    Ve, Vo = core.V[0::2, :k], core.V[1::2, :h]
+
+    def apply(X):
+        e = _apply_real(Ve.T, X[0::2])
+        o = _apply_real(Vo.T, X[1::2])
+        v = np.empty(m, dtype=e.dtype)
+        v[:k] = e
+        v[:h] += o
+        v[k:] = (e[:h] - o)[::-1]
+        z = wg * v
+        right = z[k:][::-1]
+        s = z[:k].copy()
+        s[:h] += right
+        out = np.empty(m, dtype=z.dtype)
+        out[0::2] = _apply_real(Ve, s)
+        out[1::2] = _apply_real(Vo, z[:h] - right)
+        return out
+
+    return apply
+
+
+def _check_coefficients(d: BasisDescriptor, X: np.ndarray):
+    if X.shape != (d.size,):
+        raise ValueError(f"expected {d.size} coefficients, got shape {X.shape}")
 
 
 def _integrated_potential(d, V, V_ex, t_n, dt):
@@ -152,13 +189,13 @@ def potential_apply(d: BasisDescriptor, V, V_ex, t_n, dt, X) -> np.ndarray:
     """Time-integrated potential operator times X, matrix-free.
 
     Returns the coefficient vector of the projection of g(x)*psi where
-    g = int (V + V_ex) dt over the step; two (N+1)^2 contractions, no
+    g = int (V + V_ex) dt over the step; four products with the parity
+    halves of the basis values, half the multiply-adds of V^T then V, no
     explicit matrix.
     """
     _require_hermite(d)
     X = np.asarray(X)
-    if X.shape != (d.size,):
-        raise ValueError(f"expected {d.size} coefficients, got shape {X.shape}")
+    _check_coefficients(d, X)
     if V is None and V_ex is None:
         return np.zeros_like(X)
     return _potential_operator(d, _integrated_potential(d, V, V_ex, t_n, dt))(X)
@@ -175,6 +212,7 @@ def propagate_step(psi, d: BasisDescriptor, problem: SchrodingerProblem, t_n):
     """
     _require_hermite(d)
     psi = np.asarray(psi, dtype=complex)
+    _check_coefficients(d, psi)
     dt = problem.dt
     if problem.V is None and problem.V_ex is None:
         apply_a = lambda X: -1j * dt * stiffness_apply(d, X)

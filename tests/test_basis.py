@@ -130,6 +130,17 @@ def test_order_zero_grids():
     npt.assert_allclose(r.weights, [math.sqrt(math.pi)])
 
 
+@pytest.mark.parametrize("n", list(range(65)) + [241, 242, 600, 1201])
+def test_hermite_grid_and_basis_have_exact_parity(n):
+    # the parity-split potential operator reads only the left half of V
+    core = _core(Family.HERMITE_FN, n)
+    assert np.array_equal(core.y[::-1], -core.y)
+    sign = (-1.0) ** np.arange(n + 1)[:, None]
+    assert np.array_equal(core.V[:, ::-1] * sign, core.V)
+    if n % 2 == 0:
+        assert core.y[n // 2] == 0.0
+
+
 # ------------------------------------------------------- basis values
 
 

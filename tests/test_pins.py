@@ -35,7 +35,7 @@ PINS = [
      "6558fa89aabc9dc520c363b2d75fbc5d994af14e49e293388b89c60a59591d68"),
     (6, 0.1, "186b2794404bd18b175f0351cf29956e9ea85aff51c2937bdf24e75dcbf8c103",
      (242, None, None, 1.9595417003875326, 0.0),
-     "49aaa989438793e14dddac40094403cec95c96307d8b41cdb00699ba631b0075"),
+     "651d438f8c240fbb0d1909283eff4954276a40e3c310847d370267d508861ef3"),
 ]
 
 # The horizons of the bounded-tensor bench workload, so that every workload's

@@ -19,6 +19,7 @@ from adaptspec import (
 )
 from adaptspec import schrodinger
 from adaptspec.adapt import ControllerConfig, initial_state, orchestrate_step, translate
+from adaptspec.basis import _core_of
 from adaptspec.experiments import _example_6_potentials, _packet_problem, example_config
 from adaptspec.indicators import relative_error
 from adaptspec.schrodinger import (
@@ -125,6 +126,27 @@ def test_potential_matches_dense_assembly():
     dense = (phi * (rule.weights * V(rule.nodes) * 0.05)) @ phi.T
     x = np.random.default_rng(2).standard_normal(9) + 0j
     npt.assert_allclose(potential_apply(d, V, None, 0.0, 0.05, x), dense @ x, atol=1e-11)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 241])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_parity_split_potential_matches_the_dense_product(n, complex_):
+    # the grid's basis values sqrt(beta) V of the reference rule, as
+    # node_values uses them: evaluate_all at the mapped nodes re-rounds
+    # y = beta (x - x_left) and alone moves the product by 2e-14 at order 241
+    d = HER(n, beta=1.3, x_left=-0.7)
+    V = lambda s: np.exp(-(s**2)) + 0.1 * s**3
+    rule = nodes_weights(d)
+    phi = np.sqrt(d.beta) * _core_of(d).V
+    dense = (phi * (rule.weights * V(rule.nodes) * 0.05)) @ phi.T
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(d.size)
+    if complex_:
+        x = x + 1j * rng.standard_normal(d.size)
+    out = potential_apply(d, V, None, 0.0, 0.05, x)
+    ref = dense @ x
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_potential_linear_in_coefficients():
@@ -262,6 +284,14 @@ def test_a_non_finite_potential_is_refused_where_it_is_sampled(V, V_ex):
             adapt_schrodinger_run(prob, ControllerConfig(), HER(20))
 
 
+@pytest.mark.parametrize("V", [None, lambda s: 0.5 * s**2], ids=["free", "potential"])
+@pytest.mark.parametrize("psi", [np.ones(1), np.ones((2, 11)), np.ones(12)], ids=["short", "2d", "long"])
+def test_propagate_step_refuses_a_coefficient_vector_of_the_wrong_shape(V, psi):
+    prob = SchrodingerProblem(psi0=lambda x: x, V=V, dt=0.01, T=0.01)
+    with pytest.raises(ValueError, match=r"expected 11 coefficients, got shape"):
+        propagate_step(psi, HER(10), prob, 0.0)
+
+
 def test_constant_stiff_potential_is_a_phase():
     # a constant potential only shifts the spectral interval: the step is
     # the free step times exp(-i V dt), whatever the size of V
@@ -326,10 +356,11 @@ def test_problem_validation():
         SchrodingerProblem(psi0=lambda x: x, dt=0.1, T=0.05)
 
 
-def test_propagate_step_with_potential_matches_dense_exponential():
+@pytest.mark.parametrize("n", [24, 25])
+def test_propagate_step_with_potential_matches_dense_exponential(n):
     from scipy.linalg import expm
 
-    d = HER(24, beta=1.2, x_left=0.3)
+    d = HER(n, beta=1.2, x_left=0.3)
     V = lambda s: 0.5 * s**2
     V_ex = lambda s, t: np.sin(3.0 * t) * np.exp(-(s**2))
     problem = SchrodingerProblem(psi0=lambda s: 0 * s, V=V, V_ex=V_ex, dt=0.01, T=0.01)
