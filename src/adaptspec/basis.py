@@ -445,6 +445,8 @@ def _core(family: Family, order: int) -> _CoreRule:
                 table = _orthonormal_table(*_recurrence_jacobi(n, 1.0, 1.0))
                 p, dp = _last_row(table, y[1:-1])
                 y[1:-1] = y[1:-1] - p / dp
+            if n % 2 == 0:
+                y[n // 2] = 0.0  # the exact centre, left as solver noise by the polish
         gamma = 2.0 / (2.0 * np.arange(n + 1, dtype=float) + 1.0)
     elif family is Family.HERMITE_FN:
         alpha, beta = _recurrence_hermite(n + 1)

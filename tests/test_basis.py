@@ -75,6 +75,13 @@ def test_legendre_lobatto_four_points():
     npt.assert_allclose(r.weights, [1 / 6, 5 / 6, 5 / 6, 1 / 6], rtol=1e-14)
 
 
+@pytest.mark.parametrize("n", [*range(9), 12, 14, 26, 101, 1000, MAX_ORDER - 1, MAX_ORDER])
+def test_legendre_centre_node_is_exactly_zero(n):
+    # an even order's middle node is the centre; the polish leaves ~1e-32 there
+    y = core_built(Family.LEGENDRE, n).y
+    assert (y[n // 2] == 0.0) == (n % 2 == 0)
+
+
 def test_chebyshev_lobatto_nodes_closed_form():
     r = nodes_weights(BasisDescriptor(Family.CHEBYSHEV, 4))
     npt.assert_allclose(r.nodes, [-np.cos(np.pi * j / 4) for j in range(5)], atol=1e-15)
@@ -747,6 +754,8 @@ def test_newton_polish_equals_loop_forms(n):
     y, _ = _lobatto_nodes(*_recurrence_jacobi(n + 1, 0.0, 0.0), -1.0, 1.0)
     v, d = newton_ratio_loop(y[1:-1], *_recurrence_jacobi(n, 1.0, 1.0), n - 1, rescale=False)
     y[1:-1] = y[1:-1] - v / d
+    if n % 2 == 0:
+        y[n // 2] = 0.0
     assert np.array_equal(core_built(Family.LEGENDRE, n).y, y)
 
 

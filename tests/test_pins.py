@@ -23,7 +23,7 @@ PINS = [
      "c1c79e627e000c14e69c5699910b3b15a394e49ad0cc7b0007ba932faaec5d0d"),
     (2, 1.0, "f70fe8f98c5b8c3608a7e61760810a4f17ceae38328e025bdac01fc872582925",
      (None, 40, 38, None, None),
-     "8e8c69c2deb2b135bc7535ba18cdf7208a51aa0f046c5f5d91d53b7418fb4539"),
+     "1550ec8fdab015647465647aed874a7058058868fd3cadcf5fa09d050f4cd922"),
     (3, 1.0, "2afb00109c7f60e5d3956b2aacb608892342be4cf93b20a47459cbffa39ffafb",
      (56, None, None, 2.161440350650546, 0.0),
      "c10050b497b2ce04cb47ea166f10a86bdad15d5685989ccc429b7ccc2fe56519"),
@@ -43,7 +43,7 @@ PINS = [
 BENCH_PINS = [
     (2, 5.0, "2e306dc81b30c34cf6b8cca46adb8a84d49a141d159a82932455910b0494594c",
      (None, 64, 45, None, None),
-     "22f876dfb83f0d21c41469dbd703c4d7461e51eb0d9ed5e5ff4f865b5a247b95"),
+     "90ea57bd33e1d17b4327c3d75632ed7e6b7bfbcec508eb9eeef4a856daa333e1"),
     (1, 2.0, "adf8b071f28f142563a6e19bdae5bd52e791c73600eb13515369e79b0fb22d81",
      (20, None, None, None, None),
      "b642cbba9f30683b4a91244415ed48a42c21c04aead5a3020cbd9d3f8ec391ff"),
