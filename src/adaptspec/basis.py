@@ -27,10 +27,13 @@ per family: the classical Chebyshev and Legendre polynomials, and the
 orthonormal polynomials of a monic recurrence, which give the Hermite and
 Laguerre functions under an exponential envelope (the polynomial part is
 divided by 1e130 wherever it exceeds that, and the envelope makes up the
-difference; a running bound skips tests that cannot fire).  A companion
-recurrence for p_k' serves the Newton polish of the nodes, and the Lobatto
-endpoint values come from the same recurrence run in scalar arithmetic.
-Every family differentiates in coefficient space.
+difference; a running bound skips tests that cannot fire).  Every rule
+takes one Newton step on its nodes from the top two rows (p_{m-1}, p_m) of
+its own table, with p_m' from the family's classical identity in them
+(Szego, secs. 4.5, 5.1, 5.5); the even-order Legendre grid keeps its
+centre at exactly 0, as Chebyshev's does.  The Lobatto endpoint values come
+from the same recurrence run in scalar arithmetic.  Every family
+differentiates in coefficient space.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -227,16 +230,15 @@ def _recurrence_hermite(n: int):
 #     p_{k+1} = ((A_k x + B_k) p_k - C_k p_{k-1}) / D_k.
 
 
-def _orthonormal_table(alpha: np.ndarray, beta: np.ndarray, orient: float = 1.0):
+def _orthonormal_table(alpha: np.ndarray, beta: np.ndarray):
     """Table of the orthonormal polynomials of a monic recurrence, degrees 0..n.
 
-    p_{k+1} = (orient (x - alpha_k) p_k - sqrt(beta_k) p_{k-1}) / sqrt(beta_{k+1})
-    with n = len(alpha) - 1; orient = -1 flips every odd degree (the
-    classical Laguerre sign convention, positive at the left endpoint).
+    p_{k+1} = ((x - alpha_k) p_k - sqrt(beta_k) p_{k-1}) / sqrt(beta_{k+1})
+    with n = len(alpha) - 1.
     """
     n = len(alpha) - 1
     r = np.sqrt(beta[: n + 1])
-    return np.full(n, orient), -orient * alpha[:n], r[:n], r[1:], 1.0 / r[0]
+    return np.ones(n), -alpha[:n], r[:n], r[1:], 1.0 / r[0]
 
 
 def _family_table(family: Family, n: int):
@@ -250,20 +252,20 @@ def _family_table(family: Family, n: int):
         return 2.0 * k + 1.0, np.zeros(n), k, k + 1.0, 1.0
     if family is Family.HERMITE_FN:
         return _orthonormal_table(*_recurrence_hermite(n + 1))
-    return _orthonormal_table(*_recurrence_laguerre(n + 1, 0.0), orient=-1.0)
+    # (k+1) L_{k+1} = (2k+1 - x) L_k - k L_{k-1}: orthonormal, positive at 0
+    return -np.ones(n), 2.0 * k + 1.0, k, k + 1.0, 1.0
 
 
-def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
-    """Yield (p_k, d_k, env) for k = 0..n, one row at a time.
+def _recurrence(table, x: np.ndarray, log_env=None):
+    """Yield (p_k, env) for k = 0..n, one row at a time.
 
-    d_k = p_k'(x) follows the companion recurrence
-        d_{k+1} = ((A_k x + B_k) d_k + A_k p_k - C_k d_{k-1}) / D_k
-    when deriv is set (None otherwise).  With log_env the rows are divided
-    by 1e130 wherever they exceed it and the deficit is folded into the
-    exponent, so p_k * env is the row times exp(log_env) and columns where
-    that value is O(1) never pass through a denormal intermediate; env is
-    None without log_env.  The yielded arrays are working buffers, valid
-    until the generator advances.
+    With log_env the rows are divided by 1e130 wherever they exceed it and
+    the deficit is folded into the exponent, so p_k * env is the row times
+    exp(log_env) and columns where that value is O(1) never pass through a
+    denormal intermediate; env is None without log_env.  The yielded arrays
+    are working buffers: p_k is valid until the generator advances, and
+    then holds p_{k-1} at the scale of the new row (a rescale divides both)
+    until it advances again.
 
     max|p_k| is measured for that test only once a running bound on it,
     M_{k+1} = ((|A_k| max|x| + |B_k|) M_k + |C_k| M_{k-1}) / |D_k|, reaches
@@ -273,10 +275,6 @@ def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
     A, B, C, D, p0 = table
     p_prev, p = np.zeros_like(x), np.full_like(x, p0)
     p_next, buf = np.empty_like(x), np.empty_like(x)
-    d = None
-    if deriv:
-        d_prev, d = np.zeros_like(x), np.zeros_like(x)
-        d_next, ap = np.empty_like(x), np.empty_like(x)
     env = None
     grow = carry = repeat(None)  # per-row factors of the running bound, with log_env
     if log_env is not None:
@@ -287,7 +285,7 @@ def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
         grow = ((np.abs(A) * xmax + np.abs(B)) / np.abs(D)).tolist()
         carry = (np.abs(C) / np.abs(D)).tolist()
         bound, bound_prev = float(np.abs(p).max(initial=0.0)), 0.0
-    yield p, d, env
+    yield p, env
     for a, b, c, dk, g, h in zip(A.tolist(), B.tolist(), C.tolist(), D.tolist(), grow, carry):
         # in this operation order, in preallocated buffers (ufunc calls with
         # out=: in-place operators with a float operand cost more per call);
@@ -298,13 +296,6 @@ def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
             xb = np.multiply(x, a, out=buf)
             if b:
                 np.add(xb, b, out=xb)
-        if deriv:
-            np.multiply(xb, d, out=d_next)
-            np.add(d_next, np.multiply(p, a, out=ap), out=d_next)
-            np.multiply(d_prev, c, out=d_prev)
-            np.subtract(d_next, d_prev, out=d_next)
-            np.divide(d_next, dk, out=d_next)
-            d_prev, d, d_next = d, d_next, d_prev
         np.multiply(xb, p, out=p_next)
         if c != 1.0:
             np.multiply(p_prev, c, out=p_prev)
@@ -319,19 +310,19 @@ def _recurrence(table, x: np.ndarray, log_env=None, deriv: bool = False):
                 bound = float(np.abs(p, out=mag).max())
                 if not bound <= _RESCALE:
                     big = mag > _RESCALE
-                    for arr in (p, p_prev, d, d_prev) if deriv else (p, p_prev):
-                        np.divide(arr, _RESCALE, out=arr, where=big)
+                    np.divide(p, _RESCALE, out=p, where=big)
+                    np.divide(p_prev, _RESCALE, out=p_prev, where=big)
                     np.add(s, _LOG_RESCALE, out=s, where=big)
                     np.exp(s, out=env, where=big)
                     bound = float(np.abs(p, out=mag).max())
                     bound_prev = float(np.abs(p_prev, out=mag).max())
-        yield p, d, env
+        yield p, env
 
 
 def _rows(table, x: np.ndarray, log_env=None) -> np.ndarray:
     """All rows of a table at x, times the envelope when one is given."""
     out = np.empty((len(table[0]) + 1, x.size))
-    for k, (p, _, env) in enumerate(_recurrence(table, x, log_env)):
+    for k, (p, env) in enumerate(_recurrence(table, x, log_env)):
         if env is None:
             out[k] = p
         else:
@@ -349,19 +340,21 @@ def _basis_rows(family: Family, n: int, y: np.ndarray):
     return _rows(_family_table(family, n), y, log_env)
 
 
-def _last_row(table, x: np.ndarray, rescale: bool = False):
-    """(p_n, p_n') at x; rescale keeps their common scale bounded (ratios only)."""
-    # the rescale rides on a zero envelope, exp(-inf): never read, never overflows
-    log_env = np.full_like(x, -np.inf) if rescale else None
-    for p, d, _ in _recurrence(table, x, log_env, deriv=True):
-        pass
-    return p, d
+def _top_rows(table, x: np.ndarray, log_env=None):
+    """(p_{m-1}, p_m), the top two rows of a table at x, at a common scale per column.
+
+    Every Newton polish reads these only: p_m' comes from a classical
+    identity in the two rows, and the step p_m / p_m' is free of their
+    common scale (a rescale under log_env divides both).
+    """
+    q = p = None
+    for row, _ in _recurrence(table, x, log_env):
+        q, p = p, row  # the previous row's buffer now holds p_{k-1} at p_k's scale
+    return q, p
 
 
 def _gauss_nodes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Jacobi matrix (the vectors are not needed)."""
-    if len(alpha) == 1:
-        return np.array([alpha[0]])
     return eigh_tridiagonal(alpha, np.sqrt(beta[1:]), eigvals_only=True)
 
 
@@ -441,10 +434,12 @@ def _core(family: Family, order: int) -> _CoreRule:
         else:
             y, w = _lobatto_nodes(alpha, beta, -1.0, 1.0)
             if n > 1:
-                # interior nodes: roots of P_n', the degree n-1 Jacobi(1, 1) polynomial
+                # interior nodes: roots of P_n', the degree m = n-1 Jacobi(1, 1)
+                # polynomial, with (1-x^2) p_m' = -m x p_m + (2m+3) sqrt(beta_m) p_{m-1}
                 table = _orthonormal_table(*_recurrence_jacobi(n, 1.0, 1.0))
-                p, dp = _last_row(table, y[1:-1])
-                y[1:-1] = y[1:-1] - p / dp
+                x, m = y[1:-1], n - 1
+                q, p = _top_rows(table, x)
+                y[1:-1] = x - (1.0 - x * x) * p / (-m * x * p + (2 * m + 3) * table[3][-1] * q)
             if n % 2 == 0:
                 y[n // 2] = 0.0  # the exact centre, left as solver noise by the polish
         gamma = 2.0 / (2.0 * np.arange(n + 1, dtype=float) + 1.0)
@@ -452,12 +447,9 @@ def _core(family: Family, order: int) -> _CoreRule:
         alpha, beta = _recurrence_hermite(n + 1)
         y = _gauss_nodes(alpha, beta)
         if n >= 1:
-            # Newton on h_{n+1}, h' = sqrt(m/2) h_{m-1} - sqrt((m+1)/2) h_{m+1} at m = n+1:
-            # ratios of rows at a common column share the column's envelope
-            # only rows n..n+2 are read: stream the recurrence past the others
-            rows = _recurrence(_family_table(family, n + 2), y, -0.5 * y * y)
-            h0, h1, h2 = (p * env for p, _, env in islice(rows, n, None))
-            y = y - h1 / (math.sqrt((n + 1) / 2.0) * h0 - math.sqrt((n + 2) / 2.0) * h2)
+            # Newton on h_m, m = n+1, with h_m' = -y h_m + sqrt(2m) h_{m-1}
+            q, p = _top_rows(_family_table(family, n + 1), y, -0.5 * y * y)
+            y = y - p / (math.sqrt(2.0 * (n + 1)) * q - y * p)
             y = 0.5 * (y - y[::-1])  # enforce the exact symmetry of the grid
     else:  # Family.LAGUERRE_FN
         # Radau: the left endpoint, then the roots of the degree-n Laguerre(1)
@@ -465,10 +457,12 @@ def _core(family: Family, order: int) -> _CoreRule:
         y = np.zeros(n + 1)
         if n >= 1:
             y[1:] = _gauss_nodes(*_recurrence_laguerre(n, 1.0))
-            # Newton on the degree-n Laguerre(1) function p e^{-y/2}: ratio p / (p' - p/2)
+            # Newton on the degree-n Laguerre(1) function p e^{-y/2}, with
+            # y p' = n p + sqrt(beta_n) p_{n-1}: step y p / (y p' - y p / 2)
             table = _orthonormal_table(*_recurrence_laguerre(n + 1, 1.0))
-            p, dp = _last_row(table, y[1:], rescale=True)
-            y[1:] = y[1:] - p / (dp - 0.5 * p)
+            x = y[1:]
+            q, p = _top_rows(table, x, -0.5 * x)
+            y[1:] = x - x * p / (n * p + table[3][-1] * q - 0.5 * x * p)
 
     V = _basis_rows(family, n, y)
     V2 = V * V

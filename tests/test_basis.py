@@ -561,8 +561,14 @@ def laguerre_loop(nmax, y, a):
 
 
 def laguerre_rows(nmax, y, a):
-    """Laguerre(a) function rows from the shared kernels; the family itself has a = 0."""
-    return _rows(_orthonormal_table(*_recurrence_laguerre(nmax + 1, a), orient=-1.0), y, -0.5 * y)
+    """Laguerre(a) function rows from the shared kernels; the family itself has a = 0.
+
+    The classical sign convention, positive at the left endpoint: every odd
+    degree of the orthonormal table flipped.
+    """
+    alpha, beta = _recurrence_laguerre(nmax + 1, a)
+    r = np.sqrt(beta)
+    return _rows((-np.ones(nmax), alpha[:nmax], r[:nmax], r[1:], 1.0 / r[0]), y, -0.5 * y)
 
 
 def laguerre_derivative_loop(nmax, y, a):
@@ -617,20 +623,25 @@ def newton_ratio_loop(y, alpha, beta, nroot, rescale):
     return v, d
 
 
-def orthonormal_derivative_loop(y, alpha, beta, nmax):
-    """Rows p_k'(y), k = 0..nmax, of the orthonormal polynomials of a monic recurrence."""
-    out = np.zeros((nmax + 1, y.size))
+def orthonormal_derivative_loop(y, alpha, beta, m):
+    """(p_{m-1}, p_m, p_m') of the orthonormal polynomials of a monic recurrence.
+
+    p_k' follows the companion recurrence of the rows; all four running
+    arrays are rescaled together, so the three share one scale per column.
+    """
     v_prev = np.zeros_like(y)
     v = np.full_like(y, 1.0 / math.sqrt(beta[0]))
     d_prev = np.zeros_like(y)
     d = np.zeros_like(y)
-    for k in range(nmax):
+    for k in range(m):
         rb = math.sqrt(beta[k + 1])
         v_next = ((y - alpha[k]) * v - math.sqrt(beta[k]) * v_prev) / rb
         d_next = (v + (y - alpha[k]) * d - math.sqrt(beta[k]) * d_prev) / rb
         v_prev, v, d_prev, d = v, v_next, d, d_next
-        out[k + 1] = d
-    return out
+        big = np.abs(v) > _RESCALE
+        for arr in (v, v_prev, d, d_prev):
+            arr[big] /= _RESCALE
+    return v_prev, v, d
 
 
 def chebyshev_derivative_loop(a):
@@ -667,9 +678,6 @@ def hermite_derivative_loop(d, a):
             b[m - 1] += d.beta * math.sqrt(m / 2.0) * a[m]
         b[m + 1] -= d.beta * math.sqrt((m + 1) / 2.0) * a[m]
     return b
-
-
-JACOBI_EXPONENTS = [(0.3, -0.4), (1.5, 0.5), (-0.5, -0.5)]
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 2, 400])
@@ -750,25 +758,36 @@ def test_newton_polish_equals_loop_forms(n):
     v, d = newton_ratio_loop(y[1:], *_recurrence_laguerre(n + 1, 1.0), n, rescale=True)
     y[1:] = y[1:] - v / (d - 0.5 * v)
     assert np.array_equal(core_built(Family.LAGUERRE_FN, n).y, y)
-    # Legendre: interior Lobatto nodes on the degree n-1 Jacobi(1, 1) polynomial
+    # Legendre: interior Lobatto nodes on the degree m = n-1 Jacobi(1, 1)
+    # polynomial, its derivative from the top two rows
     y, _ = _lobatto_nodes(*_recurrence_jacobi(n + 1, 0.0, 0.0), -1.0, 1.0)
-    v, d = newton_ratio_loop(y[1:-1], *_recurrence_jacobi(n, 1.0, 1.0), n - 1, rescale=False)
-    y[1:-1] = y[1:-1] - v / d
+    alpha, beta = _recurrence_jacobi(n, 1.0, 1.0)
+    x, m = y[1:-1], n - 1
+    q, p = orthonormal_value_loop(x, alpha, beta, m)
+    y[1:-1] = x - (1.0 - x * x) * p / (-m * x * p + (2 * m + 3) * math.sqrt(beta[m]) * q)
     if n % 2 == 0:
         y[n // 2] = 0.0
     assert np.array_equal(core_built(Family.LEGENDRE, n).y, y)
 
 
-@pytest.mark.parametrize("n", [1, 5, 40, 400])
-def test_derivative_rows_equal_loop_forms(n):
-    # every row of the companion recurrence for p_k', of which the Newton
-    # polish reads only the top one, at the Lobatto nodes of each weight;
-    # the kernels take any exponents, though the package reads (0, 0) and (1, 1)
-    for a, b in JACOBI_EXPONENTS + [(0.0, 0.0), (1.0, 1.0)]:
-        alpha, beta = _recurrence_jacobi(n + 1, a, b)
-        y, _ = _lobatto_nodes(alpha, beta, -1.0, 1.0)
-        rows = np.array([d.copy() for _, d, _ in _recurrence(_orthonormal_table(alpha, beta), y, deriv=True)])
-        assert np.array_equal(rows, orthonormal_derivative_loop(y, alpha, beta, n))
+@pytest.mark.parametrize("n", [2, 3, 36, 200, 1000, MAX_ORDER])
+def test_newton_identities_equal_the_companion_recurrence(n):
+    # each polish takes p_m' from a classical identity in (p_{m-1}, p_m);
+    # the companion recurrence for p_k' checks it at the Gauss nodes of the
+    # weight, where p_m is near zero and the identity rests on p_{m-1}
+    identities = [
+        # Hermite (m = n+1): h_m' = -y h_m + sqrt(2m) h_{m-1} is p_m' = sqrt(2m) p_{m-1}
+        (_recurrence_hermite(n + 2), n + 1, lambda x, q, p, m, rb: math.sqrt(2.0 * m) * q),
+        # Laguerre(1) (m = n): x p_m' = m p_m + sqrt(beta_m) p_{m-1}
+        (_recurrence_laguerre(n + 1, 1.0), n, lambda x, q, p, m, rb: (m * p + rb * q) / x),
+        # Jacobi(1, 1) (m = n-1): (1-x^2) p_m' = -m x p_m + (2m+3) sqrt(beta_m) p_{m-1}
+        (_recurrence_jacobi(n, 1.0, 1.0), n - 1,
+         lambda x, q, p, m, rb: (-m * x * p + (2 * m + 3) * rb * q) / (1.0 - x * x)),
+    ]
+    for (alpha, beta), m, slope in identities:
+        x = _gauss_nodes(alpha[:m], beta[:m])
+        q, p, dp = orthonormal_derivative_loop(x, alpha, beta, m)
+        npt.assert_allclose(slope(x, q, p, m, math.sqrt(beta[m])), dp, rtol=1e-9, atol=0.0)
 
 
 # ------------------------------------- the rescale test under a running bound
@@ -820,7 +839,7 @@ def test_a_column_just_below_the_threshold_is_tested_on_every_row():
     x = np.array([0.999 * _RESCALE, 1.0, -5.0])
     log_env = np.array([-3.0, 0.0, -1.0])
     assert np.array_equal(_rows(table, x, log_env), table_loop(table, x, log_env))
-    for k, (_, _, env) in enumerate(_recurrence(table, x, log_env)):
+    for k, (_, env) in enumerate(_recurrence(table, x, log_env)):
         if k == 301:  # held just below: not rescaled
             assert np.array_equal(env, np.exp(log_env))
     # crossed: column 0 alone was rescaled, once
@@ -839,7 +858,7 @@ def test_after_a_rescale_the_bound_counts_the_previous_row():
     x = np.array([1.0, a1])
     log_env = np.zeros(2)
     assert np.array_equal(_rows(table, x, log_env), table_loop(table, x, log_env))
-    for k, (p, _, env) in enumerate(_recurrence(table, x, log_env)):
+    for k, (p, env) in enumerate(_recurrence(table, x, log_env)):
         if k == 3:
             assert np.array_equal(env, np.exp([_LOG_RESCALE, _LOG_RESCALE]))
             assert (np.abs(p) <= _RESCALE).all()
