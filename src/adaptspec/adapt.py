@@ -34,6 +34,7 @@ is flagged as such here.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -79,6 +80,20 @@ __all__ = [
 ]
 
 
+def _check_fields(config):
+    """Refuse, naming the field, a non-integer in an int field or a NaN or
+    infinity in a float field of a config dataclass; X | None also takes None."""
+    hints = typing.get_type_hints(type(config))
+    for f in fields(config):
+        value, kinds = getattr(config, f.name), typing.get_args(hints[f.name]) or (hints[f.name],)
+        if value is None and type(None) in kinds:
+            continue
+        if int in kinds and not isinstance(value, (int, np.integer)):
+            raise ValueError("%s must be an integer, got %r" % (f.name, value))
+        if float in kinds and not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (f.name, value))
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     """Thresholds and bounds for the three controllers.
@@ -116,9 +131,7 @@ class ControllerConfig:
     moving: bool = True
 
     def __post_init__(self):
-        for f in fields(self):  # the annotations are strings here (postponed evaluation)
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError("%s must be finite, got %r" % (f.name, getattr(self, f.name)))
+        _check_fields(self)
         if not self.eta > 1.0:
             raise ValueError(f"eta must be > 1, got {self.eta}")
         if not self.eta0 > 1.0:

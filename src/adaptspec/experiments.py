@@ -20,7 +20,15 @@ from operator import attrgetter
 import numpy as np
 from scipy.special import erfc
 
-from .adapt import ControllerConfig, _march, _sample, _step_count, initial_state, scale_step
+from .adapt import (
+    ControllerConfig,
+    _check_fields,
+    _march,
+    _sample,
+    _step_count,
+    initial_state,
+    scale_step,
+)
 from .basis import BasisDescriptor, Family, SpectralExpansion, _apply_real, evaluate_all
 from .indicators import _relative_errors, relative_error_2d
 from .schrodinger import (
@@ -82,9 +90,7 @@ class ExperimentConfig:
     def __post_init__(self):
         pinned = _study(self.example)[2]
         _step_count(self.dt, self.T)
-        for f in dataclasses.fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError("%s must be finite, got %r" % (f.name, getattr(self, f.name)))
+        _check_fields(self)
         if self.beta0 <= 0 or self.zeta <= 0:
             raise ValueError("beta0 and zeta must be positive")
         for name, low in (("order", 0), ("n_ref", 1), ("v_sharp", 0)):

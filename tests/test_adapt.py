@@ -730,6 +730,16 @@ def test_config_validation():
     assert ControllerConfig(n_abs=None).n_abs is None
 
 
+def test_an_integer_field_refuses_a_non_integer():
+    # an infinite n_max would void the per-call refine cap, a NaN n_min
+    # would silently stop coarsening
+    for name, value in (("n_max", math.inf), ("n_min", math.nan), ("n_abs", math.inf),
+                        ("n_max", 2.5), ("n_abs", 12.0)):
+        with pytest.raises(ValueError, match="%s must be an integer" % name):
+            ControllerConfig(**{name: value})
+    assert ControllerConfig(n_max=np.int64(3), n_abs=None).n_max == 3
+
+
 # ------------------------------------------- reference-frame operator caches
 
 

@@ -96,6 +96,16 @@ def test_experiment_config_validation():
                              order=50, dt=dt, T=T)
 
 
+def test_an_integer_experiment_field_refuses_a_non_integer():
+    # refused when configured, not later inside the run
+    for example, name, value in ((3, "order", math.inf), (6, "n_ref", math.inf),
+                                 (1, "order", 12.5), (3, "n_max", math.inf)):
+        with pytest.raises(ValueError, match="%s must be an integer" % name):
+            example_config(example, **{name: value})
+    with pytest.raises(ValueError, match="zeta must be finite"):
+        example_config(5, zeta=math.inf)
+
+
 def test_experiment_config_refuses_a_start_above_the_order_ceiling(capsys):
     # n_abs is a hard ceiling, and example 6 never passes its yardstick's order
     with pytest.raises(ValueError, match="order=50 exceeds the order ceiling n_abs=20"):
