@@ -34,9 +34,8 @@ is flagged as such here.
 from __future__ import annotations
 
 import math
-import typing
 from dataclasses import dataclass, fields, replace
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -81,14 +80,11 @@ __all__ = [
 
 
 def _check_fields(config):
-    """Refuse, naming the field, a non-integer in an int field or a NaN or
-    infinity in a float field of a config dataclass; X | None also takes None."""
-    hints = typing.get_type_hints(type(config))
+    """Refuse, naming the field, a non-integer in an int field or a non-finite float."""
+    hints = get_type_hints(type(config))
     for f in fields(config):
-        value, kinds = getattr(config, f.name), typing.get_args(hints[f.name]) or (hints[f.name],)
-        if value is None and type(None) in kinds:
-            continue
-        if int in kinds and not isinstance(value, (int, np.integer)):
+        value, kinds = getattr(config, f.name), get_args(hints[f.name]) or (hints[f.name],)
+        if int in kinds and not isinstance(value, (np.integer, *kinds)):  # kinds may hold None
             raise ValueError("%s must be an integer, got %r" % (f.name, value))
         if float in kinds and not math.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (f.name, value))

@@ -27,13 +27,11 @@ per family: the classical Chebyshev and Legendre polynomials, and the
 orthonormal polynomials of a monic recurrence, which give the Hermite and
 Laguerre functions under an exponential envelope (the polynomial part is
 divided by 1e130 wherever it exceeds that, and the envelope makes up the
-difference; a running bound skips tests that cannot fire).  Every rule
-takes one Newton step on its nodes from the top two rows (p_{m-1}, p_m) of
-its own table, with p_m' from the family's classical identity in them
-(Szego, secs. 4.5, 5.1, 5.5); the even-order Legendre grid keeps its
-centre at exactly 0, as Chebyshev's does.  The Lobatto endpoint values come
-from the same recurrence run in scalar arithmetic.  Every family
-differentiates in coefficient space.
+difference; a running bound skips tests that cannot fire).  One Newton
+step polishes every rule's nodes, with p_m' from a classical identity in the
+top two rows of its table (Szego); an even-order Legendre centre is exactly
+0.  The Lobatto endpoint values come from the same recurrence run in scalar
+arithmetic.  Every family differentiates in coefficient space.
 """
 
 from __future__ import annotations
@@ -341,12 +339,8 @@ def _basis_rows(family: Family, n: int, y: np.ndarray):
 
 
 def _top_rows(table, x: np.ndarray, log_env=None):
-    """(p_{m-1}, p_m), the top two rows of a table at x, at a common scale per column.
-
-    Every Newton polish reads these only: p_m' comes from a classical
-    identity in the two rows, and the step p_m / p_m' is free of their
-    common scale (a rescale under log_env divides both).
-    """
+    """(p_{m-1}, p_m), the top two rows of a table at x, at a common scale per
+    column: all a Newton step p_m / p_m' reads, with p_m' from an identity in them."""
     q = p = None
     for row, _ in _recurrence(table, x, log_env):
         q, p = p, row  # the previous row's buffer now holds p_{k-1} at p_k's scale

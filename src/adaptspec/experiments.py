@@ -20,15 +20,8 @@ from operator import attrgetter
 import numpy as np
 from scipy.special import erfc
 
-from .adapt import (
-    ControllerConfig,
-    _check_fields,
-    _march,
-    _sample,
-    _step_count,
-    initial_state,
-    scale_step,
-)
+from .adapt import (ControllerConfig, _check_fields, _march, _sample, _step_count,
+                    initial_state, scale_step)
 from .basis import BasisDescriptor, Family, SpectralExpansion, _apply_real, evaluate_all
 from .indicators import _relative_errors, relative_error_2d
 from .schrodinger import (
