@@ -95,7 +95,8 @@ class ControllerConfig:
     """Thresholds and bounds for the three controllers.
 
     eta is the initial refine multiplier (refine when the indicator
-    exceeds refine_factor * freq_ref); gamma grows the multiplier after
+    exceeds refine_factor * freq_ref, and never on a reading of 1e-12 or
+    less); gamma grows the multiplier after
     each refinement event.  eta0 is the coarsen divisor: coarsening is
     considered when the indicator falls below freq_ref/eta0 and the order
     exceeds the floor n_min (2 by default: at order 0 or 1 the indicator
@@ -267,6 +268,13 @@ def initial_state(u: SpectralExpansion, config: ControllerConfig) -> AdaptiveSta
     return AdaptiveState(freq_ref=f, scale_ref=f, exterior_ref=e, refine_factor=config.eta)
 
 
+# A reading at or below this floor never refines: it is roundoff, not an
+# unresolved tail.  Across the six studies at full horizons every reading
+# that calls for a refinement of an unresolved tail is at least 4.2e-10
+# (example 5), while example 2's resolved x axis reads 4.6e-15 to 9.0e-14.
+_REFINE_FLOOR = 1e-12
+
+
 def _order_rule(u, state, config, order, trial, indicator, suffix="", f=None):
     """The refine/coarsen rule shared by p_adapt_step and each 2-D axis.
 
@@ -278,20 +286,15 @@ def _order_rule(u, state, config, order, trial, indicator, suffix="", f=None):
     actions: list[str] = []
     if f is None:
         f = indicator(u)
-    if f > state.refine_factor * state.freq_ref:
+    threshold = max(state.refine_factor * state.freq_ref, _REFINE_FLOOR)
+    if f > threshold:
         # refinement never passes n_abs or MAX_ORDER
         cap = min(config.n_abs, basis.MAX_ORDER) if config.n_abs is not None else basis.MAX_ORDER
-        while (
-            f > state.refine_factor * state.freq_ref
-            and len(actions) < config.n_max
-            and order(u) < cap
-        ):
+        while f > threshold and len(actions) < config.n_max and order(u) < cap:
             u = trial(u, 1)
             actions.append("refine" + suffix)
             f = indicator(u)
-        state = replace(
-            state, freq_ref=f, refine_factor=config.gamma * state.refine_factor
-        )
+        state = replace(state, freq_ref=f, refine_factor=config.gamma * state.refine_factor)
     elif f < state.freq_ref / config.eta0 and order(u) > config.n_min:
         candidate = trial(u, -1)
         f_trial = indicator(candidate)
@@ -307,8 +310,9 @@ def p_adapt_step(
 ) -> tuple[SpectralExpansion, AdaptiveState, list[str], float]:
     """One order-adaptivity decision: (u, state, actions, frequency reading).
 
-    Refine while the indicator exceeds refine_factor * freq_ref, at most
-    n_max increments (and never past n_abs or MAX_ORDER); afterwards the
+    Refine while the indicator exceeds refine_factor * freq_ref and reads
+    more than roundoff (1e-12), at most n_max increments (and never past
+    n_abs or MAX_ORDER); afterwards the
     reference is rebased to the current indicator and the refine
     multiplier grows by gamma.  Otherwise, if the indicator sits below freq_ref/eta0 and the
     order exceeds n_min, try a single coarsening and keep it only if it

@@ -11,12 +11,13 @@ spectral differentiation for four families:
 The unbounded families carry a scaling factor beta and a translation
 x_left: grid nodes are x = y/beta + x_left where y is the reference grid,
 and the basis functions absorb sqrt(beta) so that discrete orthonormality
-is preserved under rescaling.  Nodes come from the symmetric-tridiagonal
-(Golub-Welsch) eigenproblem, with the Lobatto endpoint modification computed
-from orthonormal polynomial values, followed by one Newton polish; weights for
-the function families use the Christoffel form 1/sum_k phi_k(y)^2, which
-stays finite for orders in the thousands where the classical closed forms
-overflow.
+is preserved under rescaling.  Nodes are the eigenvalues of a symmetric
+tridiagonal (Golub-Welsch) matrix, the Gauss nodes of a monic recurrence,
+beside the fixed endpoints of the Lobatto and Radau rules: the Legendre-Lobatto
+interior nodes are the Jacobi(1, 1) Gauss nodes, the roots of P_n'.  The
+Legendre weights are the closed form 2/(n(n+1) P_n(y)^2); the function
+families use the Christoffel form 1/sum_k phi_k(y)^2, which stays finite for
+orders in the thousands where the classical closed forms overflow.
 
 Every family obeys one three-term recurrence (Gautschi),
 
@@ -29,9 +30,9 @@ Laguerre functions under an exponential envelope (the polynomial part is
 divided by 1e130 wherever it exceeds that, and the envelope makes up the
 difference; a running bound skips tests that cannot fire).  One Newton
 step polishes every rule's nodes, with p_m' from a classical identity in the
-top two rows of its table (Szego); an even-order Legendre centre is exactly
-0.  The Lobatto endpoint values come from the same recurrence run in scalar
-arithmetic.  Every family differentiates in coefficient space.
+top two rows of its table (Szego), and the Hermite and Legendre grids are then
+mirrored bit for bit, so an even order's centre node is exactly 0.  Every
+family differentiates in coefficient space.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from itertools import repeat
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 __all__ = [
     "Family",
@@ -183,15 +183,14 @@ def _on_grid(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # weight), after Gautschi.
 
 
-# General in (a, b): the Legendre-Lobatto rule reads it at (0, 0), its Newton polish at (1, 1).
+# The Legendre-Lobatto rule reads it at (1, 1): its Gauss nodes are the roots of P_n'.
 def _recurrence_jacobi(n: int, a: float, b: float):
     alpha = np.zeros(n)
     beta = np.zeros(n)
     apb = a + b
     alpha[0] = (b - a) / (apb + 2.0)
-    beta[0] = math.exp(
-        (apb + 1.0) * math.log(2.0) + gammaln(a + 1.0) + gammaln(b + 1.0) - gammaln(apb + 2.0)
-    )
+    log_ratio = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(apb + 2.0)
+    beta[0] = math.exp((apb + 1.0) * math.log(2.0) + log_ratio)
     if n > 1:
         k = np.arange(1, n, dtype=float)
         den = 2.0 * k + apb
@@ -211,7 +210,7 @@ def _recurrence_laguerre(n: int, a: float):
     k = np.arange(n, dtype=float)
     alpha = 2.0 * k + a + 1.0
     beta = k * (k + a)
-    beta[0] = math.exp(gammaln(a + 1.0))
+    beta[0] = math.exp(math.lgamma(a + 1.0))
     return alpha, beta
 
 
@@ -352,43 +351,6 @@ def _gauss_nodes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return eigh_tridiagonal(alpha, np.sqrt(beta[1:]), eigvals_only=True)
 
 
-def _lobatto_nodes(alpha: np.ndarray, beta: np.ndarray, lo: float, hi: float):
-    """Nodes and weights of the Gauss-Lobatto rule with endpoints lo, hi.
-
-    alpha/beta hold m+1 recurrence rows; the returned rule has m+1 points.
-    The modified last diagonal/off-diagonal entries are solved from
-    orthonormal polynomial values (the monic values under/overflow first).
-    """
-    m = len(alpha) - 1
-    pl1, pl = _endpoint_values(alpha, beta, lo)
-    pr1, pr = _endpoint_values(alpha, beta, hi)
-    det = pl * pr1 - pr * pl1
-    alpha_star = (lo * pl * pr1 - hi * pr * pl1) / det
-    beta_star = (hi - lo) * pl * pr / det * math.sqrt(beta[m])
-    d = alpha.copy()
-    d[m] = alpha_star
-    e = np.sqrt(beta[1:])
-    e[m - 1] = math.sqrt(beta_star)
-    vals, vecs = eigh_tridiagonal(d, e)
-    w = beta[0] * vecs[0, :] ** 2
-    vals[0], vals[-1] = lo, hi
-    return vals, w
-
-
-def _endpoint_values(alpha: np.ndarray, beta: np.ndarray, t: float):
-    """(p_{m-1}(t), p_m(t)) of the orthonormal rows, m = len(alpha) - 1.
-
-    The Lobatto modification reads these.  _recurrence's operations on one
-    point in scalar arithmetic, equal bit for bit: at one or two points its
-    per-row ufunc calls cost about ten times the arithmetic.
-    """
-    _, B, C, D, p0 = _orthonormal_table(alpha, beta)
-    p_prev, p = 0.0, float(p0)
-    for b, c, dk in zip(B.tolist(), C.tolist(), D.tolist()):
-        p_prev, p = p, ((t + b if b else t) * p - c * p_prev) / dk
-    return p_prev, p
-
-
 # --------------------------------------------------------------------------
 # Reference (beta-independent) rules, cached per family and order.
 
@@ -421,21 +383,22 @@ def _core(family: Family, order: int) -> _CoreRule:
         gamma = np.full(n + 1, math.pi / 2.0)
         gamma[0] = math.pi
     elif family is Family.LEGENDRE:
-        alpha, beta = _recurrence_jacobi(n + 1, 0.0, 0.0)
         if n == 0:
-            y = np.array([alpha[0]])
-            w = np.array([beta[0]])
+            y = np.array([0.0])
+            w = np.array([2.0])
         else:
-            y, w = _lobatto_nodes(alpha, beta, -1.0, 1.0)
+            # Lobatto: the endpoints, then the roots of P_n', which are the Gauss
+            # nodes of the degree m = n-1 Jacobi(1, 1) polynomial (Szego)
+            y = np.empty(n + 1)
+            y[0], y[-1] = -1.0, 1.0
             if n > 1:
-                # interior nodes: roots of P_n', the degree m = n-1 Jacobi(1, 1)
-                # polynomial, with (1-x^2) p_m' = -m x p_m + (2m+3) sqrt(beta_m) p_{m-1}
-                table = _orthonormal_table(*_recurrence_jacobi(n, 1.0, 1.0))
-                x, m = y[1:-1], n - 1
+                alpha, beta = _recurrence_jacobi(n, 1.0, 1.0)
+                x, m = _gauss_nodes(alpha[:-1], beta[:-1]), n - 1
+                # Newton on p_m, with (1-x^2) p_m' = -m x p_m + (2m+3) sqrt(beta_m) p_{m-1}
+                table = _orthonormal_table(alpha, beta)
                 q, p = _top_rows(table, x)
                 y[1:-1] = x - (1.0 - x * x) * p / (-m * x * p + (2 * m + 3) * table[3][-1] * q)
-            if n % 2 == 0:
-                y[n // 2] = 0.0  # the exact centre, left as solver noise by the polish
+            y = 0.5 * (y - y[::-1])  # enforce the exact symmetry of the grid
         gamma = 2.0 / (2.0 * np.arange(n + 1, dtype=float) + 1.0)
     elif family is Family.HERMITE_FN:
         alpha, beta = _recurrence_hermite(n + 1)
@@ -460,7 +423,9 @@ def _core(family: Family, order: int) -> _CoreRule:
 
     V = _basis_rows(family, n, y)
     V2 = V * V
-    if family not in _BOUNDED:
+    if family is Family.LEGENDRE and n >= 1:
+        w = 2.0 / (n * (n + 1) * V2[n])  # the closed form 2 / (n (n+1) P_n(y)^2)
+    elif family not in _BOUNDED:
         with np.errstate(divide="ignore", over="ignore"):
             w = 1.0 / np.sum(V2, axis=0)
         if not np.isfinite(w).all():

@@ -370,6 +370,36 @@ def test_p_adapt_threshold_boundaries_are_dead():
     assert actions == []
 
 
+def test_p_adapt_never_refines_on_roundoff():
+    # a tail at roundoff reads far above refine_factor * freq_ref, yet at or
+    # below the 1e-12 floor; the same shape ten times larger refines
+    for tail, refines in [(1e-13, False), (1e-11, True)]:
+        u = SpectralExpansion(HER(12), np.r_[1.0, 0.5, 0.25, np.full(10, tail)])
+        f = frequency_indicator(u)
+        assert (f > 1e-12) == refines  # scenario precondition
+        st = state_with(freq_ref=f / 10, refine_factor=1.2)
+        v, st2, actions, _ = p_adapt_step(u, st, ControllerConfig())
+        if refines:
+            assert actions[0] == "refine"
+        else:
+            assert actions == [] and v is u and st2 == st
+
+
+def test_p_adapt_2d_axis_reading_roundoff_does_not_refine():
+    ay = 0.9 ** np.arange(9)
+    for tail, refines in [(1e-13, False), (1e-11, True)]:
+        u = Expansion2D(LEG(8), LEG(8), np.outer(np.r_[1.0, 0.5, 0.25, np.full(6, tail)], ay))
+        fx = frequency_indicator_axis(u, 0)
+        assert (fx > 1e-12) == refines  # scenario precondition
+        sx = state_with(freq_ref=fx / 10, refine_factor=1.2)
+        sy = state_with(freq_ref=1e-9)
+        v, sx2, _, actions, _ = p_adapt_step_2d(u, sx, sy, ControllerConfig(n_max=2))
+        assert ("refine_x" in actions) == refines
+        assert actions.count("refine_y") == 2
+        if not refines:
+            assert v.descriptor_x == u.descriptor_x and sx2 == sx
+
+
 # --------------------------------------------------------- p-adapt 2D
 
 

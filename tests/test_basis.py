@@ -36,11 +36,8 @@ from adaptspec.basis import (
     _cross_matrix,
     _cross_matrix_build,
     _derivative_matrix,
-    _endpoint_values,
     _frame,
     _gauss_nodes,
-    _lobatto_nodes,
-    _orthonormal_table,
     _recurrence,
     _recurrence_hermite,
     _recurrence_jacobi,
@@ -75,26 +72,35 @@ def test_legendre_lobatto_four_points():
     npt.assert_allclose(r.weights, [1 / 6, 5 / 6, 5 / 6, 1 / 6], rtol=1e-14)
 
 
-@pytest.mark.parametrize("n", [*range(9), 12, 14, 26, 101, 1000, MAX_ORDER - 1, MAX_ORDER])
+@pytest.mark.parametrize("n", [*range(65), 101, 1000, MAX_ORDER - 1, MAX_ORDER])
 def test_legendre_centre_node_is_exactly_zero(n):
-    # an even order's middle node is the centre; the polish leaves ~1e-32 there
+    # the grid is mirrored bit for bit, so an even order's middle node is the centre
     y = core_built(Family.LEGENDRE, n).y
+    assert np.array_equal(y, -y[::-1])
     assert (y[n // 2] == 0.0) == (n % 2 == 0)
+
+
+@pytest.mark.parametrize("n,tol", [(130, 1e-13), (600, 5e-13)])
+def test_legendre_weights_match_the_closed_form_in_extended_precision(n, tol):
+    # 2 / (n (n+1) P_n(y)^2) at the rule's own nodes, in 40 digits
+    import mpmath
+
+    r = nodes_weights(BasisDescriptor(Family.LEGENDRE, n))
+    with mpmath.workdps(40):
+        exact = [2 / (n * (n + 1) * mpmath.legendre(n, mpmath.mpf(y)) ** 2) for y in r.nodes]
+        err = max(abs(float((w - e) / e)) for w, e in zip(r.weights, exact))
+    assert err <= tol
 
 
 def test_chebyshev_lobatto_nodes_closed_form():
     r = nodes_weights(BasisDescriptor(Family.CHEBYSHEV, 4))
     npt.assert_allclose(r.nodes, [-np.cos(np.pi * j / 4) for j in range(5)], atol=1e-15)
     npt.assert_allclose(r.weights, [np.pi / 8, np.pi / 4, np.pi / 4, np.pi / 4, np.pi / 8])
-
-
-def test_jacobi_minus_half_matches_chebyshev_grid():
-    # the Lobatto rule of the Jacobi(-1/2, -1/2) recurrence shares the
-    # Chebyshev weight, so it is an independent oracle for the closed form
-    nodes, weights = _lobatto_nodes(*_recurrence_jacobi(7, -0.5, -0.5), -1.0, 1.0)
-    rc = nodes_weights(BasisDescriptor(Family.CHEBYSHEV, 6))
-    npt.assert_allclose(nodes, rc.nodes, atol=1e-13)
-    npt.assert_allclose(weights, rc.weights, rtol=1e-12)
+    # an independent oracle: the interior nodes, the roots of T_n' = n U_{n-1},
+    # are the Gauss nodes of the Jacobi(1/2, 1/2) weight
+    for n in (2, 6, 33):
+        y = nodes_weights(BasisDescriptor(Family.CHEBYSHEV, n)).nodes
+        npt.assert_allclose(_gauss_nodes(*_recurrence_jacobi(n - 1, 0.5, 0.5)), y[1:-1], atol=1e-14)
 
 
 def test_hermite_gauss_two_and_three_points():
@@ -723,21 +729,6 @@ def test_scaled_recurrence_keeps_nan_columns_apart():
     assert np.array_equal(laguerre_rows(400, y, 0.5), laguerre_loop(400, y, 0.5), equal_nan=True)
 
 
-@pytest.mark.parametrize("n", [1, 2, 17, 400])
-def test_endpoint_values_equal_scalar_loop(n):
-    # the Lobatto modification reads p_{n-1}, p_n at the endpoints
-    for alpha, beta, points in [
-        (*_recurrence_jacobi(n + 1, 0.3, -0.4), (-1.0, 1.0)),
-        (*_recurrence_jacobi(n + 1, 0.0, 0.0), (-1.0, 1.0)),
-        (*_recurrence_laguerre(n + 1, 2.0), (0.0,)),
-    ]:
-        P = _rows(_orthonormal_table(alpha, beta), np.array(points))
-        for j, t in enumerate(points):
-            assert (P[n - 1, j], P[n, j]) == orthonormal_value_loop(t, alpha, beta, n)
-            # the scalar path the Lobatto rule takes
-            assert _endpoint_values(alpha, beta, t) == orthonormal_value_loop(t, alpha, beta, n)
-
-
 def core_built(family, n):
     """A fresh (uncached) core rule; any warning while building it fails."""
     with warnings.catch_warnings():
@@ -758,16 +749,14 @@ def test_newton_polish_equals_loop_forms(n):
     v, d = newton_ratio_loop(y[1:], *_recurrence_laguerre(n + 1, 1.0), n, rescale=True)
     y[1:] = y[1:] - v / (d - 0.5 * v)
     assert np.array_equal(core_built(Family.LAGUERRE_FN, n).y, y)
-    # Legendre: interior Lobatto nodes on the degree m = n-1 Jacobi(1, 1)
-    # polynomial, its derivative from the top two rows
-    y, _ = _lobatto_nodes(*_recurrence_jacobi(n + 1, 0.0, 0.0), -1.0, 1.0)
+    # Legendre: the endpoints, then the Gauss nodes of Jacobi(1, 1) polished on
+    # its degree m = n-1 polynomial, its derivative from the top two rows; mirrored
+    x, m = _gauss_nodes(*_recurrence_jacobi(n - 1, 1.0, 1.0)), n - 1
     alpha, beta = _recurrence_jacobi(n, 1.0, 1.0)
-    x, m = y[1:-1], n - 1
     q, p = orthonormal_value_loop(x, alpha, beta, m)
-    y[1:-1] = x - (1.0 - x * x) * p / (-m * x * p + (2 * m + 3) * math.sqrt(beta[m]) * q)
-    if n % 2 == 0:
-        y[n // 2] = 0.0
-    assert np.array_equal(core_built(Family.LEGENDRE, n).y, y)
+    x = x - (1.0 - x * x) * p / (-m * x * p + (2 * m + 3) * math.sqrt(beta[m]) * q)
+    y = np.r_[-1.0, x, 1.0]
+    assert np.array_equal(core_built(Family.LEGENDRE, n).y, 0.5 * (y - y[::-1]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 36, 200, 1000, MAX_ORDER])
@@ -1054,14 +1043,20 @@ def test_unbounded_cross_matrix_is_built_on_its_own_grid(d):
     assert np.array_equal(B, evaluate_all(d0, nodes_weights(d0).nodes))
 
 
-@pytest.mark.parametrize("family", [Family.HERMITE_FN, Family.LAGUERRE_FN], ids=lambda f: f.value)
+@pytest.mark.parametrize("family", [Family.HERMITE_FN, Family.LAGUERRE_FN, Family.LEGENDRE],
+                         ids=lambda f: f.value)
 def test_function_family_rules_are_sound_up_to_max_order(family):
     # finite nodes and weights, and a discrete Gram matrix equal to the
-    # identity (the functions are orthonormal) on sampled rows; built
-    # uncached, so the order-3000 rules do not stay resident
+    # identity on sampled rows once normalized (the functions are orthonormal;
+    # P_k has squared norm 2/(2k+1), and P_n on the Lobatto grid 2/n); built uncached,
+    # so the order-3000 rules do not stay resident
     for n in (0, 1, 2, 50, 300, 1000, MAX_ORDER):
         core = _core.__wrapped__(family, n)
         assert np.isfinite(core.y).all() and np.isfinite(core.w).all()
         rows = np.unique(np.linspace(0, n, 40).astype(int))
-        G = (core.V[rows] * core.w) @ core.V.T
+        g = np.ones(n + 1)
+        if family is Family.LEGENDRE:
+            g = 2.0 / (2.0 * np.arange(n + 1) + 1.0)
+            g[n] = 2.0 / max(n, 1)
+        G = (core.V[rows] * core.w) @ core.V.T / np.sqrt(g[rows, None] * g)
         assert np.max(np.abs(G - np.eye(n + 1)[rows])) <= 1e-12, n

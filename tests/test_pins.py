@@ -21,9 +21,9 @@ PINS = [
     (1, 1.0, "d3ade467c0d4a523a6933f1299fa9e078e9faa08d44c30ffed7ae6f18d2e5b7c",
      (16, None, None, None, None),
      "c1c79e627e000c14e69c5699910b3b15a394e49ad0cc7b0007ba932faaec5d0d"),
-    (2, 1.0, "f70fe8f98c5b8c3608a7e61760810a4f17ceae38328e025bdac01fc872582925",
-     (None, 40, 38, None, None),
-     "1550ec8fdab015647465647aed874a7058058868fd3cadcf5fa09d050f4cd922"),
+    (2, 1.0, "85538bbf196459e53a0c984f861cc9a131085a52a251c88c7662cc14d36792a0",
+     (None, 37, 38, None, None),
+     "5a9c20a9fbd89cc8666c6715172ce5481dbf041b81bf766b53e0ed25a791c702"),
     (3, 1.0, "2afb00109c7f60e5d3956b2aacb608892342be4cf93b20a47459cbffa39ffafb",
      (56, None, None, 2.161440350650546, 0.0),
      "c10050b497b2ce04cb47ea166f10a86bdad15d5685989ccc429b7ccc2fe56519"),
@@ -41,9 +41,9 @@ PINS = [
 # The horizons of the bounded-tensor bench workload, so that every workload's
 # seed-0 run is pinned here (the other three run examples 3, 5 and 6 as above).
 BENCH_PINS = [
-    (2, 5.0, "2e306dc81b30c34cf6b8cca46adb8a84d49a141d159a82932455910b0494594c",
-     (None, 64, 45, None, None),
-     "90ea57bd33e1d17b4327c3d75632ed7e6b7bfbcec508eb9eeef4a856daa333e1"),
+    (2, 5.0, "c0cba5a2e80ce0ed5f7de07c8f170501db823ebd9fbea617e8c592d8e59b16a9",
+     (None, 41, 45, None, None),
+     "504650a636ae50665067abf494d02fb1da611745530221916a71305f796b0cb4"),
     (1, 2.0, "adf8b071f28f142563a6e19bdae5bd52e791c73600eb13515369e79b0fb22d81",
      (20, None, None, None, None),
      "b642cbba9f30683b4a91244415ed48a42c21c04aead5a3020cbd9d3f8ec391ff"),

@@ -481,3 +481,12 @@ def test_trap_squeezed_state_breathes_through_both_scalings():
     assert "scale_up" in actions and "scale_down" in actions
     assert errors.max() <= 1e-11
     assert np.abs(norms - 1.0).max() <= 1e-12
+
+
+def test_trap_squeezed_state_does_not_ratchet_the_order():
+    # the indicator reads roundoff (about 1e-14) the whole half period, which
+    # must not drive the order up from its start at 50
+    errors, actions, norms = _trap_run(_squeezed)
+    assert 50 + actions.count("refine") - actions.count("coarsen") <= 60
+    assert errors.max() <= 1e-11
+    assert np.abs(norms - 1.0).max() <= 1e-12
