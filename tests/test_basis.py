@@ -38,6 +38,7 @@ from adaptspec.basis import (
     _derivative_matrix,
     _frame,
     _gauss_nodes,
+    _orthonormal_table,
     _recurrence,
     _recurrence_hermite,
     _recurrence_jacobi,
@@ -96,11 +97,21 @@ def test_chebyshev_lobatto_nodes_closed_form():
     r = nodes_weights(BasisDescriptor(Family.CHEBYSHEV, 4))
     npt.assert_allclose(r.nodes, [-np.cos(np.pi * j / 4) for j in range(5)], atol=1e-15)
     npt.assert_allclose(r.weights, [np.pi / 8, np.pi / 4, np.pi / 4, np.pi / 4, np.pi / 8])
-    # an independent oracle: the interior nodes, the roots of T_n' = n U_{n-1},
-    # are the Gauss nodes of the Jacobi(1/2, 1/2) weight
+
+
+def test_jacobi_minus_half_matches_chebyshev_grid():
+    # the Jacobi(-1/2, -1/2) recurrence shares the Chebyshev weight, so it is
+    # an independent oracle for the closed form: the n+1 point Lobatto rule
+    # integrates its orthonormal rows of degree 0..2n-1 exactly
     for n in (2, 6, 33):
-        y = nodes_weights(BasisDescriptor(Family.CHEBYSHEV, n)).nodes
-        npt.assert_allclose(_gauss_nodes(*_recurrence_jacobi(n - 1, 0.5, 0.5)), y[1:-1], atol=1e-14)
+        r = nodes_weights(BasisDescriptor(Family.CHEBYSHEV, n))
+        alpha, beta = _recurrence_jacobi(2 * n, -0.5, -0.5)
+        integrals = _rows(_orthonormal_table(alpha, beta), r.nodes) @ r.weights
+        npt.assert_allclose(integrals, np.eye(2 * n)[0] * math.sqrt(beta[0]), atol=1e-13)
+        # and the interior nodes, the roots of T_n' = n U_{n-1}, are the
+        # Gauss nodes of the Jacobi(1/2, 1/2) weight
+        y = _gauss_nodes(*_recurrence_jacobi(n - 1, 0.5, 0.5))
+        npt.assert_allclose(y, r.nodes[1:-1], atol=1e-14)
 
 
 def test_hermite_gauss_two_and_three_points():
