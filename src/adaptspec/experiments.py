@@ -2,8 +2,8 @@
 
 Each example_config() factory pins one study's operating point (basis,
 controller thresholds, step size, horizon).  run() marches it and writes
-one CSV row per step (a 1-D run's errors in one pass per stretch of steps
-in one space); sweep() re-runs a config over a parameter grid and
+one CSV row per step (a 1-D closed form's errors in one pass per stretch
+of steps in one space); sweep() re-runs a config over a parameter grid and
 tabulates the endpoint of every cell.  Nothing draws randomness, so
 reruns are bit-identical and the CSVs double as regression artifacts.
 """
@@ -22,8 +22,8 @@ from scipy.special import erfc
 
 from .adapt import (ControllerConfig, _check_fields, _march, _sample, _step_count,
                     initial_state, scale_step)
-from .basis import BasisDescriptor, Family, SpectralExpansion, _apply_real, evaluate_all
-from .indicators import _relative_errors, relative_error_2d
+from .basis import BasisDescriptor, Family, SpectralExpansion
+from .indicators import _error_against, _relative_errors, relative_error_2d
 from .schrodinger import (
     SchrodingerProblem,
     adapt_schrodinger_run,
@@ -194,19 +194,19 @@ def example_config(example, **overrides):
 # ---------------------------------------------------------------------------
 # runners
 
-def _logger(target, rows=None):
+def _logger(target):
     """The on_step callback, and a function returning the records with t and
     the error against target(x, t), or target(X, Y, t) in 2-D, filled in.
-    1-D errors take one pass per stretch of steps in one space, against
-    rows(x, ts): the target's values at x for the stretch's times ts.
+    1-D errors take one pass per stretch of steps in one space, against the
+    target's values at the fine rule's nodes for the stretch's times.
     """
-    rows = rows or (lambda x, ts: np.stack([target(x, t) for t in ts]))
     records, run = [], []  # run: (t, u, rec) of the steps since the space last changed
 
     def flush():
         if run:
             ts, us, recs = zip(*run)
-            for r, t, e in zip(recs, ts, _relative_errors(us, lambda x: rows(x, ts))):
+            rows = lambda x: np.stack([target(x, t) for t in ts])
+            for r, t, e in zip(recs, ts, _relative_errors(us, rows)):
                 records.append(r.filled(t, e))
             run.clear()
         return records
@@ -341,15 +341,14 @@ def _run_example_6(cfg):
     # Refinement may grow the order, but never past what the yardstick resolves.
     controller = dataclasses.replace(cfg.controller, n_abs=_order_ceiling(cfg)[0])
 
-    def rows(x, ts):
-        # the step ending at t is reference step t/dt - 1; one evaluation per space
-        refs = [reference[round(t / cfg.dt) - 1] for t in ts]
-        E = {d: evaluate_all(d, x).T for d in {ref.descriptor for ref in refs}}
-        return np.stack([_apply_real(E[ref.descriptor], ref.coefficients) for ref in refs])
+    records = []
 
-    log, logged = _logger(None, rows)
+    def log(t, u, rec):
+        # the step ending at t is reference step t/dt - 1
+        records.append(rec.filled(t, _error_against(u, reference[round(t / cfg.dt) - 1])))
+
     adapt_schrodinger_run(problem, controller, d0, on_step=log)
-    return logged()
+    return records
 
 
 # example -> (runner, pinned controller, pinned experiment).  Values not named

@@ -4,7 +4,8 @@ Three quantities: the frequency indicator (fraction of weighted energy in
 the top modes, 1D and per-axis 2D), the exterior-error indicator (fraction
 of the derivative's weighted norm beyond the grid's split node, for
 unbounded families), and the relative weighted-L2 error against a
-reference function on an oversampled grid.
+reference function on an oversampled grid, or against a reference
+expansion on its own grid where that oversamples.
 
 The exterior indicator and the relative error evaluate the expansion
 through cached matrices keyed in the reference frame: the exterior panels
@@ -40,6 +41,8 @@ from .basis import (
     _laguerre_derivative,
     _on_grid,
     _with_order,
+    evaluate_all,
+    node_values,
     nodes_weights,
     norms,
 )
@@ -206,6 +209,34 @@ def _relative_errors(us, rows: Callable) -> list:
         den2 = float(r.weights @ np.abs(fv) ** 2)
         errors.append(_ratio(r.weights @ np.abs(uv - fv) ** 2, den2, F))
     return errors
+
+
+def _error_against(u: SpectralExpansion, ref: SpectralExpansion) -> float:
+    """relative_error(u, lambda x: to_values(ref, x)), on ref's own rule where that oversamples u.
+
+    ref's rule serves when it is of u's family and of order >= 2N+2, as
+    relative_error's rule is: u's values come from the cached cross matrix
+    and ref's are its node values, so no rule is built for u's order.
+    Otherwise the error is relative_error's, bit for bit, with ref's basis
+    values at the fine rule kept for the next call in the same two spaces.
+    """
+    d, dr = u.descriptor, ref.descriptor
+    if dr.family is d.family and 2 * d.order + 2 <= dr.order:
+        w, fv, B = nodes_weights(dr).weights, node_values(ref), _cross_matrix(d, dr)
+    else:
+        fine = _fine_descriptor(d)
+        w, B = nodes_weights(fine).weights, _cross_matrix(d, fine)
+        fv = _apply_real(_fine_rows(dr, fine).T, ref.coefficients)
+    uv = _apply_real(B.T, u.coefficients)
+    return _ratio(w @ np.abs(uv - fv) ** 2, float(w @ np.abs(fv) ** 2), fv)
+
+
+@lru_cache(maxsize=1)
+def _fine_rows(d: BasisDescriptor, fine: BasisDescriptor) -> np.ndarray:
+    """evaluate_all(d) at the nodes of fine; only the last pair is kept."""
+    E = evaluate_all(d, nodes_weights(fine).nodes)
+    E.setflags(write=False)
+    return E
 
 
 def _ratio(num2, den2: float, values: np.ndarray) -> float:

@@ -612,31 +612,69 @@ def test_filled_record_is_replace_field_for_field(rec):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
-def test_example_6_error_evaluates_each_reference_space_once_per_run(monkeypatch):
+def _example_6_rows(monkeypatch, **overrides):
+    """Example 6 with its steps spied on: (cfg, records, [(t, u, reference at t)])."""
+    cfg, seen, records = _logged_run(monkeypatch, 6, "adapt_schrodinger_run", **overrides)
+    reference = experiments._reference_trajectory_6(experiments._reference_key_6(cfg))
+    assert len(records) == len(seen) == round(cfg.T / cfg.dt)
+    return cfg, records, [(t, u, reference[round(t / cfg.dt) - 1]) for t, u in seen]
+
+
+def _fine_rule_error(u, ref):
+    """The yardstick on u's own oversampled rule (order 2N+2), ref evaluated there."""
     from adaptspec import to_values
     from adaptspec.indicators import relative_error
 
-    evaluated = []
-    evaluate_all = experiments.evaluate_all
-    monkeypatch.setattr(
-        experiments, "evaluate_all", lambda d, x: evaluated.append(d) or evaluate_all(d, x)
-    )
-    cfg, seen, records = _logged_run(
-        monkeypatch, 6, "adapt_schrodinger_run", order=40, n_ref=100, T=0.6
-    )
-    reference = experiments._reference_trajectory_6(experiments._reference_key_6(cfg))
-    refs = [reference[round(t / cfg.dt) - 1] for t, _ in seen]
-    assert len(records) == len(seen) == 60
-    for rec, (t, u), ref in zip(records, seen, refs):
-        assert rec.t == t
-        assert rec.error == relative_error(u, lambda x: to_values(ref, x))
-    # one evaluation per (run, reference space) pair; some run spans two
-    per_run, start = [], 0
-    for n in _runs(seen):
-        per_run.append(len({r.descriptor for r in refs[start:start + n]}))
-        start += n
-    assert max(per_run) == 2
-    assert len(evaluated) == sum(per_run) < len(seen)
+    return relative_error(u, lambda x: to_values(ref, x))
+
+
+def test_example_6_error_is_taken_on_the_reference_rule_up_to_the_oversampling_limit(
+        monkeypatch):
+    from adaptspec import evaluate_all, node_values, nodes_weights
+
+    # the first step refines to order 59; n_ref=200 leaves 12 rows up to the limit, 48 past it
+    cfg, records, rows = _example_6_rows(monkeypatch, order=40, n_ref=200, T=0.6)
+    on_rule = [2 * u.descriptor.order + 2 <= ref.descriptor.order for _, u, ref in rows]
+    assert any(on_rule) and not all(on_rule), [u.descriptor.order for _, u, _ in rows]
+    for rec, (t, u, ref), inside in zip(records, rows, on_rule):
+        assert rec.t == t and u.descriptor.x_left == ref.descriptor.x_left == 0.0
+        if not inside:
+            assert rec.error == _fine_rule_error(u, ref)
+            continue
+        # u at the reference's nodes, complex coefficients as one two-column real product
+        r = nodes_weights(ref.descriptor)
+        c = u.coefficients
+        v = evaluate_all(u.descriptor, r.nodes).T @ np.column_stack([c.real, c.imag])
+        uv, fv = v[:, 0] + 1j * v[:, 1], node_values(ref)
+        num2, den2 = r.weights @ np.abs(uv - fv) ** 2, r.weights @ np.abs(fv) ** 2
+        assert rec.error == math.sqrt(float(num2) / float(den2))
+
+
+def test_example_6_error_agrees_with_the_fine_rule_yardstick(monkeypatch):
+    _, records, rows = _example_6_rows(monkeypatch, T=0.1)
+    for rec, (_, u, ref) in zip(records, rows):
+        assert 2 * u.descriptor.order + 2 <= ref.descriptor.order  # all on the reference rule
+        want = _fine_rule_error(u, ref)
+        assert abs(rec.error - want) <= 1e-7 * want, (rec.t, rec.error, want)
+
+
+def test_example_6_builds_rules_for_its_working_orders_and_the_reference_only(monkeypatch):
+    from functools import lru_cache
+
+    from adaptspec import basis
+
+    built, core = [], basis._core.__wrapped__
+
+    @lru_cache(maxsize=256)
+    def counted(family, order):
+        built.append((family, order))
+        return core(family, order)
+
+    monkeypatch.setattr(basis, "_core", counted)
+    cfg, records, _ = _example_6_rows(monkeypatch, T=0.1)
+    working = {cfg.order} | {rec.order for rec in records}
+    assert len(working) == 7 and max(working) < cfg.n_ref
+    assert sorted(built) == [(cfg.family, n) for n in sorted(working | {cfg.n_ref})]
 
 
 # ---------------------------------------------------------------------------

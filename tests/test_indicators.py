@@ -23,6 +23,7 @@ from adaptspec import (
 from adaptspec.basis import _CACHE_ENTRY_LIMIT
 from adaptspec.indicators import (
     _axis_indicators,
+    _error_against,
     _relative_errors,
     _composite_gauss,
     _exterior_panels,
@@ -372,6 +373,41 @@ def test_batched_relative_errors_equal_the_one_row_calls(d, complex_):
     assert batched == [relative_error(u, f) for u, f in zip(us, targets)]
     assert batched == [relative_error_direct(u, f) for u, f in zip(us, targets)]
     assert _relative_errors(us[:1], targets[0]) == [relative_error(us[0], targets[0])]
+
+
+def _reference_of(u, order, seed):
+    """An expansion of the given order in u's frame: u padded, plus a small random tail."""
+    d = replace(u.descriptor, order=order)
+    c = np.zeros(d.size, dtype=u.coefficients.dtype)
+    c[: u.coefficients.size] = u.coefficients
+    return SpectralExpansion(d, c + 1e-3 * _coefficients(d, u.coefficients.dtype.kind == "c", seed))
+
+
+@pytest.mark.parametrize("d, complex_", RUN_SPACES)
+def test_error_against_an_expansion_takes_its_rule_from_order_2n_plus_2(d, complex_):
+    u = SpectralExpansion(d, _coefficients(d, complex_, 1))
+    # order 2N+2 in u's frame: the same rule as relative_error's, values from the
+    # reference's own nodes, so the two agree to roundoff
+    ref = _reference_of(u, 2 * d.order + 2, 2)
+    fine = relative_error(u, lambda x: to_values(ref, x))
+    assert 1e-4 < fine and _error_against(u, ref) == pytest.approx(fine, rel=1e-12)
+    # one order short of the rule, or of another family: relative_error bit for bit
+    ref = _reference_of(u, 2 * d.order + 1, 3)
+    assert _error_against(u, ref) == relative_error(u, lambda x: to_values(ref, x))
+    if d.bounded:
+        other = Family.LEGENDRE if d.family is Family.CHEBYSHEV else Family.CHEBYSHEV
+        ref_d = BasisDescriptor(other, 3 * d.order)
+        ref = SpectralExpansion(ref_d, _coefficients(ref_d, complex_, 4))
+        assert _error_against(u, ref) == relative_error(u, lambda x: to_values(ref, x))
+
+
+@pytest.mark.parametrize("order_step", [2, 1])
+def test_error_against_refuses_a_non_finite_reference(order_step):
+    u = SpectralExpansion(HER(8, beta=1.2), _coefficients(HER(8), True, 4))
+    ref = _reference_of(u, 2 * 8 + order_step, 5)
+    ref.coefficients[3] = math.nan
+    with pytest.raises(ValueError, match="is not finite"):
+        _error_against(u, ref)
 
 
 def test_relative_error_unbounded_weighted():
